@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .aggregation import AGGREGATE_ID, ModelUpdate, multi_krum_select
-from .nn import Minibatch, SgdConfig
+from .nn import Minibatch, SeedNetwork, SgdConfig
 from .ranking import NetworkRanking, reverse_ranking, vote_network
 from .rng import InitKind, RngStream
 
@@ -57,7 +57,7 @@ class AttackConfig:
         return int(self.malicious_fraction * num_clients)
 
 
-def craft_rank_poison(seed: int, global_ranking: NetworkRanking,
+def craft_rank_poison(seed: int | SeedNetwork, global_ranking: NetworkRanking,
                       malicious_batches: list[list[Minibatch]], epochs: int,
                       k: float, sgd: SgdConfig, rngs: list[RngStream],
                       specs, weight_init: InitKind) -> NetworkRanking:
@@ -65,7 +65,8 @@ def craft_rank_poison(seed: int, global_ranking: NetworkRanking,
 
     Every malicious client first runs the benign client procedure on its
     own data, the group votes over those rankings, and the reversed result
-    is what each of them submits.
+    is what each of them submits.  ``seed`` is passed on to
+    ``fsl_client_update`` as it is.
     """
     from .protocols import fsl_client_update  # deferred: protocols imports this module
 

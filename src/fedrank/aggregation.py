@@ -58,6 +58,14 @@ def trimmed_mean(updates: list[ModelUpdate], f: int) -> ModelUpdate:
     return ModelUpdate(delta=mat.mean(axis=0), client_id=AGGREGATE_ID)
 
 
+def squared_distances(mat: np.ndarray) -> np.ndarray:
+    """n x n squared Euclidean distances between the rows of ``mat``.
+
+    Built one row at a time, so memory grows with n * d, not n * n * d.
+    """
+    return np.stack([np.sum((row - mat) ** 2, axis=1) for row in mat])
+
+
 def multi_krum_select(updates: list[ModelUpdate], f: int) -> list[int]:
     """Indices of the m = n - f updates with the lowest Krum scores.
 
@@ -67,8 +75,7 @@ def multi_krum_select(updates: list[ModelUpdate], f: int) -> list[int]:
     n = len(updates)
     if n < f + 3:
         raise ValueError(f"multi-krum needs at least f + 3 = {f + 3} updates, got {n}")
-    mat = _stack(updates)
-    sq = np.sum((mat[:, None, :] - mat[None, :, :]) ** 2, axis=2)
+    sq = squared_distances(_stack(updates))
     closest = n - f - 2
     scores = np.empty(n)
     for i in range(n):

@@ -57,6 +57,9 @@ def records_to_csv(records: list[RoundRecord]) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 2
     try:
         cfg = parse_config(args.config)
     except (ConfigError, OSError) as exc:

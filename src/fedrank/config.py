@@ -8,6 +8,8 @@ written as comma-separated ``fan_inxfan_out:activation`` entries, e.g.
 
 from __future__ import annotations
 
+import math
+
 from .adversary import AttackConfig, AttackKind, OmegaKind
 from .nn import LayerSpec, SgdConfig
 from .protocols import Aggregator, Algorithm, ExperimentConfig
@@ -107,6 +109,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             typed[key] = conv(text)
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {text!r} as {conv.__name__}") from exc
+        if conv is float and not math.isfinite(typed[key]):
+            raise ConfigError(f"{key}: must be finite, got {text!r}")
 
     cfg = ExperimentConfig()
     sgd = cfg.sgd

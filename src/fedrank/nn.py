@@ -82,8 +82,12 @@ class Supernetwork:
         self.specs = specs
         self.weights = []
         for w in weights:
-            w = np.array(w, dtype=np.float32)  # own copy, frozen below
-            w.flags.writeable = False
+            w = np.asarray(w)
+            # A read-only float32 array is taken as frozen and shared, so
+            # rebuilds from one SeedNetwork hold no copies of the weights.
+            if w.dtype != np.float32 or w.flags.writeable:
+                w = np.array(w, dtype=np.float32)  # own copy, frozen below
+                w.flags.writeable = False
             self.weights.append(w)
         self.scores = [np.array(s, dtype=np.float32) for s in scores]
         self.seed = seed
@@ -106,30 +110,78 @@ class Supernetwork:
         scores = [init_scores((sp.fan_out, sp.fan_in), s_rng) for sp in specs]
         return cls(specs, weights, scores, seed)
 
-    def reorder_all_scores(self, ranking: list[np.ndarray]) -> None:
-        """Overwrite scores so their layer-wise order matches ``ranking``."""
-        for i, (s, perm) in enumerate(zip(self.scores, ranking)):
-            flat = np.sort(s.ravel(), kind="stable")
-            self.scores[i] = reorder_scores(flat, perm).reshape(s.shape)
+    def reorder_all_scores(self, ranking: list[np.ndarray],
+                           sorted_scores: list[np.ndarray] | None = None) -> None:
+        """Overwrite scores so their layer-wise order matches ``ranking``.
+
+        ``sorted_scores`` are the values to hand out, ascending per layer;
+        by default the current scores, stably sorted.
+        """
+        if sorted_scores is None:
+            sorted_scores = [np.sort(s.ravel(), kind="stable") for s in self.scores]
+        for i, (s, values, perm) in enumerate(zip(self.scores, sorted_scores, ranking)):
+            self.scores[i] = reorder_scores(values, perm).reshape(s.shape)
 
     def score_rankings(self) -> list[np.ndarray]:
         return [argsort_ranking(s) for s in self.scores]
+
+
+class SeedNetwork:
+    """The network every party builds from the shared seed, built once.
+
+    Holds the frozen weights, the initial ranking and each layer's initial
+    scores sorted ascending (stable sort), all read-only, so the client
+    threads of a round can share one.  :meth:`rebuild` gives each caller
+    its own trainable scores.
+    """
+
+    def __init__(self, seed: int, specs: list[LayerSpec],
+                 weight_init: InitKind = InitKind.SIGNED_KAIMING_CONSTANT):
+        net = Supernetwork.from_seed(seed, specs, weight_init)
+        self.seed = seed
+        self.specs = specs
+        self.weights = net.weights
+        self.ranking = net.score_rankings()
+        self.sorted_scores = [s.ravel()[r] for s, r in zip(net.scores, self.ranking)]
+        for a in self.ranking + self.sorted_scores:
+            a.flags.writeable = False
+
+    def rebuild(self, ranking: list[np.ndarray]) -> Supernetwork:
+        """What ``from_seed`` then ``reorder_all_scores(ranking)`` gives,
+        without drawing the weights or sorting the scores again."""
+        shaped = [v.reshape(w.shape) for v, w in zip(self.sorted_scores, self.weights)]
+        net = Supernetwork(self.specs, self.weights, shaped, self.seed)
+        net.reorder_all_scores(ranking, self.sorted_scores)
+        return net
 
 
 def mask_layer(scores: np.ndarray, k: float) -> np.ndarray:
     """Binary mask keeping the top-k fraction of edges by score.
 
     Ties go to the lower flat index first in the ascending order, so equal
-    scores are dropped from index 0 upward.
+    scores are dropped from index 0 upward: of the scores equal to the
+    smallest kept value, the highest flat indices are kept.  The threshold
+    comes from a selection, not a sort.
     """
     flat = np.asarray(scores, dtype=np.float64).ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("scores must be finite")
-    t = flat.size - keep_count(flat.size, k)
-    order = np.argsort(flat, kind="stable")
+    keep = keep_count(flat.size, k)
     mask = np.zeros(flat.size, dtype=np.float32)
-    mask[order[t:]] = 1.0
+    if keep:
+        threshold = np.partition(flat, flat.size - keep)[flat.size - keep]
+        above = flat > threshold
+        mask[above] = 1.0
+        ties = np.flatnonzero(flat == threshold)
+        mask[ties[len(ties) - (keep - int(np.count_nonzero(above))):]] = 1.0
     return mask.reshape(np.asarray(scores).shape)
+
+
+def masked_weights(net: Supernetwork, k: float) -> list[np.ndarray]:
+    """Each layer's weights times its top-k mask, in float64: the matrices
+    the forward pass multiplies by."""
+    return [(w * mask_layer(s, k)).astype(np.float64)
+            for w, s in zip(net.weights, net.scores)]
 
 
 @dataclass
@@ -137,23 +189,28 @@ class ForwardCache:
     """Per-layer tensors kept for the backward pass."""
 
     batch: Minibatch
+    weights: list[np.ndarray]                                     # W * mask, float64
     inputs: list[np.ndarray] = field(default_factory=list)        # Z per layer
     pre_activations: list[np.ndarray] = field(default_factory=list)  # I per layer
-    masks: list[np.ndarray] = field(default_factory=list)
 
 
-def ep_forward(net: Supernetwork, k: float, batch: Minibatch) -> tuple[np.ndarray, ForwardCache]:
-    """Masked forward pass; returns logits and the cache for ep_backward."""
+def ep_forward(net: Supernetwork, k: float, batch: Minibatch,
+               weights: list[np.ndarray] | None = None) -> tuple[np.ndarray, ForwardCache]:
+    """Masked forward pass; returns logits and the cache for ep_backward.
+
+    ``weights`` are ``masked_weights(net, k)`` when the caller already has
+    them, e.g. to run many batches under one mask.
+    """
     x = np.asarray(batch.inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.specs[0].fan_in:
         raise ValueError(f"input width {x.shape} does not match fan_in {net.specs[0].fan_in}")
-    cache = ForwardCache(batch=batch)
-    for spec, w, s in zip(net.specs, net.weights, net.scores):
-        m = mask_layer(s, k)
+    if weights is None:
+        weights = masked_weights(net, k)
+    cache = ForwardCache(batch=batch, weights=weights)
+    for spec, w in zip(net.specs, weights):
         cache.inputs.append(x)
-        cache.masks.append(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = x @ (w * m).astype(np.float64).T
+            pre = x @ w.T
         cache.pre_activations.append(pre)
         x = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
     return cache.pre_activations[-1], cache
@@ -191,8 +248,7 @@ def ep_backward(net: Supernetwork, k: float, batch: Minibatch,
     for i in range(len(net.specs) - 1, -1, -1):
         grads[i] = score_gradient(dldi, cache.inputs[i], net.weights[i])
         if i > 0:
-            masked_w = (net.weights[i] * cache.masks[i]).astype(np.float64)
-            dz = dldi @ masked_w
+            dz = dldi @ cache.weights[i]
             if net.specs[i - 1].activation == "relu":
                 dz = dz * (cache.pre_activations[i - 1] > 0)
             dldi = dz
@@ -233,12 +289,15 @@ def edge_popup_train(net: Supernetwork, batches: list[Minibatch], epochs: int,
     return net.scores
 
 
-def evaluate(net: Supernetwork, k: float, inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions under the current mask."""
+def evaluate(net: Supernetwork, k: float, inputs: np.ndarray, labels: np.ndarray,
+             weights: list[np.ndarray] | None = None) -> float:
+    """Fraction of argmax-correct predictions under the current mask
+    (``weights`` as in :func:`ep_forward`)."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) == 0:
         raise ValueError("dataset is empty")
-    logits, _ = ep_forward(net, k, Minibatch(inputs=np.asarray(inputs), labels=labels))
+    logits, _ = ep_forward(net, k, Minibatch(inputs=np.asarray(inputs), labels=labels),
+                           weights)
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

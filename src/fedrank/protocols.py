@@ -22,9 +22,10 @@ from .aggregation import (ModelUpdate, average, multi_krum, sign_majority,
                           signs_of, trimmed_mean)
 from .analytics import CostReport, comm_cost
 from .data import ClientShards, Dataset, dirichlet_partition, gen_blobs, load_idx
-from .nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, dense_evaluate,
-                 dense_train, edge_popup_train, evaluate, flatten_params,
-                 unflatten_params, validate_architecture)
+from .nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
+                 dense_evaluate, dense_train, edge_popup_train, evaluate,
+                 flatten_params, masked_weights, unflatten_params,
+                 validate_architecture)
 from .ranking import (NetworkRanking, keep_count, sparse_vote,
                       truncate_ranking, vote_network)
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
@@ -144,13 +145,19 @@ class RoundRecord:
 
 @dataclass
 class Environment:
-    """Immutable per-experiment context shared by every round."""
+    """Immutable per-experiment context shared by every round.
+
+    ``seed_net`` is the network rebuilt from the seed, which
+    ``run_experiment`` adds for the rank protocols; without it every
+    rebuild draws the network from the seed again.
+    """
 
     dataset: Dataset
     shards: ClientShards
     train_batches: list[list[Minibatch]]
     test_sets: list[tuple[np.ndarray, np.ndarray]]
     cost: CostReport
+    seed_net: SeedNetwork | None = None
 
 
 def _client_batches(dataset: Dataset, idx: np.ndarray, batch_size: int) -> list[Minibatch]:
@@ -186,10 +193,14 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
                        test_sets=tests, cost=cost)
 
 
-def initial_state(cfg: ExperimentConfig) -> ServerState:
-    net = Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
+def _seed_network(cfg: ExperimentConfig) -> SeedNetwork:
+    return SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
+
+
+def initial_state(cfg: ExperimentConfig, seed_net: SeedNetwork | None = None) -> ServerState:
     if cfg.algorithm in RANK_ALGORITHMS:
-        return ServerState(round=0, ranking=net.score_rankings())
+        return ServerState(round=0, ranking=(seed_net or _seed_network(cfg)).ranking)
+    net = Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
     return ServerState(round=0, weights=flatten_params(net.weights))
 
 
@@ -199,14 +210,19 @@ def select_clients(cfg: ExperimentConfig, round_index: int) -> list[int]:
     return [int(u) for u in picked]
 
 
-def fsl_client_update(seed: int, global_ranking: NetworkRanking,
+def fsl_client_update(seed: int | SeedNetwork, global_ranking: NetworkRanking,
                       batches: list[Minibatch], epochs: int, k: float,
                       sgd: SgdConfig, rng, specs: list[LayerSpec],
                       weight_init: InitKind = InitKind.SIGNED_KAIMING_CONSTANT) -> NetworkRanking:
     """One client's round: rebuild from seed, adopt the global rank order,
-    train scores locally, and return the new layer-wise ranking."""
-    net = Supernetwork.from_seed(seed, specs, weight_init)
-    net.reorder_all_scores(global_ranking)
+    train scores locally, and return the new layer-wise ranking.
+
+    ``seed`` may be the SeedNetwork already built from the seed, ``specs``
+    and ``weight_init``, which saves rebuilding it.
+    """
+    if not isinstance(seed, SeedNetwork):
+        seed = SeedNetwork(seed, specs, weight_init)
+    net = seed.rebuild(global_ranking)
     edge_popup_train(net, batches, epochs, k, sgd, rng)
     return net.score_rankings()
 
@@ -224,16 +240,17 @@ def _rank_submissions(state: ServerState, env: Environment, cfg: ExperimentConfi
     n_mal_total = cfg.attack.malicious_count(cfg.num_clients)
     mal = [u for u in selected if u < n_mal_total] \
         if cfg.attack.kind is AttackKind.RANK_REVERSAL else []
+    seed_net = env.seed_net or _seed_network(cfg)
     poison: NetworkRanking | None = None
     if mal:
         poison = adversary.craft_rank_poison(
-            cfg.seed, state.ranking, [env.train_batches[u] for u in mal],
+            seed_net, state.ranking, [env.train_batches[u] for u in mal],
             cfg.attack_epochs, cfg.subnet_fraction, cfg.sgd,
             [derive(cfg.seed, [TAG_TRAIN, round_index, u]) for u in mal],
             cfg.architecture, cfg.weight_init)
     benign = [u for u in selected if u not in mal]
     results = _map_clients(executor, fsl_client_update, [
-        (cfg.seed, state.ranking, env.train_batches[u], cfg.local_epochs,
+        (seed_net, state.ranking, env.train_batches[u], cfg.local_epochs,
          cfg.subnet_fraction, cfg.sgd, derive(cfg.seed, [TAG_TRAIN, round_index, u]),
          cfg.architecture, cfg.weight_init)
         for u in benign
@@ -245,9 +262,14 @@ def _rank_submissions(state: ServerState, env: Environment, cfg: ExperimentConfi
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
                       ranking: NetworkRanking) -> np.ndarray:
-    net = Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
-    net.reorder_all_scores(ranking)
-    accs = [evaluate(net, cfg.subnet_fraction, feats, labels)
+    """Per-client test accuracy of the global subnetwork, masked once.
+
+    Each test set keeps its own forward pass: one matmul over all of them
+    could take another BLAS kernel and change the bytes.
+    """
+    net = (env.seed_net or _seed_network(cfg)).rebuild(ranking)
+    weights = masked_weights(net, cfg.subnet_fraction)
+    accs = [evaluate(net, cfg.subnet_fraction, feats, labels, weights)
             for feats, labels in env.test_sets if len(labels)]
     return np.asarray(accs)
 
@@ -395,7 +417,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     cfg.validate()
     if env is None:
         env = build_environment(cfg)
-    state = initial_state(cfg)
+    if cfg.algorithm in RANK_ALGORITHMS:
+        env = replace(env, seed_net=_seed_network(cfg))
+    state = initial_state(cfg, env.seed_net)
     round_fn = ROUND_FUNCTIONS[cfg.algorithm]
     records: list[RoundRecord] = []
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None

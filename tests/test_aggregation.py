@@ -3,7 +3,7 @@ import pytest
 
 from fedrank.aggregation import (ModelUpdate, SignUpdate, average, multi_krum,
                                  multi_krum_select, sign_majority, signs_of,
-                                 trimmed_mean)
+                                 squared_distances, trimmed_mean)
 from fedrank.rng import derive
 
 
@@ -105,6 +105,16 @@ class TestMultiKrum:
         scores = oracle_krum_scores(rows, 1)
         expected = sorted(sorted(range(6), key=lambda i: (scores[i], i))[:5])
         assert selected == expected
+
+    def test_distances_match_broadcast_bitwise(self):
+        rng = derive(47, [])
+        for _ in range(50):
+            n = int(rng.integers_below(12)[0]) + 1
+            d = int(rng.integers_below(400)[0]) + 1
+            scale = 10.0 ** (int(rng.integers_below(7)[0]) - 3)
+            mat = rng.normal(n * d).reshape(n, d) * scale
+            broadcast = np.sum((mat[:, None, :] - mat[None, :, :]) ** 2, axis=2)
+            assert squared_distances(mat).tobytes() == broadcast.tobytes()
 
     def test_f_zero_m_n_is_average(self):
         rng = derive(65, [])

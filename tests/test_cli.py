@@ -72,6 +72,23 @@ class TestRun:
         assert rc != 0
         assert "subnet_fraction" in capsys.readouterr().err
 
+    def test_non_finite_config_is_one_line_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN + "learning_rate = nan\n")
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: learning_rate") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o"),
+                   "--workers", workers])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --workers") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["run", "--config", cfg, "--out", str(tmp_path / "a")])

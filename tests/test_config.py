@@ -71,6 +71,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="idx"):
             parse_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("key, value", [("learning_rate", "nan"),
+                                            ("blob_cluster_std", "inf"),
+                                            ("server_lr", "-inf"),
+                                            ("scale_factor", "1e999")])
+    def test_non_finite_float_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+            build_config({key: value})
+
     def test_bad_enum_value(self, tmp_path):
         with pytest.raises(ConfigError, match="algorithm"):
             parse_config(write(tmp_path, GOOD.replace("= fsl", "= gossip")))

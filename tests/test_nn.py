@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fedrank.nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork,
+from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                         edge_popup_train, ep_backward, ep_forward, evaluate,
                         mask_layer, score_gradient)
+from fedrank.ranking import argsort_ranking
 from fedrank.rng import InitKind, derive
 
 
@@ -111,6 +112,27 @@ class TestMaskLayer:
         mask = mask_layer(derive(22, []).uniform(12).reshape(3, 4), 0.5)
         assert mask.shape == (3, 4)
         assert set(np.unique(mask).tolist()) <= {0.0, 1.0}
+
+    def test_matches_stable_sort_oracle_on_ties(self):
+        rng = derive(29, [])
+        pool = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0], dtype=np.float32)
+        for case in range(600):
+            n = 1 if case % 10 == 0 else int(rng.integers_below(60)[0]) + 1
+            if case % 3 == 0:
+                scores = pool[rng.integers_below(len(pool), n)]
+            elif case % 3 == 1:
+                scores = pool[rng.integers_below(2, n)]  # only -0.0 and +0.0
+            else:
+                scores = rng.uniform(n).astype(np.float32)
+            for k in (0.0, 1e-9, 0.5, 1.0, float(rng.uniform(1)[0])):
+                got = mask_layer(scores, k)
+                assert got.dtype == np.float32
+                assert np.array_equal(got, oracle_mask(scores, k)), (scores, k)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                mask_layer(np.array([0.1, bad, 0.3]), 0.5)
 
 
 class TestForward:
@@ -277,6 +299,37 @@ class TestEvaluate:
         net = random_net(derive(38, []), [LayerSpec(2, 2, "identity")])
         with pytest.raises(ValueError):
             evaluate(net, 0.5, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+class TestSeedNetwork:
+    SPECS = [LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "identity")]
+
+    def test_rebuild_equals_from_seed_and_reorder(self):
+        rng = derive(39, [])
+        for seed in (0, 3, 2**32 - 1):
+            for init in (InitKind.SIGNED_KAIMING_CONSTANT, InitKind.KAIMING_NORMAL):
+                cached = SeedNetwork(seed, self.SPECS, init)
+                fresh = Supernetwork.from_seed(seed, self.SPECS, init)
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(cached.ranking, fresh.score_rankings()))
+                for _ in range(5):
+                    ranking = [argsort_ranking(rng.uniform(sp.n_edges)) for sp in self.SPECS]
+                    got = cached.rebuild(ranking)
+                    want = Supernetwork.from_seed(seed, self.SPECS, init)
+                    want.reorder_all_scores(ranking)
+                    for a, b in zip(got.weights + got.scores, want.weights + want.scores):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
+
+    def test_shared_arrays_read_only(self):
+        net = SeedNetwork(4, self.SPECS)
+        for a in net.weights + net.sorted_scores + net.ranking:
+            with pytest.raises(ValueError):
+                a.flat[0] = 1
+        rebuilt = net.rebuild(net.ranking)
+        assert all(mine is shared for mine, shared in zip(rebuilt.weights, net.weights))
+        rebuilt.scores[0][0, 0] = 9.0  # each rebuild owns its scores
+        assert net.rebuild(net.ranking).scores[0][0, 0] != 9.0
 
 
 class TestSeedReconstruction:

@@ -1,10 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import fedrank.protocols as protocols
 from fedrank.adversary import AttackConfig, AttackKind
 from fedrank.aggregation import signs_of
-from fedrank.nn import LayerSpec, Minibatch, SgdConfig, dense_weight_grads, unflatten_params
+from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, dense_weight_grads,
+                        unflatten_params)
 from fedrank.protocols import (Aggregator, Algorithm, DatasetSpec,
                                ExperimentConfig, ServerState, baseline_round,
                                build_environment, fedavg_client_update,
@@ -174,6 +179,52 @@ class TestFslRound:
             state, _ = fsl_round(state, env, cfg, t, with_eval=False)
             for layer, spec in zip(state.ranking, cfg.architecture):
                 assert sorted(layer.tolist()) == list(range(spec.n_edges))
+
+
+class TestSharedSeedNetwork:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_shared_network_unchanged_by_training(self, fsl_env, workers):
+        # Up to more threads than a small host has cores, switching often:
+        # clients sharing one seed network must vote exactly as clients
+        # that each rebuild their own, and leave the shared arrays untouched.
+        _, env = fsl_env
+        cfg = tiny_config(clients_per_round=8,
+                          attack=AttackConfig(0.25, AttackKind.RANK_REVERSAL))
+        seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
+        shared = replace(env, seed_net=seed_net)
+        frozen = [a.tobytes() for a in seed_net.weights + seed_net.sorted_scores]
+        own_state = shared_state = initial_state(cfg)
+        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in range(1, 4):
+                own_state, own_rec = fsl_round(own_state, env, cfg, t, pool)
+                shared_state, shared_rec = fsl_round(shared_state, shared, cfg, t, pool)
+                assert own_rec == shared_rec
+                for a, b in zip(own_state.ranking, shared_state.ranking):
+                    assert a.tobytes() == b.tobytes()
+        finally:
+            sys.setswitchinterval(switch)
+            if pool is not None:
+                pool.shutdown()
+        assert frozen == [a.tobytes() for a in seed_net.weights + seed_net.sorted_scores]
+
+    def test_client_training_leaves_next_rebuild_unchanged(self, fsl_env):
+        cfg, env = fsl_env
+        seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
+        before = [s.tobytes() for s in seed_net.rebuild(seed_net.ranking).scores]
+
+        def client(seed):
+            return fsl_client_update(seed, seed_net.ranking, env.train_batches[0], 2, 0.5,
+                                     cfg.sgd, derive(cfg.seed, [TAG_TRAIN, 1, 0]),
+                                     cfg.architecture, cfg.weight_init)
+
+        trained = client(seed_net)
+        assert any(not np.array_equal(a, b) for a, b in zip(trained, seed_net.ranking))
+        assert before == [s.tobytes() for s in seed_net.rebuild(seed_net.ranking).scores]
+        for a, b in zip(trained, client(cfg.seed)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSparseFslRound:

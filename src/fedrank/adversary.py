@@ -117,6 +117,12 @@ def craft_opt_poison(benign_deltas: list[ModelUpdate], n_malicious: int,
     pushes gamma toward the largest value the aggregator's selection still
     accepts (for aggregators without a selection step it saturates near
     2 * gamma_init).
+
+    ``f`` is the number of Byzantine clients the simulated Krum tolerates;
+    it defaults to ``n_malicious``, the attackers sampled this round.  The
+    server (``protocols.baseline_round``) uses int(malicious_fraction * n)
+    instead, so the two can differ.  The mismatch is deliberate: aligning
+    them changes the bytes of every opt_poison run, pinned hashes included.
     """
     if not benign_deltas:
         raise ValueError("opt poisoning needs at least one benign delta")

@@ -16,9 +16,6 @@ ARCH_PRESETS: dict[str, list[int]] = {
     "lenet-femnist": [288, 18432, 1605632, 7936],
 }
 
-WEIGHT_ALGORITHMS = ("fedavg", "signsgd", "topk")
-RANK_ALGORITHMS = ("fsl", "sparse_fsl")
-
 
 def failure_upper_bound(n: int, p: float, alpha: float) -> float:
     """Upper bound on the probability the edge vote drops a good edge.

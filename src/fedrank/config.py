@@ -37,14 +37,6 @@ def format_architecture(layers: list[LayerSpec]) -> str:
     return ",".join(f"{sp.fan_in}x{sp.fan_out}:{sp.activation}" for sp in layers)
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # key -> converter; values are applied onto the config dataclasses below.
 _SCHEMA: dict[str, type | object] = {
     "algorithm": str,

@@ -32,12 +32,12 @@ class SparseLayerRanking:
     def __post_init__(self):
         top = np.asarray(self.top, dtype=np.int64)
         object.__setattr__(self, "top", top)
-        if len(top) > self.n:
-            raise ValueError("sparse ranking longer than the layer")
-        if len(np.unique(top)) != len(top):
-            raise ValueError("duplicate edge in sparse ranking")
-        if len(top) and (top.min() < 0 or top.max() >= self.n):
+        if top.ndim != 1 or len(top) > self.n:
+            raise ValueError("sparse ranking must be one row no longer than the layer")
+        if _out_of_range(top, self.n):
             raise ValueError("edge index out of range")
+        if _has_duplicate(top, self.n):
+            raise ValueError("duplicate edge in sparse ranking")
 
 
 def keep_count(n_edges: int, k: float) -> int:
@@ -76,9 +76,21 @@ def reorder_scores(sorted_values: np.ndarray, ranking: LayerRanking) -> np.ndarr
     return out
 
 
+def _out_of_range(entries: np.ndarray, n: int) -> bool:
+    return entries.size > 0 and bool(entries.min() < 0 or entries.max() >= n)
+
+
+def _has_duplicate(entries: np.ndarray, n: int) -> bool:
+    """Whether an entry repeats; the entries must already lie in [0, n)."""
+    seen = np.zeros(n, dtype=bool)
+    seen[entries] = True
+    return np.count_nonzero(seen) != entries.size
+
+
 def _check_permutation(perm: np.ndarray, n: int) -> np.ndarray:
+    """``perm`` as int64 if it is a permutation of [0, n); linear time."""
     perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+    if perm.shape != (n,) or _out_of_range(perm, n) or _has_duplicate(perm, n):
         raise ValueError("ranking is not a permutation of [0, n)")
     return perm
 
@@ -153,38 +165,53 @@ def top_edges(r: LayerRanking, k: float) -> set[int]:
 #
 # Per layer: each rank is a fixed-width big-endian unsigned integer of
 # ceil(log2(n)) bits, packed MSB-first; the final byte is zero-padded.  The
-# sparse form packs the s kept entries at the same width.
+# sparse form packs the s kept entries at the same width.  Both directions
+# go through 32-bit words, one bit per uint8 column, in blocks of _BLOCK
+# entries; _BLOCK is a multiple of 8 so every block starts on a byte.
+
+_BLOCK = 1 << 16
 
 
 def rank_bit_width(n: int) -> int:
     """Bits per rank entry for a layer of n edges (0 when n == 1)."""
-    if n < 1:
-        raise ValueError("layer must have at least one edge")
+    if not 1 <= n <= 2**32:
+        raise ValueError(f"layer must have between 1 and 2**32 edges, got {n}")
     return (n - 1).bit_length()
 
 
 def encode_entries(entries: np.ndarray, n: int) -> bytes:
+    """Pack entries of [0, n) as fixed-width MSB-first fields."""
     width = rank_bit_width(n)
-    total_bits = width * len(entries)
-    acc = 0
-    for v in entries:
-        acc = (acc << width) | int(v)
-    pad = (-total_bits) % 8
-    acc <<= pad
-    return acc.to_bytes((total_bits + pad) // 8, "big")
+    entries = np.asarray(entries)
+    if entries.ndim != 1:
+        raise ValueError("entries must be one row")
+    if _out_of_range(entries, n):
+        raise ValueError(f"entry outside [0, {n})")
+    count = len(entries)
+    out = np.empty((width * count + 7) // 8, dtype=np.uint8)
+    for start in range(0, count, _BLOCK):
+        words = entries[start:start + _BLOCK].astype(">u4").view(np.uint8)
+        bits = np.unpackbits(words).reshape(-1, 32)[:, 32 - width:]
+        packed = np.packbits(bits)
+        lo = start * width // 8
+        out[lo:lo + len(packed)] = packed
+    return out.tobytes()
 
 
 def decode_entries(data: bytes, count: int, n: int) -> np.ndarray:
+    """Inverse of encode_entries for ``count`` entries; pad bits are ignored."""
     width = rank_bit_width(n)
-    total_bits = width * count
-    if len(data) != (total_bits + 7) // 8:
+    if count < 0 or len(data) != (width * count + 7) // 8:
         raise ValueError("encoded ranking has the wrong length")
-    acc = int.from_bytes(data, "big") >> ((-total_bits) % 8)
     out = np.empty(count, dtype=np.int64)
-    mask = (1 << width) - 1
-    for i in range(count - 1, -1, -1):
-        out[i] = acc & mask
-        acc >>= width
+    buf = np.frombuffer(data, dtype=np.uint8)
+    words = np.zeros((min(count, _BLOCK), 32), dtype=np.uint8)
+    for start in range(0, count, _BLOCK):
+        m = min(_BLOCK, count - start)
+        lo = start * width // 8
+        bits = np.unpackbits(buf[lo:lo + (m * width + 7) // 8], count=m * width)
+        words[:m, 32 - width:] = bits.reshape(m, width)
+        out[start:start + m] = np.packbits(words[:m], axis=1).view(">u4")[:, 0]
     return out
 
 

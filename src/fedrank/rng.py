@@ -59,8 +59,6 @@ class RngStream:
     to move between threads, not to share concurrently.
     """
 
-    algorithm_id = "splitmix64"
-
     def __init__(self, key: int):
         self._key = key & _MASK
         self._counter = 0

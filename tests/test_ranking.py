@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fedrank.ranking import (SparseLayerRanking, argsort_ranking,
-                             decode_layer_ranking, decode_sparse_ranking,
-                             encode_layer_ranking, encode_sparse_ranking,
+from fedrank.analytics import ARCH_PRESETS, rank_payload_bits
+from fedrank.ranking import (SparseLayerRanking, _check_permutation, argsort_ranking,
+                             decode_entries, decode_layer_ranking, decode_sparse_ranking,
+                             encode_entries, encode_layer_ranking, encode_sparse_ranking,
                              inverse_permutation, keep_count, rank_bit_width,
                              reorder_scores, reverse_ranking, sparse_vote,
                              top_edges, truncate_ranking, vote)
@@ -16,6 +19,58 @@ R2 = np.array([2, 0, 1, 5, 4, 3])
 R3 = np.array([0, 2, 5, 3, 4, 1])
 TALLY = np.array([2, 12, 3, 11, 8, 9])
 AGGREGATE = np.array([0, 2, 4, 5, 3, 1])
+
+
+# Reference codec: one growing Python integer shifted per entry.  Quadratic,
+# so the tests keep layers small, but independent of numpy's bit packing.
+def bigint_encode(entries, n):
+    width = (n - 1).bit_length()
+    total_bits = width * len(entries)
+    acc = 0
+    for v in entries:
+        acc = (acc << width) | int(v)
+    pad = (-total_bits) % 8
+    acc <<= pad
+    return acc.to_bytes((total_bits + pad) // 8, "big")
+
+
+def bigint_decode(data, count, n):
+    width = (n - 1).bit_length()
+    total_bits = width * count
+    acc = int.from_bytes(data, "big") >> ((-total_bits) % 8)
+    out = np.empty(count, dtype=np.int64)
+    mask = (1 << width) - 1
+    for i in range(count - 1, -1, -1):
+        out[i] = acc & mask
+        acc >>= width
+    return out
+
+
+# Sort-based validity rules the linear checks replaced.
+def sorted_is_permutation(perm, n):
+    perm = np.asarray(perm, dtype=np.int64)
+    return perm.shape == (n,) and np.array_equal(np.sort(perm), np.arange(n))
+
+
+def unique_is_sparse_ranking(top, n):
+    top = np.asarray(top, dtype=np.int64)
+    return (len(top) <= n and len(np.unique(top)) == len(top)
+            and not (len(top) and (top.min() < 0 or top.max() >= n)))
+
+
+def codec_cases():
+    """(n, count) pairs: edge widths, powers of two and their neighbours,
+    and random sizes, each with counts from 0 to n."""
+    rng = derive(61, [])
+    sizes = [1, 2, 3]
+    for j in range(2, 13):
+        sizes += [2**j - 1, 2**j, 2**j + 1]
+    sizes += [2 + int(v) for v in rng.integers_below(3000, 40)]
+    cases = []
+    for n in sizes:
+        cases += [(n, 0), (n, 1), (n, n), (n, int(rng.integers_below(n + 1)[0]))]
+    big = 30000 + int(rng.integers_below(10000)[0])
+    return cases + [(big, big - int(rng.integers_below(big // 2)[0]))]
 
 
 class TestArgsort:
@@ -197,6 +252,10 @@ class TestWireEncoding:
         assert rank_bit_width(6) == 3
         assert rank_bit_width(8) == 3
         assert rank_bit_width(9) == 4
+        assert rank_bit_width(2**32) == 32
+        for n in (0, 2**32 + 1):
+            with pytest.raises(ValueError):
+                rank_bit_width(n)
 
     def test_known_bytes(self):
         # independent oracle: concatenate 3-bit big-endian fields
@@ -228,3 +287,81 @@ class TestWireEncoding:
     def test_decode_rejects_bad_length(self):
         with pytest.raises(ValueError):
             decode_layer_ranking(b"\x00", 6)
+
+    def test_matches_bigint_oracle(self):
+        rng = derive(62, [])
+        for n, count in codec_cases():
+            entries = rng.integers_below(n, count)
+            data = encode_entries(entries, n)
+            assert data == bigint_encode(entries, n), (n, count)
+            assert np.array_equal(decode_entries(data, count, n), entries), (n, count)
+
+    def test_decode_random_bytes_matches_oracle(self):
+        rng = derive(63, [])
+        for n, count in codec_cases():
+            size = (rank_bit_width(n) * count + 7) // 8
+            raw = (rng.next_u64(size) & np.uint64(0xFF)).astype(np.uint8)
+            if size:
+                raw[-1] |= 1  # a set pad bit whenever the last byte has one
+            data = raw.tobytes()
+            assert np.array_equal(decode_entries(data, count, n),
+                                  bigint_decode(data, count, n)), (n, count)
+
+    def test_out_of_range_entry_rejected(self):
+        # 9 needs 4 bits; at width 3 it would spill into the field before it
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            encode_entries(np.array([0, 9, 1]), 6)
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            encode_entries(np.array([0, -1, 1]), 6)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            encode_entries(np.array([1]), 1)
+
+    def test_paper_size_layer(self):
+        n = max(ARCH_PRESETS["lenet-mnist"])
+        assert n == 1605632
+        perm = argsort_ranking(derive(64, []).uniform(n))
+        sr = truncate_ranking(perm, 0.1)
+        s = len(sr.top)
+        tracemalloc.start()
+        try:
+            full = encode_layer_ranking(perm)
+            part = encode_sparse_ranking(sr)
+            back = decode_layer_ranking(full, n)
+            back_sparse = decode_sparse_ranking(part, s, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(full) == -(-rank_payload_bits([n]) // 8)
+        assert len(part) == -(-rank_payload_bits([n]) * s // (8 * n))
+        assert np.array_equal(back, perm)
+        assert np.array_equal(back_sparse.top, sr.top) and back_sparse.n == n
+        # transient memory stays linear: the peak also holds both encodings
+        # and both decoded rankings, about 12 bytes per edge
+        assert peak <= 32 * n
+
+    def test_checks_reject_what_the_sorts_rejected(self):
+        rng = derive(65, [])
+        n = 7
+        perm = rng.sample_without_replacement(n, n)
+        bad = [perm[:-1], np.append(perm, 0), perm.reshape(1, n),
+               np.where(perm == 0, n, perm), np.where(perm == 0, -1, perm),
+               np.where(perm == 0, 1, perm)]
+        bad += [rng.integers_below(n + 2, n) - 1 for _ in range(200)]
+        for p in [perm] + bad:
+            assert sorted_is_permutation(p, n) == self._accepts(_check_permutation, p, n), p
+        tops = [perm[:3], np.append(perm, 0), np.array([0, n]), np.array([-1, 2]),
+                np.array([2, 2]), np.zeros(0, np.int64)]
+        tops += [rng.integers_below(n + 2, 1 + i % n) - 1 for i in range(200)]
+        for top in tops:
+            assert unique_is_sparse_ranking(top, n) == self._accepts(
+                lambda t, m: SparseLayerRanking(top=t, n=m), top, n), top
+        with pytest.raises(ValueError):
+            SparseLayerRanking(top=np.array([[0], [1]]), n=n)
+
+    @staticmethod
+    def _accepts(check, entries, n) -> bool:
+        try:
+            check(entries, n)
+        except ValueError:
+            return False
+        return True

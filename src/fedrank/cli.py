@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analytics import ARCH_PRESETS, comm_cost, failure_upper_bound
+from .analytics import ARCH_PRESETS, comm_cost, sweep_bound
 from .config import ConfigError, config_to_flat_dict, parse_config
 from .protocols import RoundRecord, run_experiment
 
@@ -114,12 +114,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def bound_csv(n: int, p_min: float, p_max: float, p_steps: int,
               alphas: list[float]) -> str:
-    lines = ["alpha,p,bound"]
-    for alpha in alphas:
-        for i in range(p_steps):
-            p = p_min if p_steps == 1 else p_min + (p_max - p_min) * i / (p_steps - 1)
-            lines.append(f"{_f(alpha)},{_f(p)},{_f(failure_upper_bound(n, p, alpha))}")
-    return "\n".join(lines) + "\n"
+    ps = [p_min if p_steps == 1 else p_min + (p_max - p_min) * i / (p_steps - 1)
+          for i in range(p_steps)]
+    rows = [f"{_f(alpha)},{_f(p)},{_f(bound)}" for alpha, p, bound in sweep_bound(n, ps, alphas)]
+    return "\n".join(["alpha,p,bound"] + rows) + "\n"
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

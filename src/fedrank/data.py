@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -200,26 +199,3 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     labels = np.frombuffer(raw[8:], dtype=np.uint8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if label_count else 0
     return Dataset(features=features, labels=labels, num_classes=num_classes)
-
-
-def save_csv(dataset: Dataset, path: str) -> None:
-    dims = dataset.features.shape[1]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"f{i}" for i in range(dims)] + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
-def load_csv(path: str) -> Dataset:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        dims = len(header) - 1
-        feats, labels = [], []
-        for row in reader:
-            feats.append([float(v) for v in row[:dims]])
-            labels.append(int(row[dims]))
-    labels = np.asarray(labels, dtype=np.int64)
-    num_classes = int(labels.max()) + 1 if len(labels) else 0
-    return Dataset(features=np.asarray(feats), labels=labels, num_classes=num_classes)

@@ -1,11 +1,15 @@
-"""Fixed-weight score-trained network and the edge-popup local trainer.
+"""Fixed-weight score-trained network, the edge-popup local trainer and the
+dense trainer of the weight-based baselines, on one network core.
 
 Layers are bias-free fully connected maps stored as (fan_out, fan_in)
-float32 matrices.  Weights never change after construction; training moves
-only the scores.  Forward passes keep the top-k scored edges per layer;
-backward passes use the straight-through estimator, so score gradients are
-upstream * input * weight for every edge, masked or not.  All reductions
-run in float64; parameters stay float32.
+float32 matrices.  :func:`forward` and :func:`backward` run on effective
+float64 weights: W * mask for edge-popup, whose mask keeps the top-k scored
+edges per layer, and W itself for dense training.  The backward pass
+returns dL/dW_eff.  Dense training steps W along it; edge-popup's score
+gradient is dL/dW_eff * W for every edge, masked or not (the
+straight-through estimator), and its weights never change.  One epoch loop
+and one accuracy rule serve both.  All reductions run in float64;
+parameters stay float32.
 """
 
 from __future__ import annotations
@@ -189,25 +193,20 @@ class ForwardCache:
     """Per-layer tensors kept for the backward pass."""
 
     batch: Minibatch
-    weights: list[np.ndarray]                                     # W * mask, float64
+    weights: list[np.ndarray]                                     # effective weights, float64
     inputs: list[np.ndarray] = field(default_factory=list)        # Z per layer
     pre_activations: list[np.ndarray] = field(default_factory=list)  # I per layer
 
 
-def ep_forward(net: Supernetwork, k: float, batch: Minibatch,
-               weights: list[np.ndarray] | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """Masked forward pass; returns logits and the cache for ep_backward.
-
-    ``weights`` are ``masked_weights(net, k)`` when the caller already has
-    them, e.g. to run many batches under one mask.
-    """
+def forward(specs: list[LayerSpec], weights: list[np.ndarray],
+            batch: Minibatch) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass under the effective float64 ``weights``; returns the
+    logits and the cache for :func:`backward`."""
     x = np.asarray(batch.inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.specs[0].fan_in:
-        raise ValueError(f"input width {x.shape} does not match fan_in {net.specs[0].fan_in}")
-    if weights is None:
-        weights = masked_weights(net, k)
+    if x.ndim != 2 or x.shape[1] != specs[0].fan_in:
+        raise ValueError(f"input width {x.shape} does not match fan_in {specs[0].fan_in}")
     cache = ForwardCache(batch=batch, weights=weights)
-    for spec, w in zip(net.specs, weights):
+    for spec, w in zip(specs, weights):
         cache.inputs.append(x)
         with np.errstate(over="ignore", invalid="ignore"):
             pre = x @ w.T
@@ -227,29 +226,17 @@ def softmax_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.nda
     return grad / len(labels)
 
 
-def score_gradient(upstream: np.ndarray, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Straight-through edge gradient: dL/ds[v,u] = dL/dI[v] * Z[u] * W[v,u]."""
-    return (np.asarray(upstream, dtype=np.float64).T @ np.asarray(inputs, dtype=np.float64)) \
-        * np.asarray(weights, dtype=np.float64)
-
-
-def ep_backward(net: Supernetwork, k: float, batch: Minibatch,
-                cache: ForwardCache) -> list[np.ndarray]:
-    """Score gradients per layer for mean softmax cross-entropy.
-
-    Gradients exist for every edge (the mask is treated as identity);
-    gradients flowing to earlier layers pass through masked weights only.
-    """
-    if cache.batch is not batch:
-        raise ValueError("forward cache does not belong to this batch")
-    labels = np.asarray(batch.labels, dtype=np.int64)
+def backward(specs: list[LayerSpec], cache: ForwardCache) -> list[np.ndarray]:
+    """dL/dW_eff per layer for mean softmax cross-entropy; gradients flow
+    to earlier layers through the cached effective weights."""
+    labels = np.asarray(cache.batch.labels, dtype=np.int64)
     dldi = softmax_cross_entropy_grad(cache.pre_activations[-1], labels)
-    grads: list[np.ndarray] = [None] * len(net.specs)
-    for i in range(len(net.specs) - 1, -1, -1):
-        grads[i] = score_gradient(dldi, cache.inputs[i], net.weights[i])
+    grads: list[np.ndarray] = [None] * len(specs)
+    for i in range(len(specs) - 1, -1, -1):
+        grads[i] = dldi.T @ cache.inputs[i]
         if i > 0:
             dz = dldi @ cache.weights[i]
-            if net.specs[i - 1].activation == "relu":
+            if specs[i - 1].activation == "relu":
                 dz = dz * (cache.pre_activations[i - 1] > 0)
             dldi = dz
     return grads
@@ -259,107 +246,119 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
              buffers: list[np.ndarray], sgd: SgdConfig) -> None:
     """One momentum/weight-decay SGD step, in place, float32 parameters."""
     for p, g, buf in zip(params, grads, buffers):
-        step = np.asarray(g, dtype=np.float64) + sgd.weight_decay * p.astype(np.float64)
+        # One float64 scratch array per layer; products and sums commute
+        # exactly, so this is grad + wd * p and lr * buf bit for bit.
+        scratch = p.astype(np.float64)
+        scratch *= sgd.weight_decay
+        scratch += g
         buf *= sgd.momentum
-        buf += step
+        buf += scratch
+        np.multiply(buf, sgd.learning_rate, out=scratch)
         with np.errstate(over="ignore"):
-            p -= (sgd.learning_rate * buf).astype(np.float32)
+            p -= scratch.astype(np.float32)
 
 
-def edge_popup_train(net: Supernetwork, batches: list[Minibatch], epochs: int,
-                     k: float, sgd: SgdConfig, rng: RngStream) -> list[np.ndarray]:
-    """Train scores for ``epochs`` passes; weights are untouched.
+def _train(params: list[np.ndarray], grads_of, batches: list[Minibatch], epochs: int,
+           sgd: SgdConfig, rng: RngStream) -> list[np.ndarray]:
+    """``epochs`` SGD passes over ``params`` with ``grads_of(batch)``.
 
     Batch groupings are fixed; only their order is reshuffled each epoch
-    from ``rng``.  Returns the (mutated) score matrices.
+    from ``rng``.  Returns ``params``, updated in place.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not batches:
         raise ValueError("training data is empty")
-    buffers = [np.zeros(s.shape, dtype=np.float64) for s in net.scores]
+    buffers = [np.zeros(p.shape, dtype=np.float64) for p in params]
     order = np.arange(len(batches))
     for _ in range(epochs):
         rng.shuffle(order)
         for bi in order:
-            batch = batches[bi]
-            _, cache = ep_forward(net, k, batch)
-            grads = ep_backward(net, k, batch, cache)
-            sgd_step(net.scores, grads, buffers, sgd)
-    return net.scores
+            sgd_step(params, grads_of(batches[bi]), buffers, sgd)
+    return params
+
+
+def _accuracy(specs: list[LayerSpec], weights: list[np.ndarray],
+              inputs: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions; a NaN logit never wins."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) == 0:
+        raise ValueError("dataset is empty")
+    logits, _ = forward(specs, weights, Minibatch(inputs=np.asarray(inputs), labels=labels))
+    preds = np.argmax(np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf), axis=1)
+    return float(np.mean(preds == labels))
+
+
+# --- Edge-popup: scores trained over the frozen weights ----------------------
+
+
+def ep_forward(net: Supernetwork, k: float, batch: Minibatch,
+               weights: list[np.ndarray] | None = None) -> tuple[np.ndarray, ForwardCache]:
+    """Masked forward pass; returns logits and the cache for ep_backward.
+
+    ``weights`` are ``masked_weights(net, k)`` when the caller already has
+    them, e.g. to run many batches under one mask.
+    """
+    return forward(net.specs, masked_weights(net, k) if weights is None else weights, batch)
+
+
+def score_gradient(upstream: np.ndarray, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Straight-through edge gradient: dL/ds[v,u] = dL/dI[v] * Z[u] * W[v,u]."""
+    return (np.asarray(upstream, dtype=np.float64).T @ np.asarray(inputs, dtype=np.float64)) \
+        * np.asarray(weights, dtype=np.float64)
+
+
+def ep_backward(net: Supernetwork, k: float, batch: Minibatch,
+                cache: ForwardCache) -> list[np.ndarray]:
+    """Score gradients per layer: dL/dW_eff times W, for every edge (the
+    mask is treated as identity)."""
+    if cache.batch is not batch:
+        raise ValueError("forward cache does not belong to this batch")
+    grads = backward(net.specs, cache)
+    for g, w in zip(grads, net.weights):
+        g *= w
+    return grads
+
+
+def edge_popup_train(net: Supernetwork, batches: list[Minibatch], epochs: int,
+                     k: float, sgd: SgdConfig, rng: RngStream) -> list[np.ndarray]:
+    """Train scores for ``epochs`` passes; weights are untouched.
+    Returns the (mutated) score matrices."""
+    def grads_of(batch: Minibatch) -> list[np.ndarray]:
+        _, cache = ep_forward(net, k, batch)
+        return ep_backward(net, k, batch, cache)
+
+    return _train(net.scores, grads_of, batches, epochs, sgd, rng)
 
 
 def evaluate(net: Supernetwork, k: float, inputs: np.ndarray, labels: np.ndarray,
              weights: list[np.ndarray] | None = None) -> float:
-    """Fraction of argmax-correct predictions under the current mask
-    (``weights`` as in :func:`ep_forward`)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
-        raise ValueError("dataset is empty")
-    logits, _ = ep_forward(net, k, Minibatch(inputs=np.asarray(inputs), labels=labels),
-                           weights)
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    """Accuracy under the current mask (``weights`` as in :func:`ep_forward`)."""
+    return _accuracy(net.specs, masked_weights(net, k) if weights is None else weights,
+                     inputs, labels)
 
 
-# --- Dense (weight-trained) helpers for the baseline protocols --------------
-
-
-def dense_forward(weights: list[np.ndarray], specs: list[LayerSpec],
-                  inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    x = np.asarray(inputs, dtype=np.float64)
-    zs, pres = [], []
-    for spec, w in zip(specs, weights):
-        zs.append(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pre = x @ w.astype(np.float64).T
-        pres.append(pre)
-        x = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
-    return pres[-1], zs, pres
+# --- Dense (weight-trained) entries for the baseline protocols ---------------
 
 
 def dense_weight_grads(weights: list[np.ndarray], specs: list[LayerSpec],
                        batch: Minibatch) -> list[np.ndarray]:
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    logits, zs, pres = dense_forward(weights, specs, batch.inputs)
-    dldi = softmax_cross_entropy_grad(logits, labels)
-    grads: list[np.ndarray] = [None] * len(specs)
-    for i in range(len(specs) - 1, -1, -1):
-        grads[i] = dldi.T @ zs[i]
-        if i > 0:
-            dz = dldi @ weights[i].astype(np.float64)
-            if specs[i - 1].activation == "relu":
-                dz = dz * (pres[i - 1] > 0)
-            dldi = dz
-    return grads
+    _, cache = forward(specs, [w.astype(np.float64) for w in weights], batch)
+    return backward(specs, cache)
 
 
 def dense_train(weights: list[np.ndarray], specs: list[LayerSpec],
                 batches: list[Minibatch], epochs: int, sgd: SgdConfig,
                 rng: RngStream) -> list[np.ndarray]:
-    """Plain weight training with the same loop shape as edge_popup_train."""
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if not batches:
-        raise ValueError("training data is empty")
+    """Plain weight training with the loop edge_popup_train uses."""
     weights = [np.array(w, dtype=np.float32) for w in weights]
-    buffers = [np.zeros(w.shape, dtype=np.float64) for w in weights]
-    order = np.arange(len(batches))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for bi in order:
-            grads = dense_weight_grads(weights, specs, batches[bi])
-            sgd_step(weights, grads, buffers, sgd)
-    return weights
+    return _train(weights, lambda batch: dense_weight_grads(weights, specs, batch),
+                  batches, epochs, sgd, rng)
 
 
 def dense_evaluate(weights: list[np.ndarray], specs: list[LayerSpec],
                    inputs: np.ndarray, labels: np.ndarray) -> float:
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
-        raise ValueError("dataset is empty")
-    logits, _, _ = dense_forward(weights, specs, inputs)
-    preds = np.argmax(np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf), axis=1)
-    return float(np.mean(preds == labels))
+    return _accuracy(specs, [w.astype(np.float64) for w in weights], inputs, labels)
 
 
 def flatten_params(mats: list[np.ndarray]) -> np.ndarray:

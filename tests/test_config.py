@@ -112,3 +112,30 @@ class TestFlatDictRoundtrip:
         flat = config_to_flat_dict(cfg)
         rebuilt = build_config(parse_lines([f"{k} = {v}" for k, v in flat.items()]))
         assert config_to_flat_dict(rebuilt) == flat
+
+    def test_idx_config_exports_conditional_keys_in_order(self):
+        text = GOOD.replace("dataset = blobs", "dataset = idx") + (
+            "idx_images = imgs.idx\nidx_labels = labels.idx\n"
+            "attack_epochs = 3\nblob_separation = 2.5\n")
+        cfg = build_config(parse_lines(text.splitlines()))
+        assert cfg.attack.epochs == 3 and cfg.dataset.blob_separation == 2.5
+        flat = config_to_flat_dict(cfg)
+        assert list(flat) == [
+            "algorithm", "rounds", "num_clients", "clients_per_round", "local_epochs",
+            "subnet_fraction", "sparsity", "aggregator", "server_lr", "learning_rate",
+            "momentum", "weight_decay", "batch_size", "seed", "eval_every", "weight_init",
+            "architecture", "dataset", "dirichlet_alpha", "attack", "malicious_fraction",
+            "scale_factor", "omega", "gamma_init", "gamma_iters", "attack_epochs",
+            "idx_images", "idx_labels"]
+        assert flat["attack_epochs"] == 3
+        assert (flat["idx_images"], flat["idx_labels"]) == ("imgs.idx", "labels.idx")
+        rebuilt = build_config(parse_lines([f"{k} = {v}" for k, v in flat.items()]))
+        assert config_to_flat_dict(rebuilt) == flat
+
+    def test_blob_separation_exported_after_blob_keys(self):
+        cfg = build_config(parse_lines((GOOD + "blob_separation = 2.5\n").splitlines()))
+        flat = config_to_flat_dict(cfg)
+        assert list(flat)[-5:] == ["blob_classes", "blob_dims", "blob_samples_per_class",
+                                   "blob_cluster_std", "blob_separation"]
+        assert "idx_images" not in flat and "attack_epochs" not in flat
+        assert flat["blob_separation"] == 2.5

@@ -5,8 +5,7 @@ import pytest
 
 from fedrank.data import (IdxFormatError, dirichlet_partition,
                           dirichlet_proportions, gen_blobs,
-                          largest_remainder_counts, load_csv, load_idx,
-                          save_csv)
+                          largest_remainder_counts, load_idx)
 from fedrank.rng import derive
 
 
@@ -155,15 +154,3 @@ class TestIdx:
         _, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         with pytest.raises(IdxFormatError):
             load_idx(str(img), lbl)
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        ds = gen_blobs(3, 4, 5, 1.0, derive(50, []))
-        path = str(tmp_path / "blobs.csv")
-        save_csv(ds, path)
-        with open(path) as f:
-            assert f.readline().strip() == "f0,f1,f2,f3,label"
-        back = load_csv(path)
-        assert np.array_equal(back.features, ds.features)
-        assert np.array_equal(back.labels, ds.labels)

@@ -4,7 +4,8 @@ Criterion 10 compares runs of one checkout with each other, so a change
 that shifts every bit the same way passes it.  These SHA-256 pins were
 taken once and must be reproduced exactly; a change that moves them
 changes the protocol.  Together the configs cover the full vote, the
-sparse vote, rank-reversal poisoning and a robust weight aggregator.
+sparse vote, rank-reversal poisoning, a robust weight aggregator, and the
+signSGD and top-k baselines.
 """
 
 import hashlib
@@ -39,6 +40,12 @@ GOLDEN = {
         _variant(algorithm="fedavg", aggregator="trimmed_mean", learning_rate="0.03",
                  attack="scale", malicious_fraction="0.25", eval_every="1"),
         "799a5ecf1cedfa3d69f1c2cf5faa570fa5c4672d59845a02d6e65257bf95b0dd"),
+    "signsgd": (
+        _variant(algorithm="signsgd", learning_rate="0.03", server_lr="0.02", eval_every="1"),
+        "736db05ca3c6a04296282f6a4f7795397618412e9c3fa4ff87b9824fe642feb2"),
+    "topk": (
+        _variant(algorithm="topk", learning_rate="0.03", sparsity="0.3", eval_every="1"),
+        "ca1ac69ecf36ba2eb1322fc2977466bd32bcec1cd21275d24316c32b38de8054"),
 }
 
 

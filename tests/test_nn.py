@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
-                        edge_popup_train, ep_backward, ep_forward, evaluate,
-                        mask_layer, score_gradient)
+                        dense_evaluate, dense_weight_grads, edge_popup_train,
+                        ep_backward, ep_forward, evaluate, mask_layer,
+                        masked_weights, score_gradient, sgd_step)
 from fedrank.ranking import argsort_ranking
 from fedrank.rng import InitKind, derive
 
@@ -201,6 +202,24 @@ class TestBackward:
             for g, e in zip(grads, expected):
                 assert np.max(np.abs(g - e)) < 1e-6
 
+    def test_score_gradient_is_weight_gradient_times_weights(self):
+        # At k = 1 the mask keeps every edge, so the effective weights are W
+        # and edge-popup's gradient is the dense weight gradient times W.
+        rng = derive(29, [])
+        for specs in ([LayerSpec(4, 5, "relu"), LayerSpec(5, 3, "identity")],
+                      [LayerSpec(7, 6, "relu"), LayerSpec(6, 6, "identity"),
+                       LayerSpec(6, 2, "identity")]):
+            for _ in range(10):
+                net = random_net(rng, specs)
+                rows = 1 + int(rng.integers_below(12)[0])
+                x = rng.uniform(rows * specs[0].fan_in, -2, 2).reshape(rows, -1)
+                batch = Minibatch(x, rng.integers_below(specs[-1].fan_out, rows))
+                _, cache = ep_forward(net, 1.0, batch)
+                got = ep_backward(net, 1.0, batch, cache)
+                dense = dense_weight_grads(net.weights, specs, batch)
+                for g, d, w in zip(got, dense, net.weights):
+                    assert g.tobytes() == (d * w.astype(np.float64)).tobytes()
+
     def test_stale_cache_rejected(self):
         net = random_net(derive(28, []), [LayerSpec(3, 2, "identity")])
         b1 = Minibatch(np.ones((2, 3)), np.array([0, 1]))
@@ -229,6 +248,32 @@ class TestTrain:
         edge_popup_train(net2, [batch], 1, 0.5, SgdConfig(0.1, 0.0, 0.0, 8), derive(1, []))
         for b, g, after in zip(before, grads, net2.scores):
             assert np.allclose(after, (b.astype(np.float64) - 0.1 * g).astype(np.float32))
+
+    def test_sgd_step_matches_reference_formula(self):
+        # Reference: the step written out with its float64 temporaries.
+        def reference(p, g, buf, sgd):
+            step = np.asarray(g, dtype=np.float64) + sgd.weight_decay * p.astype(np.float64)
+            buf *= sgd.momentum
+            buf += step
+            with np.errstate(over="ignore"):
+                p -= (sgd.learning_rate * buf).astype(np.float32)
+
+        rng = derive(32, [])
+        for trial in range(40):
+            shape = (1 + trial % 5, 1 + trial % 7)
+            n = shape[0] * shape[1]
+            scale = 1e38 if trial % 4 == 0 else 3.0  # some steps overflow float32
+            sgd = SgdConfig(float(rng.uniform(1)[0]) * 2, float(rng.uniform(1)[0]) * 0.99,
+                            float(rng.uniform(1)[0]) * 1e-3, 8)
+            p = rng.uniform(n, -scale, scale).reshape(shape).astype(np.float32)
+            g = rng.uniform(n, -scale, scale).reshape(shape)
+            buf = rng.uniform(n, -1, 1).reshape(shape)
+            want_p, want_buf = p.copy(), buf.copy()
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in huge trials
+                for _ in range(3):
+                    reference(want_p, g, want_buf, sgd)
+                    sgd_step([p], [g], [buf], sgd)
+            assert p.tobytes() == want_p.tobytes() and buf.tobytes() == want_buf.tobytes()
 
     def test_epochs_zero_rejected(self):
         net, batches = self._tiny_problem()
@@ -299,6 +344,27 @@ class TestEvaluate:
         net = random_net(derive(38, []), [LayerSpec(2, 2, "identity")])
         with pytest.raises(ValueError):
             evaluate(net, 0.5, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+class TestAccuracyRule:
+    """A NaN logit never wins the argmax, in both evaluation entries."""
+
+    # Output 2 reads a NaN weight, so its logit is NaN for every sample.
+    WEIGHTS = [np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]])]
+    X = np.array([[2.0, 1.0], [1.0, 2.0], [3.0, -1.0]])
+    LABELS = np.array([0, 1, 0])
+
+    def test_evaluate_with_weights(self):
+        net = Supernetwork([LayerSpec(2, 3, "identity")], weights=self.WEIGHTS,
+                           scores=[np.ones((3, 2))], seed=0)
+        weights = masked_weights(net, 1.0)
+        logits, _ = ep_forward(net, 1.0, Minibatch(self.X, self.LABELS), weights)
+        assert np.isnan(logits[:, 2]).all()
+        assert evaluate(net, 1.0, self.X, self.LABELS, weights) == 1.0
+
+    def test_dense_evaluate(self):
+        weights = [w.astype(np.float32) for w in self.WEIGHTS]
+        assert dense_evaluate(weights, [LayerSpec(2, 3, "identity")], self.X, self.LABELS) == 1.0
 
 
 class TestSeedNetwork:

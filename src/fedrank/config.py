@@ -13,7 +13,7 @@ from enum import Enum
 
 from .adversary import AttackConfig, AttackKind, OmegaKind
 from .nn import LayerSpec, SgdConfig
-from .protocols import Aggregator, Algorithm, ExperimentConfig
+from .protocols import DATASET_KINDS, Aggregator, Algorithm, ExperimentConfig
 from .rng import InitKind
 
 
@@ -38,6 +38,12 @@ def format_architecture(layers: list[LayerSpec]) -> str:
     return ",".join(f"{sp.fan_in}x{sp.fan_out}:{sp.activation}" for sp in layers)
 
 
+def _dataset_kind(text: str) -> str:
+    if text not in DATASET_KINDS:
+        raise ValueError(f"{text!r} is not a valid dataset kind ({', '.join(DATASET_KINDS)})")
+    return text
+
+
 # key -> (part of ExperimentConfig or None for the top level, attribute,
 # converter from the file's text), in the order config_to_flat_dict writes
 # them.
@@ -59,7 +65,7 @@ _FIELDS: dict[str, tuple[str | None, str, object]] = {
     "eval_every": (None, "eval_every", int),
     "weight_init": (None, "weight_init", InitKind),
     "architecture": (None, "architecture", parse_architecture),
-    "dataset": ("dataset", "kind", str),
+    "dataset": ("dataset", "kind", _dataset_kind),
     "dirichlet_alpha": (None, "dirichlet_alpha", float),
     "attack": ("attack", "kind", AttackKind),
     "malicious_fraction": ("attack", "malicious_fraction", float),
@@ -102,6 +108,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         part, attr, conv = _FIELDS[key]
         try:
             value = conv(text)
+        except ConfigError:
+            raise  # names its key already
         except ValueError as exc:
             if conv in (int, float):
                 raise ConfigError(f"{key}: cannot parse {text!r} as {conv.__name__}") from exc

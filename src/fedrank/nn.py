@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import InitKind, RngStream, TAG_SCORES, TAG_WEIGHTS, derive, init_scores, init_weights
-from .ranking import argsort_ranking, keep_count, reorder_scores
+from .ranking import argsort_ranking, finite_flat, keep_count, reorder_scores
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -165,20 +165,19 @@ def mask_layer(scores: np.ndarray, k: float) -> np.ndarray:
     Ties go to the lower flat index first in the ascending order, so equal
     scores are dropped from index 0 upward: of the scores equal to the
     smallest kept value, the highest flat indices are kept.  The threshold
-    comes from a selection, not a sort.
+    comes from a selection, not a sort, in float32 for float32 scores and
+    in float64 otherwise (see :func:`finite_flat`).
     """
-    flat = np.asarray(scores, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("scores must be finite")
+    flat = finite_flat(scores)
     keep = keep_count(flat.size, k)
-    mask = np.zeros(flat.size, dtype=np.float32)
-    if keep:
-        threshold = np.partition(flat, flat.size - keep)[flat.size - keep]
-        above = flat > threshold
-        mask[above] = 1.0
-        ties = np.flatnonzero(flat == threshold)
-        mask[ties[len(ties) - (keep - int(np.count_nonzero(above))):]] = 1.0
-    return mask.reshape(np.asarray(scores).shape)
+    if not keep:
+        return np.zeros(np.shape(scores), dtype=np.float32)
+    threshold = np.partition(flat, flat.size - keep)[flat.size - keep]
+    above = flat > threshold
+    mask = above.astype(np.float32)
+    ties = np.flatnonzero(flat == threshold)
+    mask[ties[len(ties) - (keep - int(np.count_nonzero(above))):]] = 1.0
+    return mask.reshape(np.shape(scores))
 
 
 def masked_weights(net: Supernetwork, k: float) -> list[np.ndarray]:

@@ -46,11 +46,12 @@ class Aggregator(str, Enum):
 
 
 RANK_ALGORITHMS = (Algorithm.FSL, Algorithm.SPARSE_FSL)
+DATASET_KINDS = ("blobs", "idx")
 
 
 @dataclass
 class DatasetSpec:
-    kind: str = "blobs"  # "blobs" or "idx"
+    kind: str = "blobs"  # one of DATASET_KINDS
     blob_classes: int = 10
     blob_dims: int = 20
     blob_samples_per_class: int = 200

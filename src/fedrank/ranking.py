@@ -5,6 +5,11 @@ edge whose reputation is i, so the least important edge comes first.  A
 network ranking is one permutation per layer.  All ties break toward the
 lower edge index (stable sorts throughout) so every operation is
 deterministic.
+
+Every stable order here comes from :func:`stable_order`: one plain sort of
+unique uint64 words, an order-preserving key above the entry's index, which
+numpy runs as its SIMD sort.  float64 input, float32 with a NaN and integer
+ranges too wide to leave room for the index fall back to the stable argsort.
 """
 
 from __future__ import annotations
@@ -52,12 +57,66 @@ def keep_count(n_edges: int, k: float) -> int:
     return math.ceil(k * n_edges)
 
 
-def argsort_ranking(values: np.ndarray) -> LayerRanking:
-    """Ranking of a value vector: indices ascending by value, stable."""
-    flat = np.asarray(values, dtype=np.float64).ravel()
+def _order_keys(values: np.ndarray, width: int) -> np.ndarray | None:
+    """uint64 keys below 2**(64 - width) that order as ``values`` do, or
+    None where there are none."""
+    if values.dtype == np.float32:
+        if width > 32 or np.isnan(values).any():
+            return None
+        bits = (values + np.float32(0.0)).view(np.int32)  # -0.0 + 0.0 is +0.0
+        flip = bits >> 31  # -1 for negatives, 0 otherwise
+        flip |= np.int32(-2**31)
+        bits ^= flip  # negatives inverted, the rest above them
+        return bits.view(np.uint32).astype(np.uint64)
+    if values.dtype.kind in "iu" and values.size:
+        lo = int(values.min())
+        if (int(values.max()) - lo).bit_length() + width <= 64:
+            keys = values.astype(np.uint64)  # modulo 2**64, so the difference is exact
+            keys -= np.uint64(lo % 2**64)
+            return keys
+    return None
+
+
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of the flattened values, int64.
+
+    Each entry becomes one unique uint64 word: an unsigned key that orders
+    as the value does, shifted left by the index width and OR-ed with the
+    entry's index.  One plain sort of the words, masked to the index bits,
+    is the stable order.  The float32 key is the bit pattern with the sign
+    flipped (negatives inverted, -0.0 folded onto +0.0, which the argsort
+    treats as equal); an integer key is value - min.  Where key and index
+    need more than 64 bits (float64 input, an integer range too wide for
+    the index width), or for float32 with a NaN, this falls back to the
+    stable argsort itself.
+    """
+    values = np.asarray(values).ravel()
+    width = max(values.size - 1, 0).bit_length()
+    words = _order_keys(values, width)
+    if words is None:
+        return np.argsort(values, kind="stable").astype(np.int64, copy=False)
+    words <<= np.uint64(width)
+    words |= np.arange(values.size, dtype=np.uint64)
+    words.sort()
+    words &= np.uint64((1 << width) - 1)
+    return words.view(np.int64)
+
+
+def finite_flat(values: np.ndarray) -> np.ndarray:
+    """``values`` flattened, float32 kept as float32 and anything else cast
+    to float64; the float32 -> float64 cast is exact, so orders and
+    comparisons are the same in both.  Raises unless every value is finite."""
+    flat = np.asarray(values).ravel()
+    if flat.dtype != np.float32:
+        flat = flat.astype(np.float64)
     if not np.all(np.isfinite(flat)):
         raise ValueError("values must be finite")
-    return np.argsort(flat, kind="stable").astype(np.int64)
+    return flat
+
+
+def argsort_ranking(values: np.ndarray) -> LayerRanking:
+    """Ranking of a value vector: indices ascending by value, stable."""
+    return stable_order(finite_flat(values))
 
 
 def reorder_scores(sorted_values: np.ndarray, ranking: LayerRanking) -> np.ndarray:
@@ -115,7 +174,7 @@ def vote(rankings: list[LayerRanking]) -> tuple[LayerRanking, np.ndarray]:
     tally = np.zeros(n, dtype=np.int64)
     for r in rankings:
         tally += inverse_permutation(_check_permutation(r, n))
-    return np.argsort(tally, kind="stable").astype(np.int64), tally
+    return stable_order(tally), tally
 
 
 def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndarray]:
@@ -133,7 +192,7 @@ def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndar
             raise ValueError("sparse rankings disagree on layer size")
         s = len(sr.top)
         tally[sr.top] += (n - s) + np.arange(s, dtype=np.int64)
-    return np.argsort(tally, kind="stable").astype(np.int64), tally
+    return stable_order(tally), tally
 
 
 def vote_network(rankings: list[NetworkRanking]) -> NetworkRanking:

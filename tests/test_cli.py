@@ -80,6 +80,22 @@ class TestRun:
         assert err.startswith("error: learning_rate") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_dataset_kind_rejected_before_output(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("dataset = blobs", "dataset = foo"))
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: dataset: 'foo' is not a valid dataset kind (blobs, idx)\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_architecture_error_names_key_once(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("6x8:relu,8x4:identity", "6by8"))
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: architecture: cannot parse entry '6by8' "
+                                           "(invalid literal for int() with base 10: '6by8')\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
         rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o"),

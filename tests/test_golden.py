@@ -4,8 +4,8 @@ Criterion 10 compares runs of one checkout with each other, so a change
 that shifts every bit the same way passes it.  These SHA-256 pins were
 taken once and must be reproduced exactly; a change that moves them
 changes the protocol.  Together the configs cover the full vote, the
-sparse vote, rank-reversal poisoning, a robust weight aggregator, and the
-signSGD and top-k baselines.
+sparse vote, rank-reversal poisoning, a robust weight aggregator, the
+signSGD and top-k baselines, and one full and one sparse vote at 784-200-10.
 """
 
 import hashlib
@@ -23,6 +23,14 @@ def _variant(**changes: str) -> str:
              if ln.split("=")[0].strip() not in changes]
     return "\n".join(lines + [f"{k} = {v}" for k, v in changes.items()]) + "\n"
 
+
+# One 784-200-10 round (156,800 + 2,000 edges) with few clients: the trained
+# float32 scores hold ties, so every rank sort and top-k mask is pinned at
+# the size the mid-size benchmark runs.
+MID = dict(rounds="1", num_clients="6", clients_per_round="3", local_epochs="2",
+           architecture="784x200:relu,200x10:identity", blob_classes="10",
+           blob_dims="784", blob_samples_per_class="30", blob_separation="8.0",
+           eval_every="1")
 
 GOLDEN = {
     "fsl": (
@@ -46,6 +54,12 @@ GOLDEN = {
     "topk": (
         _variant(algorithm="topk", learning_rate="0.03", sparsity="0.3", eval_every="1"),
         "ca1ac69ecf36ba2eb1322fc2977466bd32bcec1cd21275d24316c32b38de8054"),
+    "fsl_784_200_10": (
+        _variant(**MID),
+        "20955886c4f059ad77511b6b44fb8591871ba374d4e1106d27f016409718f69b"),
+    "sparse_fsl_784_200_10": (
+        _variant(**MID, algorithm="sparse_fsl", sparsity="0.3"),
+        "683543368ce84fabecba746e6cac4df337ab8e6a129224e06c27a02230b12d55"),
 }
 
 

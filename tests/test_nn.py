@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwo
                         dense_evaluate, dense_weight_grads, edge_popup_train,
                         ep_backward, ep_forward, evaluate, mask_layer,
                         masked_weights, score_gradient, sgd_step)
+from fedrank.analytics import ARCH_PRESETS
 from fedrank.ranking import argsort_ranking
 from fedrank.rng import InitKind, derive
 
@@ -134,6 +136,23 @@ class TestMaskLayer:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 mask_layer(np.array([0.1, bad, 0.3]), 0.5)
+
+    def test_paper_size_layer(self):
+        n = max(ARCH_PRESETS["lenet-mnist"])
+        assert n == 1605632
+        # a 1e-4 grid: about 80 ties per value, -0.0 among them, and the
+        # k = 0.5 threshold inside a tie group
+        scores = (np.round(derive(30, []).uniform(n) * 2e4 - 1e4) / 1e4).astype(np.float32)
+        assert np.count_nonzero(np.signbit(scores) & (scores == 0)) > 0
+        tracemalloc.start()
+        try:
+            ranking = argsort_ranking(scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ranking, np.argsort(scores, kind="stable"))
+        assert peak <= 32 * n
+        assert np.array_equal(mask_layer(scores, 0.5), oracle_mask(scores, 0.5))
 
 
 class TestForward:

@@ -9,7 +9,7 @@ from fedrank.ranking import (SparseLayerRanking, _check_permutation, argsort_ran
                              encode_entries, encode_layer_ranking, encode_sparse_ranking,
                              inverse_permutation, keep_count, rank_bit_width,
                              reorder_scores, reverse_ranking, sparse_vote,
-                             top_edges, truncate_ranking, vote)
+                             stable_order, top_edges, truncate_ranking, vote)
 from fedrank.rng import derive
 
 # Worked single-round example: three client rankings over a 6-edge layer
@@ -87,6 +87,71 @@ class TestArgsort:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             argsort_ranking(np.array([1.0, np.nan]))
+
+
+class TestStableOrder:
+    @staticmethod
+    def check(values):
+        got = stable_order(values)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.argsort(values, kind="stable")), values
+
+    def test_float32_ties_and_extremes(self):
+        f32 = np.finfo(np.float32)
+        pool = np.array([-0.0, 0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+                         f32.tiny / 2, -f32.tiny / 2, f32.tiny, f32.max, -f32.max,
+                         np.inf, -np.inf, 1.0, -1.0, 0.5], dtype=np.float32)
+        rng = derive(66, [])
+        for case in range(300):
+            n = 1 + int(rng.integers_below(200)[0])
+            choices = 2 if case % 4 == 0 else len(pool)  # every 4th: only -0.0 and +0.0
+            self.check(pool[rng.integers_below(choices, n)])
+
+    def test_int64_ties_with_negatives(self):
+        rng = derive(67, [])
+        for case in range(200):
+            n = 1 + int(rng.integers_below(300)[0])
+            spread = (3, 50, 2**40)[case % 3]
+            values = rng.integers_below(spread, n).astype(np.int64) - spread // 2
+            self.check(values)
+            self.check(values.astype(np.int32))
+
+    def test_sizes_around_powers_of_two(self):
+        rng = derive(68, [])
+        sizes = [0, 1, 2]
+        for j in range(2, 18):
+            sizes += [2**j - 1, 2**j + 1]
+        for n in sizes:
+            self.check((rng.integers_below(7, n).astype(np.float32) - 3) / 2)
+            self.check(rng.integers_below(max(n // 4, 1), n).astype(np.int64))
+
+    def test_fallbacks(self):
+        rng = derive(69, [])
+        # float64 values a float32 key would merge
+        self.check(1.0 + rng.integers_below(4, 500) * 1e-12)
+        # width 2 leaves 62 key bits: a range of 2**62 - 1 fits, 2**62 does not
+        for lo, hi in ((-2**61, 2**61 - 1), (-2**61, 2**61), (-2**63, 2**63 - 1)):
+            self.check(np.array([hi, lo, hi, lo], dtype=np.int64))
+        self.check(np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64))
+        self.check(np.array([1.0, np.nan, -1.0, np.nan, 0.0], dtype=np.float32))
+
+    def test_votes_return_stable_order_of_their_tally(self):
+        rng = derive(70, [])
+        for trial in range(30):
+            n = 2 + trial * 7
+            rankings = [rng.sample_without_replacement(n, n) for _ in range(1 + trial % 4)]
+            result, tally = vote(rankings)
+            assert np.array_equal(result, np.argsort(tally, kind="stable"))
+            sparse = [truncate_ranking(r, 0.2) for r in rankings]
+            result, tally = sparse_vote(sparse)
+            assert np.array_equal(result, np.argsort(tally, kind="stable"))
+
+    def test_argsort_ranking_same_for_float32_and_float64(self):
+        rng = derive(71, [])
+        for n in (1, 2, 17, 1000):
+            x = (rng.integers_below(9, n).astype(np.float32) - 4) * np.float32(0.1)
+            x[::5] = -0.0
+            assert np.array_equal(argsort_ranking(x), argsort_ranking(x.astype(np.float64)))
 
 
 class TestReorder:

@@ -13,7 +13,11 @@ from enum import Enum
 
 import numpy as np
 
-from .aggregation import AGGREGATE_ID, ModelUpdate, multi_krum_select
+# multi_krum_select is unused here since the gamma search selects from
+# distances it builds itself; bench/test_bench.py still checks that the
+# tracer wraps this module's alias of it, so the name stays importable.
+from .aggregation import (AGGREGATE_ID, ModelUpdate, multi_krum_select,  # noqa: F401
+                          select_from_distances, squared_distances)
 from .nn import Minibatch, SeedNetwork, SgdConfig
 from .ranking import NetworkRanking, reverse_ranking, vote_network
 from .rng import InitKind, RngStream
@@ -87,23 +91,27 @@ def craft_scale_attack(benign_delta: ModelUpdate, scale_factor: float) -> ModelU
                        client_id=benign_delta.client_id)
 
 
-def _accepted(crafted: np.ndarray, benign_deltas: list[ModelUpdate],
-              n_malicious: int, aggregator: str, f: int) -> bool:
-    """Whether every malicious copy survives the aggregator's selection."""
-    if aggregator in ("average", "trimmed_mean"):
-        # No selection step rejects individual updates; the crafted value
-        # is used directly, so the search saturates.
-        return True
-    if aggregator == "multi_krum":
-        sim = list(benign_deltas)
-        # Ids below any real client id so score ties favor the adversary.
-        sim += [ModelUpdate(delta=crafted, client_id=-(i + 1)) for i in range(n_malicious)]
-        if len(sim) < f + 3:
-            return True  # too few peers to simulate selection against
-        selected = multi_krum_select(sim, f)
-        malicious_idx = set(range(len(benign_deltas), len(sim)))
-        return bool(malicious_idx & set(selected))
-    raise ValueError(f"unknown aggregator {aggregator!r}")
+def _krum_accepts(crafted: np.ndarray, benign: np.ndarray, benign_sq: np.ndarray,
+                  ids: list[int], f: int) -> bool:
+    """Whether Krum keeps a copy of ``crafted`` among the benign rows and its copies.
+
+    ``ids`` holds the benign rows' client ids, then one id per copy.  Only
+    the copies change between gamma steps, so ``benign_sq``
+    (``squared_distances(benign)``) is computed once per craft and each
+    step adds one sum per benign row plus one crafted-vs-crafted sum.  Every entry is the same np.sum over the
+    same row difference as in ``squared_distances`` of the stacked rows, so
+    the bytes match it.  The crafted-vs-crafted sum is not assumed to be
+    0.0: inf - inf makes it NaN when crafted holds an inf.
+    """
+    nb, n = len(benign), len(ids)
+    cross = np.array([np.sum((benign[i] - crafted) ** 2) for i in range(nb)])
+    sq = np.empty((n, n), dtype=benign.dtype)
+    sq[:nb, :nb] = benign_sq
+    sq[:nb, nb:] = cross[:, None]
+    sq[nb:, :nb] = cross
+    sq[nb:, nb:] = np.sum((crafted - crafted) ** 2)
+    np.fill_diagonal(sq, 0.0)
+    return max(select_from_distances(sq, ids, f)) >= nb
 
 
 def craft_opt_poison(benign_deltas: list[ModelUpdate], n_malicious: int,
@@ -131,7 +139,10 @@ def craft_opt_poison(benign_deltas: list[ModelUpdate], n_malicious: int,
     omega_kind = OmegaKind(omega_kind)
     if f is None:
         f = n_malicious
-    base = np.mean([u.delta for u in benign_deltas], axis=0)
+    if aggregator not in ("average", "trimmed_mean", "multi_krum"):
+        raise ValueError(f"unknown aggregator {aggregator!r}")
+    benign = np.stack([u.delta for u in benign_deltas])
+    base = np.mean(benign, axis=0)
     if omega_kind is OmegaKind.NEG_UNIT:
         norm = float(np.linalg.norm(base))
         if norm == 0.0:
@@ -139,10 +150,18 @@ def craft_opt_poison(benign_deltas: list[ModelUpdate], n_malicious: int,
         omega = -base / norm
     else:
         omega = -np.sign(base)
+    # Average and trimmed mean have no selection step that rejects an
+    # update, and Krum cannot be simulated against fewer than f + 3 peers:
+    # in those cases every gamma is accepted and the search saturates.
+    simulate = aggregator == "multi_krum" and len(benign) + n_malicious >= f + 3
+    if simulate:
+        benign_sq = squared_distances(benign)
+        # Ids below any real client id so score ties favor the adversary.
+        ids = [u.client_id for u in benign_deltas] + [-(i + 1) for i in range(n_malicious)]
     gamma = gamma_init
     step = gamma_init / 2.0
     for _ in range(gamma_iters):
-        if _accepted(base + gamma * omega, benign_deltas, n_malicious, aggregator, f):
+        if not simulate or _krum_accepts(base + gamma * omega, benign, benign_sq, ids, f):
             gamma += step
         else:
             gamma -= step

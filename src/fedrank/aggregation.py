@@ -75,24 +75,29 @@ def squared_distances(mat: np.ndarray) -> np.ndarray:
     return sq
 
 
-def multi_krum_select(updates: list[ModelUpdate], f: int) -> list[int]:
-    """Indices of the m = n - f updates with the lowest Krum scores.
+def select_from_distances(sq: np.ndarray, client_ids: list[int], f: int) -> list[int]:
+    """Indices of the m = n - f rows of ``sq`` with the lowest Krum scores.
 
-    The score of an update is the summed squared distance to its n - f - 2
+    ``sq`` is the n x n ``squared_distances`` matrix of the updates.  The
+    score of an update is the summed squared distance to its n - f - 2
     nearest peers; score ties break toward the lower client_id.
     """
-    n = len(updates)
+    n = len(sq)
     if n < f + 3:
         raise ValueError(f"multi-krum needs at least f + 3 = {f + 3} updates, got {n}")
-    sq = squared_distances(_stack(updates))
     closest = n - f - 2
     scores = np.empty(n)
     for i in range(n):
         others = np.delete(sq[i], i)
         scores[i] = np.sort(others)[:closest].sum()
-    ids = np.array([u.client_id for u in updates])
-    order = np.lexsort((ids, scores))
+    order = np.lexsort((np.asarray(client_ids), scores))
     return sorted(int(i) for i in order[: n - f])
+
+
+def multi_krum_select(updates: list[ModelUpdate], f: int) -> list[int]:
+    """Indices of the m = n - f updates with the lowest Krum scores."""
+    return select_from_distances(squared_distances(_stack(updates)),
+                                 [u.client_id for u in updates], f)
 
 
 def multi_krum(updates: list[ModelUpdate], f: int) -> ModelUpdate:

@@ -84,6 +84,11 @@ _FIELDS: dict[str, tuple[str | None, str, object]] = {
 }
 
 
+def _foreign_prefix(kind: str) -> str:
+    """Prefix of the dataset keys that ``dataset = kind`` does not use."""
+    return "idx_" if kind == "blobs" else "blob_"
+
+
 def parse_lines(lines: list[str]) -> dict[str, str]:
     raw: dict[str, str] = {}
     for lineno, line in enumerate(lines, 1):
@@ -117,6 +122,10 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         if conv is float and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {text!r}")
         setattr(getattr(cfg, part) if part else cfg, attr, value)
+    foreign = _foreign_prefix(cfg.dataset.kind)
+    for key in raw:
+        if key.startswith(foreign):
+            raise ConfigError(f"{key}: not used with dataset = {cfg.dataset.kind}")
 
     # Re-run dataclass validation with the final field values.
     sgd, attack = cfg.sgd, cfg.attack
@@ -145,7 +154,7 @@ def config_to_flat_dict(cfg: ExperimentConfig) -> dict[str, object]:
     ``blob_*`` keys appear only for ``dataset = blobs`` and ``idx_*`` keys
     only for other kinds; unset (None) values are left out.
     """
-    other_prefix = "idx_" if cfg.dataset.kind == "blobs" else "blob_"
+    other_prefix = _foreign_prefix(cfg.dataset.kind)
     out: dict[str, object] = {}
     for key, (part, attr, _) in _FIELDS.items():
         if key.startswith(other_prefix):

@@ -112,6 +112,14 @@ class ExperimentConfig:
             raise ValueError("rank_reversal only applies to ranking protocols")
         if kind in (AttackKind.SCALE, AttackKind.OPT_POISON) and self.algorithm in RANK_ALGORITHMS:
             raise ValueError(f"{kind.value} only applies to weight-based protocols")
+        if self.algorithm is Algorithm.FEDAVG:
+            n = self.clients_per_round
+            f = int(self.attack.malicious_fraction * n)  # the f baseline_round tolerates
+            of_f = f"(f = int(malicious_fraction * clients_per_round) = {f}), got {n}"
+            if self.aggregator is Aggregator.MULTI_KRUM and n < f + 3:
+                raise ValueError(f"multi_krum needs clients_per_round >= f + 3 = {f + 3} {of_f}")
+            if self.aggregator is Aggregator.TRIMMED_MEAN and n <= 2 * f:
+                raise ValueError(f"trimmed_mean needs clients_per_round > 2 * f = {2 * f} {of_f}")
 
     @property
     def attack_epochs(self) -> int:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fedrank import adversary
 from fedrank.adversary import (AttackConfig, AttackKind, OmegaKind,
                                craft_opt_poison, craft_rank_poison,
                                craft_scale_attack)
-from fedrank.aggregation import ModelUpdate, multi_krum_select
+from fedrank.aggregation import (ModelUpdate, multi_krum_select, select_from_distances,
+                                 squared_distances)
 from fedrank.data import gen_blobs
 from fedrank.nn import LayerSpec, Minibatch, SgdConfig
 from fedrank.ranking import reverse_ranking, vote_network
@@ -178,3 +180,107 @@ class TestOptPoison:
         base = np.mean([u.delta for u in benign], axis=0)
         gamma = float(np.linalg.norm(out.delta - base))
         assert gamma < 1e9  # descended from the absurd start
+
+
+# The gamma search as it was before it reused the benign distances: Krum is
+# simulated anew on the stacked rows at every step.
+
+def oracle_accepted(crafted, benign_deltas, n_malicious, aggregator, f):
+    if aggregator in ("average", "trimmed_mean"):
+        return True
+    sim = list(benign_deltas)
+    sim += [ModelUpdate(delta=crafted, client_id=-(i + 1)) for i in range(n_malicious)]
+    if len(sim) < f + 3:
+        return True
+    selected = multi_krum_select(sim, f)
+    return bool(set(range(len(benign_deltas), len(sim))) & set(selected))
+
+
+def oracle_opt_poison(benign_deltas, n_malicious, aggregator, omega_kind,
+                      gamma_init, gamma_iters, f):
+    """Final crafted delta and the crafted delta tried at each gamma step."""
+    base = np.mean([u.delta for u in benign_deltas], axis=0)
+    if omega_kind is OmegaKind.NEG_UNIT:
+        omega = -base / float(np.linalg.norm(base))
+    else:
+        omega = -np.sign(base)
+    tried = []
+    gamma, step = gamma_init, gamma_init / 2.0
+    for _ in range(gamma_iters):
+        tried.append(base + gamma * omega)
+        if oracle_accepted(tried[-1], benign_deltas, n_malicious, aggregator, f):
+            gamma += step
+        else:
+            gamma -= step
+        step /= 2.0
+    return base + gamma * omega, tried
+
+
+class TestOptPoisonMatchesOracle:
+    """The incremental Krum distances give the stacked search's bytes."""
+
+    def _deltas(self, seed, n, dims, ids=None):
+        rows = derive(seed, []).normal(n * dims).reshape(n, dims) + 0.5
+        ids = range(10, 10 + n) if ids is None else ids
+        return [ModelUpdate(delta=r, client_id=i) for r, i in zip(rows, ids)]
+
+    def _check(self, monkeypatch, benign, n_mal, f, omega=OmegaKind.NEG_UNIT,
+               gamma_init=3.0, gamma_iters=12, simulated=True):
+        matrices = []
+
+        def spy(sq, client_ids, f_):
+            matrices.append(sq.copy())
+            return select_from_distances(sq, client_ids, f_)
+
+        monkeypatch.setattr(adversary, "select_from_distances", spy)
+        out = craft_opt_poison(benign, n_mal, "multi_krum", omega, gamma_init,
+                               gamma_iters, f=f)
+        expected, tried = oracle_opt_poison(benign, n_mal, "multi_krum", omega,
+                                            gamma_init, gamma_iters, f)
+        assert out.delta.tobytes() == expected.tobytes()
+        assert len(matrices) == (gamma_iters if simulated else 0)
+        for sq, crafted in zip(matrices, tried):
+            stacked = np.stack([u.delta for u in benign] + [crafted] * n_mal)
+            assert sq.tobytes() == squared_distances(stacked).tobytes()
+        return out
+
+    @pytest.mark.parametrize("n_benign, n_mal, f", [
+        (4, 4, 4),   # the server's 25-client round samples about this many
+        (5, 1, 1),   # a single attacker
+        (3, 3, 1),   # f below n_malicious
+        (6, 2, 4),   # f above n_malicious
+        (20, 5, 5),
+    ])
+    def test_matches_stacked_search(self, monkeypatch, n_benign, n_mal, f):
+        for seed, omega in ((91, OmegaKind.NEG_UNIT), (92, OmegaKind.NEG_SIGN)):
+            self._check(monkeypatch, self._deltas(seed + n_benign, n_benign, 7), n_mal, f,
+                        omega=omega)
+
+    def test_score_ties_broken_by_ids(self, monkeypatch):
+        # Two benign rows duplicated under other ids: their scores tie, and
+        # crafted copies tie with each other at every step.
+        base = self._deltas(93, 3, 4)
+        benign = base + [ModelUpdate(delta=u.delta.copy(), client_id=u.client_id - 20)
+                         for u in base[:2]]
+        self._check(monkeypatch, benign, 3, 2)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_inf_and_nan_crafted_rows(self, monkeypatch):
+        # An inf entry makes crafted - crafted NaN, not 0.0; a NaN entry
+        # makes every distance to a crafted copy NaN.
+        for bad in (np.inf, -np.inf, np.nan):
+            benign = self._deltas(94, 5, 6)
+            benign[1].delta[3] = bad
+            self._check(monkeypatch, benign, 3, 2, omega=OmegaKind.NEG_SIGN)
+
+    def test_too_few_rows_saturates_without_selection(self, monkeypatch):
+        # 2 + 2 rows < f + 3 = 5: no simulation, the search saturates.
+        benign = self._deltas(95, 2, 5)
+        out = self._check(monkeypatch, benign, 2, 2, simulated=False)
+        base = np.mean([u.delta for u in benign], axis=0)
+        gamma = float(np.linalg.norm(out.delta - base))
+        assert gamma == pytest.approx(3.0 * (2.0 - 2.0**-12), rel=1e-9)
+
+    def test_unknown_aggregator_rejected(self):
+        with pytest.raises(ValueError, match="unknown aggregator 'median'"):
+            craft_opt_poison(self._deltas(96, 3, 2), 1, "median")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fedrank.aggregation import (ModelUpdate, SignUpdate, average, multi_krum,
-                                 multi_krum_select, sign_majority, signs_of,
-                                 squared_distances, trimmed_mean)
+                                 multi_krum_select, select_from_distances,
+                                 sign_majority, signs_of, squared_distances,
+                                 trimmed_mean)
 from fedrank.rng import derive
 
 
@@ -34,6 +35,22 @@ def oracle_krum_scores(rows, f):
                        for j in range(n) if j != i)
         scores.append(sum(dists[: n - f - 2]))
     return scores
+
+
+def oracle_multi_krum_select(updates, f):
+    """multi_krum_select as one function, before selection took a matrix."""
+    n = len(updates)
+    if n < f + 3:
+        raise ValueError(f"multi-krum needs at least f + 3 = {f + 3} updates, got {n}")
+    sq = squared_distances(np.stack([u.delta for u in updates]))
+    closest = n - f - 2
+    scores = np.empty(n)
+    for i in range(n):
+        others = np.delete(sq[i], i)
+        scores[i] = np.sort(others)[:closest].sum()
+    ids = np.array([u.client_id for u in updates])
+    order = np.lexsort((ids, scores))
+    return sorted(int(i) for i in order[: n - f])
 
 
 class TestAverage:
@@ -116,6 +133,30 @@ class TestMultiKrum:
             broadcast = np.sum((mat[:, None, :] - mat[None, :, :]) ** 2, axis=2)
             assert squared_distances(mat).tobytes() == broadcast.tobytes()
 
+    def test_select_from_distances_matches_oracle(self):
+        rng = derive(48, [])
+        cases = []
+        for _ in range(40):
+            n = int(rng.integers_below(9)[0]) + 3
+            f = int(rng.integers_below(n - 2)[0])
+            rows = rng.normal(n * 5).reshape(n, 5)
+            ids = [int(i) for i in rng.integers_below(100, n)]
+            cases.append((rows, ids, f))
+        # all scores tie, so the ids alone pick the survivors
+        cases.append((np.ones((6, 3)), [5, 4, 3, 2, 1, 0], 2))
+        # duplicated rows with ids that repeat across them
+        dup = np.repeat(rng.normal(3 * 4).reshape(3, 4), 2, axis=0)
+        cases.append((dup, [9, -1, 9, -2, 0, -3], 1))
+        # inf and NaN entries make inf and NaN distances
+        bad = rng.normal(7 * 4).reshape(7, 4)
+        bad[2, 1], bad[5, 0] = np.inf, np.nan
+        cases.append((bad, list(range(7)), 2))
+        for rows, ids, f in cases:
+            u = updates_from(rows, ids)
+            expected = oracle_multi_krum_select(u, f)
+            assert select_from_distances(squared_distances(rows), ids, f) == expected
+            assert multi_krum_select(u, f) == expected
+
     def test_f_zero_m_n_is_average(self):
         rng = derive(65, [])
         rows = rng.uniform(5 * 2).reshape(5, 2)
@@ -125,6 +166,8 @@ class TestMultiKrum:
     def test_precondition(self):
         with pytest.raises(ValueError):
             multi_krum(updates_from([[1], [2], [3]]), 1)
+        with pytest.raises(ValueError, match="f \\+ 3 = 4 updates, got 3"):
+            select_from_distances(np.zeros((3, 3)), [0, 1, 2], 1)
 
     def test_permutation_invariance(self):
         rng = derive(66, [])

@@ -96,6 +96,25 @@ class TestRun:
                                            "(invalid literal for int() with base 10: '6by8')\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("attack", ["none", "opt_poison"])
+    @pytest.mark.parametrize("clients, fraction, aggregator, message", [
+        ("5", "0.6", "multi_krum",
+         "multi_krum needs clients_per_round >= f + 3 = 6"
+         " (f = int(malicious_fraction * clients_per_round) = 3), got 5"),
+        ("4", "0.5", "trimmed_mean",
+         "trimmed_mean needs clients_per_round > 2 * f = 4"
+         " (f = int(malicious_fraction * clients_per_round) = 2), got 4"),
+    ])
+    def test_robust_aggregator_without_enough_clients_rejected(
+            self, tmp_path, capsys, clients, fraction, aggregator, message, attack):
+        text = SMALL_RUN.replace("algorithm = fsl", "algorithm = fedavg").replace(
+            "clients_per_round = 3", f"clients_per_round = {clients}") + (
+            f"aggregator = {aggregator}\nmalicious_fraction = {fraction}\nattack = {attack}\n")
+        rc = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
         rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o"),

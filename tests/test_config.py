@@ -28,6 +28,11 @@ eval_every = 5
 """
 
 
+# GOOD for dataset = idx: the blob_* keys would be rejected there.
+GOOD_IDX = "".join(ln + "\n" for ln in GOOD.replace("dataset = blobs", "dataset = idx")
+                   .splitlines() if not ln.startswith("blob_"))
+
+
 def write(tmp_path, text):
     p = tmp_path / "run.cfg"
     p.write_text(text)
@@ -67,9 +72,19 @@ class TestParsing:
             parse_config(write(tmp_path, "algorithm fsl\n"))
 
     def test_idx_requires_paths(self, tmp_path):
-        text = GOOD.replace("dataset = blobs", "dataset = idx")
-        with pytest.raises(ConfigError, match="idx"):
-            parse_config(write(tmp_path, text))
+        with pytest.raises(ConfigError, match="idx_images and idx_labels are required"):
+            parse_config(write(tmp_path, GOOD_IDX))
+
+    @pytest.mark.parametrize("text, message", [
+        (GOOD_IDX + "idx_images = i\nidx_labels = l\nblob_separation = 2.5\n",
+         "blob_separation: not used with dataset = idx"),
+        (GOOD + "idx_labels = labels.idx\n", "idx_labels: not used with dataset = blobs"),
+        ("idx_images = imgs.idx\n", "idx_images: not used with dataset = blobs"),
+    ])
+    def test_other_dataset_keys_rejected(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            build_config(parse_lines(text.splitlines()))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("key, value", [("learning_rate", "nan"),
                                             ("blob_cluster_std", "inf"),
@@ -78,6 +93,18 @@ class TestParsing:
     def test_non_finite_float_named(self, key, value):
         with pytest.raises(ConfigError, match=f"{key}: must be finite"):
             build_config({key: value})
+
+    @pytest.mark.parametrize("algorithm, aggregator, clients, fraction", [
+        ("fedavg", "multi_krum", 6, 0.5),    # f = 3, exactly f + 3 clients
+        ("fedavg", "trimmed_mean", 5, 0.5),  # f = 2, one more than 2 * f
+        ("signsgd", "multi_krum", 5, 0.6),   # signSGD ignores the aggregator
+    ])
+    def test_robust_aggregator_size_boundary_accepted(self, algorithm, aggregator,
+                                                      clients, fraction):
+        text = GOOD.replace("algorithm = fsl", f"algorithm = {algorithm}").replace(
+            "clients_per_round = 5", f"clients_per_round = {clients}") + (
+            f"aggregator = {aggregator}\nmalicious_fraction = {fraction}\n")
+        assert build_config(parse_lines(text.splitlines())).clients_per_round == clients
 
     def test_bad_enum_value(self, tmp_path):
         with pytest.raises(ConfigError, match="algorithm"):
@@ -114,11 +141,9 @@ class TestFlatDictRoundtrip:
         assert config_to_flat_dict(rebuilt) == flat
 
     def test_idx_config_exports_conditional_keys_in_order(self):
-        text = GOOD.replace("dataset = blobs", "dataset = idx") + (
-            "idx_images = imgs.idx\nidx_labels = labels.idx\n"
-            "attack_epochs = 3\nblob_separation = 2.5\n")
+        text = GOOD_IDX + "idx_images = imgs.idx\nidx_labels = labels.idx\nattack_epochs = 3\n"
         cfg = build_config(parse_lines(text.splitlines()))
-        assert cfg.attack.epochs == 3 and cfg.dataset.blob_separation == 2.5
+        assert cfg.attack.epochs == 3
         flat = config_to_flat_dict(cfg)
         assert list(flat) == [
             "algorithm", "rounds", "num_clients", "clients_per_round", "local_epochs",

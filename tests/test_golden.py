@@ -4,14 +4,16 @@ Criterion 10 compares runs of one checkout with each other, so a change
 that shifts every bit the same way passes it.  These SHA-256 pins were
 taken once and must be reproduced exactly; a change that moves them
 changes the protocol.  Together the configs cover the full vote, the
-sparse vote, rank-reversal poisoning, a robust weight aggregator, the
-signSGD and top-k baselines, and one full and one sparse vote at 784-200-10.
+sparse vote, rank-reversal poisoning, the trimmed mean under the scale
+attack, multi-Krum under the gamma-search attack, the signSGD and top-k
+baselines, and one full and one sparse vote at 784-200-10.
 """
 
 import hashlib
 
 import pytest
 
+from fedrank import adversary
 from fedrank.cli import main
 
 from test_acceptance import GOLDEN_CONFIG
@@ -48,6 +50,14 @@ GOLDEN = {
         _variant(algorithm="fedavg", aggregator="trimmed_mean", learning_rate="0.03",
                  attack="scale", malicious_fraction="0.25", eval_every="1"),
         "799a5ecf1cedfa3d69f1c2cf5faa570fa5c4672d59845a02d6e65257bf95b0dd"),
+    # 4 of 12 clients are malicious and 8 take part, so the server's Krum
+    # drops f = int(0.4 * 8) = 3, and a round that samples 3 or 4 attackers
+    # simulates Krum over their 6 or 8 rows in the gamma search.
+    "fedavg_multi_krum_opt_poison": (
+        _variant(algorithm="fedavg", aggregator="multi_krum", learning_rate="0.03",
+                 attack="opt_poison", malicious_fraction="0.4", clients_per_round="8",
+                 eval_every="1"),
+        "c99c6ef24fdddfa76fe9be04bdc57ab090b695bc05248aa54af5552d3513aca6"),
     "signsgd": (
         _variant(algorithm="signsgd", learning_rate="0.03", server_lr="0.02", eval_every="1"),
         "736db05ca3c6a04296282f6a4f7795397618412e9c3fa4ff87b9824fe642feb2"),
@@ -63,11 +73,30 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_summary_matches_pinned_hash(name, tmp_path):
-    text, digest = GOLDEN[name]
+def _summary_sha256(name, tmp_path) -> str:
+    text, _ = GOLDEN[name]
     cfg_path = tmp_path / "golden.cfg"
     cfg_path.write_text(text)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    summary = (tmp_path / "out" / "summary.csv").read_bytes()
-    assert hashlib.sha256(summary).hexdigest() == digest
+    return hashlib.sha256((tmp_path / "out" / "summary.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_summary_matches_pinned_hash(name, tmp_path):
+    assert _summary_sha256(name, tmp_path) == GOLDEN[name][1]
+
+
+def test_opt_poison_pin_runs_krum_gamma_search(tmp_path, monkeypatch):
+    """The multi-Krum pin covers the gamma search's simulated selection."""
+    calls = []
+    select = adversary.select_from_distances
+
+    def spy(sq, client_ids, f):
+        calls.append(len(sq))
+        return select(sq, client_ids, f)
+
+    monkeypatch.setattr(adversary, "select_from_distances", spy)
+    assert _summary_sha256("fedavg_multi_krum_opt_poison", tmp_path) == \
+        GOLDEN["fedavg_multi_krum_opt_poison"][1]
+    # Three of the six rounds sample enough attackers, 20 gamma steps each.
+    assert len(calls) == 60 and set(calls) == {6, 8}

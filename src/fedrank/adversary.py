@@ -20,7 +20,7 @@ from .aggregation import (AGGREGATE_ID, ModelUpdate, multi_krum_select,  # noqa:
                           select_from_distances, squared_distances)
 from .nn import Minibatch, SeedNetwork, SgdConfig
 from .ranking import NetworkRanking, reverse_ranking, vote_network
-from .rng import InitKind, RngStream
+from .rng import RngStream
 
 
 class AttackKind(str, Enum):
@@ -48,12 +48,17 @@ class AttackConfig:
     gamma_iters: int = 20
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         self.kind = AttackKind(self.kind)
         self.omega_kind = OmegaKind(self.omega_kind)
         if not 0.0 <= self.malicious_fraction < 1.0:
             raise ValueError("malicious_fraction must be in [0, 1)")
         if self.gamma_init <= 0 or self.gamma_iters < 1:
             raise ValueError("gamma search parameters must be positive")
+        if self.epochs is not None and self.epochs < 1:
+            raise ValueError("attack_epochs must be >= 1")
 
     def malicious_count(self, num_clients: int) -> int:
         if self.kind is AttackKind.NONE:
@@ -61,24 +66,21 @@ class AttackConfig:
         return int(self.malicious_fraction * num_clients)
 
 
-def craft_rank_poison(seed: int | SeedNetwork, global_ranking: NetworkRanking,
+def craft_rank_poison(seed_net: SeedNetwork, global_ranking: NetworkRanking,
                       malicious_batches: list[list[Minibatch]], epochs: int,
-                      k: float, sgd: SgdConfig, rngs: list[RngStream],
-                      specs, weight_init: InitKind) -> NetworkRanking:
+                      k: float, sgd: SgdConfig, rngs: list[RngStream]) -> NetworkRanking:
     """Shared malicious submission: reverse of the colluders' own vote.
 
     Every malicious client first runs the benign client procedure on its
     own data, the group votes over those rankings, and the reversed result
-    is what each of them submits.  ``seed`` is passed on to
-    ``fsl_client_update`` as it is.
+    is what each of them submits.
     """
     from .protocols import fsl_client_update  # deferred: protocols imports this module
 
     if not malicious_batches:
         raise ValueError("rank poisoning needs at least one malicious client")
     rankings = [
-        fsl_client_update(seed, global_ranking, batches, epochs, k, sgd, rng,
-                          specs, weight_init)
+        fsl_client_update(seed_net, global_ranking, batches, epochs, k, sgd, rng)
         for batches, rng in zip(malicious_batches, rngs)
     ]
     voted = vote_network(rankings)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .adversary import AttackConfig, AttackKind, OmegaKind
-from .nn import LayerSpec, SgdConfig
+from .adversary import AttackKind, OmegaKind
+from .nn import LayerSpec
 from .protocols import DATASET_KINDS, Aggregator, Algorithm, ExperimentConfig
 from .rng import InitKind
 
@@ -126,20 +126,10 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     for key in raw:
         if key.startswith(foreign):
             raise ConfigError(f"{key}: not used with dataset = {cfg.dataset.kind}")
-
-    # Re-run dataclass validation with the final field values.
-    sgd, attack = cfg.sgd, cfg.attack
     try:
-        SgdConfig(sgd.learning_rate, sgd.momentum, sgd.weight_decay, sgd.batch_size)
-        AttackConfig(attack.malicious_fraction, attack.kind, attack.epochs,
-                     attack.scale_factor, attack.omega_kind, attack.gamma_init,
-                     attack.gamma_iters)
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.dataset.kind == "idx" and (cfg.dataset.idx_images is None
-                                      or cfg.dataset.idx_labels is None):
-        raise ConfigError("idx_images and idx_labels are required for dataset = idx")
     return cfg
 
 

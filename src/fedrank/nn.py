@@ -51,6 +51,9 @@ class SgdConfig:
     batch_size: int = 8
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:

@@ -1,5 +1,9 @@
-"""The round engine: rank-vote training, its sparse variant, and the
-weight-based baselines, with client sampling and per-round metrics.
+"""The round engine: rank-vote training and the weight-based baselines,
+with client sampling and per-round metrics.
+
+One rank round serves both rank algorithms.  Clients upload the top s
+fraction of each layer ranking, s = ``sparsity`` for ``sparse_fsl`` and
+s = 1 for ``fsl``, so the full vote is the sparse vote over whole rankings.
 
 Determinism contract: every random choice comes from a stream derived from
 the experiment seed and purpose tags (sampling uses [TAG_SAMPLING, round],
@@ -26,8 +30,7 @@ from .nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                  dense_evaluate, dense_train, edge_popup_train, evaluate,
                  flatten_params, masked_weights, unflatten_params,
                  validate_architecture)
-from .ranking import (NetworkRanking, keep_count, sparse_vote,
-                      truncate_ranking, vote_network)
+from .ranking import NetworkRanking, keep_count, sparse_vote, truncate_ranking
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
 
 
@@ -104,7 +107,25 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if self.server_lr <= 0:
             raise ValueError("server_lr must be > 0")
+        if self.dirichlet_alpha <= 0:
+            raise ValueError("dirichlet_alpha must be > 0")
+        self.sgd.validate()
+        self.attack.validate()
         validate_architecture(self.architecture)
+        spec, first, last = self.dataset, self.architecture[0], self.architecture[-1]
+        if spec.kind == "blobs":  # build_environment checks idx data once it is loaded
+            if min(spec.blob_classes, spec.blob_samples_per_class) < 1:
+                raise ValueError("blob_classes and blob_samples_per_class must be >= 1")
+            if spec.blob_cluster_std < 0:
+                raise ValueError("blob_cluster_std must be >= 0")
+            if spec.blob_dims != first.fan_in:
+                raise ValueError(f"blob_dims = {spec.blob_dims} does not match the "
+                                 f"first layer's fan-in {first.fan_in}")
+            if spec.blob_classes > last.fan_out:
+                raise ValueError(f"blob_classes = {spec.blob_classes} exceeds the last "
+                                 f"layer's fan-out {last.fan_out}")
+        elif spec.kind == "idx" and (spec.idx_images is None or spec.idx_labels is None):
+            raise ValueError("idx_images and idx_labels are required for dataset = idx")
         if self.algorithm is Algorithm.TOPK and self.aggregator is not Aggregator.AVERAGE:
             raise ValueError("topk only supports the average aggregator")
         kind = self.attack.kind
@@ -219,19 +240,12 @@ def select_clients(cfg: ExperimentConfig, round_index: int) -> list[int]:
     return [int(u) for u in picked]
 
 
-def fsl_client_update(seed: int | SeedNetwork, global_ranking: NetworkRanking,
+def fsl_client_update(seed_net: SeedNetwork, global_ranking: NetworkRanking,
                       batches: list[Minibatch], epochs: int, k: float,
-                      sgd: SgdConfig, rng, specs: list[LayerSpec],
-                      weight_init: InitKind = InitKind.SIGNED_KAIMING_CONSTANT) -> NetworkRanking:
+                      sgd: SgdConfig, rng) -> NetworkRanking:
     """One client's round: rebuild from seed, adopt the global rank order,
-    train scores locally, and return the new layer-wise ranking.
-
-    ``seed`` may be the SeedNetwork already built from the seed, ``specs``
-    and ``weight_init``, which saves rebuilding it.
-    """
-    if not isinstance(seed, SeedNetwork):
-        seed = SeedNetwork(seed, specs, weight_init)
-    net = seed.rebuild(global_ranking)
+    train scores locally, and return the new layer-wise ranking."""
+    net = seed_net.rebuild(global_ranking)
     edge_popup_train(net, batches, epochs, k, sgd, rng)
     return net.score_rankings()
 
@@ -240,33 +254,6 @@ def _map_clients(executor: ThreadPoolExecutor | None, fn, args_list: list):
     if executor is None:
         return [fn(*args) for args in args_list]
     return [f.result() for f in [executor.submit(fn, *args) for args in args_list]]
-
-
-def _rank_submissions(state: ServerState, env: Environment, cfg: ExperimentConfig,
-                      round_index: int, executor: ThreadPoolExecutor | None
-                      ) -> tuple[list[NetworkRanking], list[int], bool]:
-    selected = select_clients(cfg, round_index)
-    n_mal_total = cfg.attack.malicious_count(cfg.num_clients)
-    mal = [u for u in selected if u < n_mal_total] \
-        if cfg.attack.kind is AttackKind.RANK_REVERSAL else []
-    seed_net = env.seed_net or _seed_network(cfg)
-    poison: NetworkRanking | None = None
-    if mal:
-        poison = adversary.craft_rank_poison(
-            seed_net, state.ranking, [env.train_batches[u] for u in mal],
-            cfg.attack_epochs, cfg.subnet_fraction, cfg.sgd,
-            [derive(cfg.seed, [TAG_TRAIN, round_index, u]) for u in mal],
-            cfg.architecture, cfg.weight_init)
-    benign = [u for u in selected if u not in mal]
-    results = _map_clients(executor, fsl_client_update, [
-        (seed_net, state.ranking, env.train_batches[u], cfg.local_epochs,
-         cfg.subnet_fraction, cfg.sgd, derive(cfg.seed, [TAG_TRAIN, round_index, u]),
-         cfg.architecture, cfg.weight_init)
-        for u in benign
-    ])
-    by_client = dict(zip(benign, results))
-    submissions = [poison if u in mal else by_client[u] for u in selected]
-    return submissions, selected, bool(mal)
 
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
@@ -308,27 +295,34 @@ def _record(cfg: ExperimentConfig, env: Environment, round_index: int,
 def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
               round_index: int, executor: ThreadPoolExecutor | None = None,
               with_eval: bool = True) -> tuple[ServerState, RoundRecord]:
-    """One full-rank vote round; returns the next state and its record."""
-    submissions, selected, attacked = _rank_submissions(state, env, cfg, round_index, executor)
-    new_ranking = vote_network(submissions)
+    """One rank-vote round of fsl or sparse_fsl; returns the next state and
+    its record.  Each submitted layer ranking is cut to its top s fraction
+    (s = 1 for fsl, which ignores ``sparsity``) and the server votes per
+    layer over the cut rankings."""
+    selected = select_clients(cfg, round_index)
+    n_mal_total = cfg.attack.malicious_count(cfg.num_clients)
+    mal = [u for u in selected if u < n_mal_total] \
+        if cfg.attack.kind is AttackKind.RANK_REVERSAL else []
+    seed_net = env.seed_net or _seed_network(cfg)
+    if mal:
+        poison = adversary.craft_rank_poison(
+            seed_net, state.ranking, [env.train_batches[u] for u in mal],
+            cfg.attack_epochs, cfg.subnet_fraction, cfg.sgd,
+            [derive(cfg.seed, [TAG_TRAIN, round_index, u]) for u in mal])
+    benign = [u for u in selected if u not in mal]
+    results = _map_clients(executor, fsl_client_update, [
+        (seed_net, state.ranking, env.train_batches[u], cfg.local_epochs,
+         cfg.subnet_fraction, cfg.sgd, derive(cfg.seed, [TAG_TRAIN, round_index, u]))
+        for u in benign
+    ])
+    by_client = dict(zip(benign, results))
+    submissions = [poison if u in mal else by_client[u] for u in selected]
+    s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
+    new_ranking = [sparse_vote([truncate_ranking(sub[li], s) for sub in submissions])[0]
+                   for li in range(len(cfg.architecture))]
     new_state = ServerState(round=round_index, ranking=new_ranking)
     accs = _evaluate_ranking(cfg, env, new_ranking) if with_eval else None
-    return new_state, _record(cfg, env, round_index, selected, attacked, accs)
-
-
-def sparse_fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
-                     round_index: int, executor: ThreadPoolExecutor | None = None,
-                     with_eval: bool = True) -> tuple[ServerState, RoundRecord]:
-    """Rank round where clients send only their top sparsity fraction."""
-    submissions, selected, attacked = _rank_submissions(state, env, cfg, round_index, executor)
-    layer_count = len(cfg.architecture)
-    new_ranking = []
-    for li in range(layer_count):
-        truncated = [truncate_ranking(sub[li], cfg.sparsity) for sub in submissions]
-        new_ranking.append(sparse_vote(truncated)[0])
-    new_state = ServerState(round=round_index, ranking=new_ranking)
-    accs = _evaluate_ranking(cfg, env, new_ranking) if with_eval else None
-    return new_state, _record(cfg, env, round_index, selected, attacked, accs)
+    return new_state, _record(cfg, env, round_index, selected, bool(mal), accs)
 
 
 def fedavg_client_update(weights: np.ndarray, specs: list[LayerSpec],
@@ -413,7 +407,7 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
 
 ROUND_FUNCTIONS = {
     Algorithm.FSL: fsl_round,
-    Algorithm.SPARSE_FSL: sparse_fsl_round,
+    Algorithm.SPARSE_FSL: fsl_round,
     Algorithm.FEDAVG: baseline_round,
     Algorithm.SIGNSGD: baseline_round,
     Algorithm.TOPK: baseline_round,

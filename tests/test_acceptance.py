@@ -16,10 +16,9 @@ from fedrank.adversary import AttackConfig, AttackKind
 from fedrank.analytics import failure_upper_bound
 from fedrank.cli import main
 from fedrank.nn import LayerSpec, Minibatch, SgdConfig, Supernetwork, ep_backward, ep_forward
-from fedrank.protocols import (Aggregator, Algorithm, DatasetSpec,
+from fedrank.protocols import (ROUND_FUNCTIONS, Aggregator, Algorithm, DatasetSpec,
                                ExperimentConfig, build_environment,
-                               fsl_round, initial_state, run_experiment,
-                               sparse_fsl_round)
+                               fsl_round, initial_state, run_experiment)
 from fedrank.ranking import top_edges, vote
 from fedrank.rng import InitKind, derive
 
@@ -230,8 +229,8 @@ def test_criterion_6_sparse_degeneracy():
         state = initial_state(cfg)
         for t in range(1, 21):
             full_state, _ = fsl_round(state, env, cfg, t, with_eval=False)
-            sparse_state, _ = sparse_fsl_round(state, env, sparse_cfg, t,
-                                               with_eval=False)
+            sparse_state, _ = ROUND_FUNCTIONS[sparse_cfg.algorithm](
+                state, env, sparse_cfg, t, with_eval=False)
             for a, b in zip(full_state.ranking, sparse_state.ranking):
                 assert a.tobytes() == b.tobytes()
             state = full_state

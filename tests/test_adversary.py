@@ -8,9 +8,9 @@ from fedrank.adversary import (AttackConfig, AttackKind, OmegaKind,
 from fedrank.aggregation import (ModelUpdate, multi_krum_select, select_from_distances,
                                  squared_distances)
 from fedrank.data import gen_blobs
-from fedrank.nn import LayerSpec, Minibatch, SgdConfig
+from fedrank.nn import LayerSpec, Minibatch, SeedNetwork, SgdConfig
 from fedrank.ranking import reverse_ranking, vote_network
-from fedrank.rng import InitKind, derive
+from fedrank.rng import derive
 
 
 class TestAttackConfig:
@@ -43,47 +43,36 @@ class TestRankPoison:
     SPECS = [LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "identity")]
     SGD = SgdConfig(0.4, 0.9, 1e-4, 8)
 
-    def _global_ranking(self, seed):
-        from fedrank.nn import Supernetwork
-        return Supernetwork.from_seed(seed, self.SPECS).score_rankings()
-
     def test_single_client_is_reversed_own_ranking(self):
         from fedrank.protocols import fsl_client_update
-        seed = 901
-        rg = self._global_ranking(seed)
+        seed_net = SeedNetwork(901, self.SPECS)
+        rg = seed_net.ranking
         batches = make_batches(derive(71, []), 1)
-        own = fsl_client_update(seed, rg, batches[0], 2, 0.5, self.SGD,
-                                derive(seed, [3, 1, 0]), self.SPECS,
-                                InitKind.SIGNED_KAIMING_CONSTANT)
-        poison = craft_rank_poison(seed, rg, batches, 2, 0.5, self.SGD,
-                                   [derive(seed, [3, 1, 0])], self.SPECS,
-                                   InitKind.SIGNED_KAIMING_CONSTANT)
+        own = fsl_client_update(seed_net, rg, batches[0], 2, 0.5, self.SGD,
+                                derive(901, [3, 1, 0]))
+        poison = craft_rank_poison(seed_net, rg, batches, 2, 0.5, self.SGD,
+                                   [derive(901, [3, 1, 0])])
         for p, o in zip(poison, own):
             assert np.array_equal(p, reverse_ranking(o))
 
     def test_collusion_is_reverse_of_group_vote(self):
         from fedrank.protocols import fsl_client_update
-        seed = 902
-        rg = self._global_ranking(seed)
+        seed_net = SeedNetwork(902, self.SPECS)
+        rg = seed_net.ranking
         batches = make_batches(derive(72, []), 3)
-        rngs = [derive(seed, [3, 1, u]) for u in range(3)]
-        own = [fsl_client_update(seed, rg, b, 1, 0.5, self.SGD,
-                                 derive(seed, [3, 1, u]), self.SPECS,
-                                 InitKind.SIGNED_KAIMING_CONSTANT)
+        rngs = [derive(902, [3, 1, u]) for u in range(3)]
+        own = [fsl_client_update(seed_net, rg, b, 1, 0.5, self.SGD, derive(902, [3, 1, u]))
                for u, b in enumerate(batches)]
-        poison = craft_rank_poison(seed, rg, batches, 1, 0.5, self.SGD, rngs,
-                                   self.SPECS, InitKind.SIGNED_KAIMING_CONSTANT)
+        poison = craft_rank_poison(seed_net, rg, batches, 1, 0.5, self.SGD, rngs)
         expected = [reverse_ranking(layer) for layer in vote_network(own)]
         for p, e in zip(poison, expected):
             assert np.array_equal(p, e)
 
     def test_output_is_permutation_family(self):
-        seed = 903
-        rg = self._global_ranking(seed)
+        seed_net = SeedNetwork(903, self.SPECS)
         batches = make_batches(derive(73, []), 2)
-        poison = craft_rank_poison(seed, rg, batches, 1, 0.5, self.SGD,
-                                   [derive(seed, [3, 1, u]) for u in range(2)],
-                                   self.SPECS, InitKind.SIGNED_KAIMING_CONSTANT)
+        poison = craft_rank_poison(seed_net, seed_net.ranking, batches, 1, 0.5, self.SGD,
+                                   [derive(903, [3, 1, u]) for u in range(2)])
         for layer, spec in zip(poison, self.SPECS):
             assert sorted(layer.tolist()) == list(range(spec.n_edges))
 
@@ -95,14 +84,13 @@ class TestRankPoison:
                     np.array([0, 2, 5, 3, 4, 1])]
         calls = []
 
-        def fake_update(seed, ranking, batches, epochs, k, sgd, rng, specs, init):
+        def fake_update(seed_net, ranking, batches, epochs, k, sgd, rng):
             calls.append(None)
             return [fixtures[len(calls) - 1]]
 
         monkeypatch.setattr(protocols, "fsl_client_update", fake_update)
-        poison = craft_rank_poison(0, [fixtures[0]], [[None]] * 3, 1, 0.5,
-                                   self.SGD, [None] * 3, [LayerSpec(2, 3, "identity")],
-                                   InitKind.SIGNED_KAIMING_CONSTANT)
+        poison = craft_rank_poison(None, [fixtures[0]], [[None]] * 3, 1, 0.5,
+                                   self.SGD, [None] * 3)
         assert poison[0].tolist() == [1, 3, 5, 4, 2, 0]
 
 
@@ -119,10 +107,12 @@ class TestScaleAttack:
 
 
 def krum_accepts(benign, crafted, n_mal, f):
-    sim = list(benign) + [ModelUpdate(delta=crafted, client_id=-(i + 1))
-                          for i in range(n_mal)]
-    selected = multi_krum_select(sim, f)
-    return any(i >= len(benign) for i in selected)
+    """Whether Krum keeps a crafted copy among the benign rows and n_mal
+    copies; the distances come from one broadcast, not pair by pair."""
+    mat = np.stack([u.delta for u in benign] + [crafted] * n_mal)
+    sq = ((mat[:, None] - mat[None]) ** 2).sum(-1)
+    ids = [u.client_id for u in benign] + [-(i + 1) for i in range(n_mal)]
+    return max(select_from_distances(sq, ids, f)) >= len(benign)
 
 
 class TestOptPoison:

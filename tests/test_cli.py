@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ blob_samples_per_class = 40
 blob_cluster_std = 1.0
 eval_every = 2
 """
+
+
+DEMO_CFG = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
 
 def write_cfg(tmp_path, text=SMALL_RUN, name="run.cfg"):
@@ -110,6 +114,27 @@ class TestRun:
         text = SMALL_RUN.replace("algorithm = fsl", "algorithm = fedavg").replace(
             "clients_per_round = 3", f"clients_per_round = {clients}") + (
             f"aggregator = {aggregator}\nmalicious_fraction = {fraction}\nattack = {attack}\n")
+        rc = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"attack": "rank_reversal", "malicious_fraction": "0.2", "attack_epochs": "0"},
+         "attack_epochs must be >= 1"),
+        ({"blob_dims": "7"}, "blob_dims = 7 does not match the first layer's fan-in 20"),
+        ({"blob_classes": "11"}, "blob_classes = 11 exceeds the last layer's fan-out 10"),
+        ({"blob_classes": "0"}, "blob_classes and blob_samples_per_class must be >= 1"),
+        ({"blob_samples_per_class": "0"},
+         "blob_classes and blob_samples_per_class must be >= 1"),
+        ({"blob_cluster_std": "-1"}, "blob_cluster_std must be >= 0"),
+        ({"dirichlet_alpha": "0"}, "dirichlet_alpha must be > 0"),
+    ])
+    def test_demo_config_value_that_would_fail_mid_run_rejected(
+            self, tmp_path, capsys, changes, message):
+        lines = [ln for ln in DEMO_CFG.read_text().splitlines()
+                 if ln.split("=")[0].strip() not in changes]
+        text = "\n".join(lines + [f"{k} = {v}" for k, v in changes.items()]) + "\n"
         rc = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -15,6 +15,10 @@ import pytest
 
 from fedrank import adversary
 from fedrank.cli import main
+from fedrank.config import build_config, parse_lines
+from fedrank.protocols import (RANK_ALGORITHMS, ROUND_FUNCTIONS, build_environment,
+                               initial_state)
+from fedrank.ranking import encode_layer_ranking
 
 from test_acceptance import GOLDEN_CONFIG
 
@@ -100,3 +104,40 @@ def test_opt_poison_pin_runs_krum_gamma_search(tmp_path, monkeypatch):
         GOLDEN["fedavg_multi_krum_opt_poison"][1]
     # Three of the six rounds sample enough attackers, 20 gamma steps each.
     assert len(calls) == 60 and set(calls) == {6, 8}
+
+
+# SHA-256 of each golden config's final protocol state: the concatenated
+# encode_layer_ranking bytes of every layer for the rank protocols, the
+# float64 weight bytes for the weight protocols.  summary.csv holds a few
+# 6-decimal accuracies, so a bit drift in the trained state can leave it
+# unchanged; these pins see every bit the server carries.
+STATE_SHA256 = {
+    "fedavg_multi_krum_opt_poison": "53c464e73d14f5e9c1af887d90594a1279884fb0aa70c66cd3f84ee65bdf5a7a",
+    "fedavg_trimmed_mean": "16b002899ea037c0da62ea8e3af6d6f228c52ad498d44ef7d9c7a0997e44b8e0",
+    "fsl": "17fc3c128e5e4786dda85b27dfe34853dac30a3a404c92509346776e1f030214",
+    "fsl_784_200_10": "f15fc1efd29d006f728c900315debc028a8c1d46f187f631a811cab5915d910f",
+    "fsl_rank_reversal": "a787913f3770e0deeef39ac1547ae3fc4d708f9d7a03afbfa9ec453f1d4551a8",
+    "signsgd": "8dc110cba1cf174749e6578cd0400d2435855c5e7c902c30062943edca356346",
+    "sparse_fsl": "6cce142fa87f8adca425fb210667d0576342be6e12123b81cc38ec2c618f9966",
+    "sparse_fsl_784_200_10": "e9bff6cb24ac9dedaf46f0bc60cd7b8829dd4f5b3185380023303e6eb9aa12b6",
+    "topk": "feb0bb03f5ed9fb7bcdd4d9f942b4badd9547004a68e4726333408a0d73c1e6a",
+}
+
+
+def _final_state_sha256(name: str) -> str:
+    cfg = build_config(parse_lines(GOLDEN[name][0].splitlines()))
+    env = build_environment(cfg)
+    state = initial_state(cfg)
+    round_fn = ROUND_FUNCTIONS[cfg.algorithm]
+    for t in range(1, cfg.rounds + 1):
+        state, _ = round_fn(state, env, cfg, t, with_eval=False)
+    if cfg.algorithm in RANK_ALGORITHMS:
+        blob = b"".join(encode_layer_ranking(layer) for layer in state.ranking)
+    else:
+        blob = state.weights.tobytes()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_final_state_matches_pinned_hash(name):
+    assert _final_state_sha256(name) == STATE_SHA256[name]

@@ -14,12 +14,16 @@ from fedrank.protocols import (Aggregator, Algorithm, DatasetSpec,
                                ExperimentConfig, ServerState, baseline_round,
                                build_environment, fedavg_client_update,
                                fsl_client_update, fsl_round, initial_state,
-                               run_experiment, select_clients, sparse_fsl_round)
-from fedrank.rng import InitKind, TAG_TRAIN, derive
+                               run_experiment, select_clients)
+from fedrank.rng import TAG_TRAIN, derive
 
 FIG_R1 = np.array([4, 0, 2, 3, 5, 1])
 FIG_R2 = np.array([2, 0, 1, 5, 4, 3])
 FIG_R3 = np.array([0, 2, 5, 3, 4, 1])
+
+
+def seed_network(cfg: ExperimentConfig) -> SeedNetwork:
+    return SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -91,19 +95,18 @@ class TestFslClientUpdate:
     def test_zero_lr_returns_global_ranking(self, fsl_env):
         cfg, env = fsl_env
         state = initial_state(cfg)
-        out = fsl_client_update(cfg.seed, state.ranking, env.train_batches[0],
+        out = fsl_client_update(seed_network(cfg), state.ranking, env.train_batches[0],
                                 1, 0.5, SgdConfig(0.0, 0.0, 0.0, 8),
-                                derive(cfg.seed, [TAG_TRAIN, 1, 0]),
-                                cfg.architecture, cfg.weight_init)
+                                derive(cfg.seed, [TAG_TRAIN, 1, 0]))
         for got, want in zip(out, state.ranking):
             assert np.array_equal(got, want)
 
     def test_identical_clients_identical_rankings(self, fsl_env):
         cfg, env = fsl_env
         state = initial_state(cfg)
-        args = (cfg.seed, state.ranking, env.train_batches[3], 2, 0.5, cfg.sgd)
-        a = fsl_client_update(*args, derive(9, [0]), cfg.architecture, cfg.weight_init)
-        b = fsl_client_update(*args, derive(9, [0]), cfg.architecture, cfg.weight_init)
+        args = (seed_network(cfg), state.ranking, env.train_batches[3], 2, 0.5, cfg.sgd)
+        a = fsl_client_update(*args, derive(9, [0]))
+        b = fsl_client_update(*args, derive(9, [0]))
         for ra, rb in zip(a, b):
             assert np.array_equal(ra, rb)
 
@@ -122,11 +125,9 @@ class TestFslClientUpdate:
             feats = np.stack([signal, noise], axis=1)
             batches = [Minibatch(feats[i : i + 8], labels[i : i + 8])
                        for i in range(0, 64, 8)]
-            from fedrank.nn import Supernetwork
-            rg = Supernetwork.from_seed(seed, specs).score_rankings()
-            ranking = fsl_client_update(seed, rg, batches, 3, 0.5, sgd,
-                                        derive(seed, [TAG_TRAIN, 1, 0]), specs,
-                                        InitKind.SIGNED_KAIMING_CONSTANT)
+            seed_net = SeedNetwork(seed, specs)
+            ranking = fsl_client_update(seed_net, seed_net.ranking, batches, 3, 0.5, sgd,
+                                        derive(seed, [TAG_TRAIN, 1, 0]))
             bottom = set(ranking[0][:8].tolist())
             noise_edges = {i for i in range(16) if i % 2 == 1}
             hits += len(bottom & noise_edges)
@@ -141,10 +142,9 @@ class TestFslRound:
         state = initial_state(cfg1)
         new_state, record = fsl_round(state, env, cfg1, 1)
         u = record.selected[0]
-        expected = fsl_client_update(cfg1.seed, state.ranking, env.train_batches[u],
+        expected = fsl_client_update(seed_network(cfg1), state.ranking, env.train_batches[u],
                                      cfg1.local_epochs, cfg1.subnet_fraction, cfg1.sgd,
-                                     derive(cfg1.seed, [TAG_TRAIN, 1, u]),
-                                     cfg1.architecture, cfg1.weight_init)
+                                     derive(cfg1.seed, [TAG_TRAIN, 1, u]))
         for got, want in zip(new_state.ranking, expected):
             assert np.array_equal(got, want)
 
@@ -163,7 +163,7 @@ class TestFslRound:
         fixtures = [FIG_R1, FIG_R2, FIG_R3]
         calls = []
 
-        def fake_update(seed, ranking, batches, epochs, k, sgd, rng, specs, init):
+        def fake_update(seed_net, ranking, batches, epochs, k, sgd, rng):
             calls.append(None)
             return [fixtures[(len(calls) - 1) % 3], fixtures[(len(calls) - 1) % 3]]
 
@@ -215,15 +215,14 @@ class TestSharedSeedNetwork:
         seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
         before = [s.tobytes() for s in seed_net.rebuild(seed_net.ranking).scores]
 
-        def client(seed):
-            return fsl_client_update(seed, seed_net.ranking, env.train_batches[0], 2, 0.5,
-                                     cfg.sgd, derive(cfg.seed, [TAG_TRAIN, 1, 0]),
-                                     cfg.architecture, cfg.weight_init)
+        def client(net):
+            return fsl_client_update(net, seed_net.ranking, env.train_batches[0], 2, 0.5,
+                                     cfg.sgd, derive(cfg.seed, [TAG_TRAIN, 1, 0]))
 
         trained = client(seed_net)
         assert any(not np.array_equal(a, b) for a, b in zip(trained, seed_net.ranking))
         assert before == [s.tobytes() for s in seed_net.rebuild(seed_net.ranking).scores]
-        for a, b in zip(trained, client(cfg.seed)):
+        for a, b in zip(trained, client(seed_network(cfg))):
             assert a.tobytes() == b.tobytes()
 
 
@@ -234,10 +233,23 @@ class TestSparseFslRound:
         state = initial_state(cfg)
         for t in range(1, 6):
             full_state, _ = fsl_round(state, env, cfg, t, with_eval=False)
-            sparse_state, _ = sparse_fsl_round(state, env, sparse_cfg, t, with_eval=False)
+            sparse_state, _ = fsl_round(state, env, sparse_cfg, t, with_eval=False)
             for a, b in zip(full_state.ranking, sparse_state.ranking):
                 assert a.tobytes() == b.tobytes()
             state = full_state
+
+    def test_fsl_ignores_sparsity(self, fsl_env):
+        cfg, env = fsl_env
+        cut = tiny_config(sparsity=0.3)
+        sparse_cfg = tiny_config(algorithm=Algorithm.SPARSE_FSL, sparsity=0.3)
+        state = initial_state(cfg)
+        full_state, _ = fsl_round(state, env, cfg, 1, with_eval=False)
+        cut_state, _ = fsl_round(state, env, cut, 1, with_eval=False)
+        sparse_state, _ = fsl_round(state, env, sparse_cfg, 1, with_eval=False)
+        assert [a.tobytes() for a in full_state.ranking] == \
+            [a.tobytes() for a in cut_state.ranking]
+        assert [a.tobytes() for a in full_state.ranking] != \
+            [a.tobytes() for a in sparse_state.ranking]
 
     def test_upload_bits_scale_with_sparsity(self):
         full = build_environment(tiny_config()).cost

@@ -7,7 +7,7 @@ from fedrank.analytics import ARCH_PRESETS, rank_payload_bits
 from fedrank.ranking import (SparseLayerRanking, _check_permutation, argsort_ranking,
                              decode_entries, decode_layer_ranking, decode_sparse_ranking,
                              encode_entries, encode_layer_ranking, encode_sparse_ranking,
-                             inverse_permutation, keep_count, rank_bit_width,
+                             keep_count, rank_bit_width,
                              reorder_scores, reverse_ranking, sparse_vote,
                              stable_order, top_edges, truncate_ranking, vote)
 from fedrank.rng import derive
@@ -191,12 +191,12 @@ class TestVote:
     def test_single_voter(self):
         result, tally = vote([R1])
         assert np.array_equal(result, R1)
-        assert np.array_equal(tally, inverse_permutation(R1))
+        assert np.array_equal(tally, np.argsort(R1))
 
     def test_unanimous(self):
         result, tally = vote([R1, R1, R1])
         assert np.array_equal(result, R1)
-        assert np.array_equal(tally, 3 * inverse_permutation(R1))
+        assert np.array_equal(tally, 3 * np.argsort(R1))
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -263,6 +263,63 @@ class TestSparseVote:
             sparse_vote([SparseLayerRanking(top=np.array([0]), n=3),
                          SparseLayerRanking(top=np.array([0]), n=4)])
 
+    def test_truncate_is_a_view_of_the_suffix(self):
+        # A round truncates every client's ranking; a copy would hold each twice.
+        r = R1.astype(np.int64)
+        for s, keep in ((0.5, 3), (1.0, 6)):
+            top = truncate_ranking(r, s).top
+            assert np.shares_memory(top, r) and top.tolist() == R1[6 - keep:].tolist()
+
+
+def _oracle_vote(rankings):
+    """Reference vote: each full ranking adds its inverse permutation
+    (edge -> position) to the tally."""
+    n = len(rankings[0])
+    tally = np.zeros(n, dtype=np.int64)
+    for r in rankings:
+        r = _check_permutation(r, n)
+        inv = np.empty(len(r), dtype=np.int64)
+        inv[r] = np.arange(len(r), dtype=np.int64)
+        tally += inv
+    return np.argsort(tally, kind="stable"), tally
+
+
+def _oracle_sparse_vote(sparse):
+    """Reference sparse vote: entry i of an s-long suffix adds (n - s) + i."""
+    n = sparse[0].n
+    tally = np.zeros(n, dtype=np.int64)
+    for sr in sparse:
+        s = len(sr.top)
+        tally[sr.top] += (n - s) + np.arange(s, dtype=np.int64)
+    return np.argsort(tally, kind="stable"), tally
+
+
+class TestOneTally:
+    """vote and sparse_vote share one tally; both match their old forms."""
+
+    SIZES = sorted({1, 2, 3} | {2**j + d for j in range(2, 11) for d in (-1, 1)})
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_old_votes(self, n):
+        gen = np.random.default_rng(n)
+        perms = [gen.permutation(n) for _ in range(25)]
+        for count in range(1, 26):
+            rankings = perms[:count]
+            for got, want in zip(vote(rankings), _oracle_vote(rankings)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            for keep in (1, n):
+                sparse = [SparseLayerRanking(top=r[n - keep:], n=n) for r in rankings]
+                for got, want in zip(sparse_vote(sparse), _oracle_sparse_vote(sparse)):
+                    assert np.array_equal(got, want)
+                if keep == n:
+                    assert np.array_equal(sparse_vote(sparse)[1], _oracle_vote(rankings)[1])
+
+    @pytest.mark.parametrize("bad", [np.array([0, 1]), np.array([0, 1, 1, 3]),
+                                     np.array([0, 1, 2, 4]), np.array([-1, 0, 1, 2])])
+    def test_vote_rejects_non_permutation(self, bad):
+        with pytest.raises(ValueError):
+            vote([np.array([3, 2, 1, 0]), bad])
+
 
 class TestReverse:
     def test_list_reversal(self):
@@ -276,8 +333,8 @@ class TestReverse:
         for _ in range(10):
             n = 4 + int(rng.integers_below(5)[0])
             perm = rng.sample_without_replacement(n, n)
-            rep = inverse_permutation(perm)
-            rep_rev = inverse_permutation(reverse_ranking(perm))
+            rep = np.argsort(perm)
+            rep_rev = np.argsort(reverse_ranking(perm))
             assert np.array_equal(rep_rev, n - 1 - rep)
 
 

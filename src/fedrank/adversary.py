@@ -18,9 +18,7 @@ import numpy as np
 # tracer wraps this module's alias of it, so the name stays importable.
 from .aggregation import (AGGREGATE_ID, ModelUpdate, multi_krum_select,  # noqa: F401
                           select_from_distances, squared_distances)
-from .nn import Minibatch, SeedNetwork, SgdConfig
 from .ranking import NetworkRanking, reverse_ranking, vote_network
-from .rng import RngStream
 
 
 class AttackKind(str, Enum):
@@ -66,25 +64,16 @@ class AttackConfig:
         return int(self.malicious_fraction * num_clients)
 
 
-def craft_rank_poison(seed_net: SeedNetwork, global_ranking: NetworkRanking,
-                      malicious_batches: list[list[Minibatch]], epochs: int,
-                      k: float, sgd: SgdConfig, rngs: list[RngStream]) -> NetworkRanking:
+def craft_rank_poison(own_rankings: list[NetworkRanking]) -> NetworkRanking:
     """Shared malicious submission: reverse of the colluders' own vote.
 
-    Every malicious client first runs the benign client procedure on its
-    own data, the group votes over those rankings, and the reversed result
-    is what each of them submits.
+    ``own_rankings`` are the rankings the malicious clients trained on
+    their own data, as every sampled client does; the group votes over
+    them, and the reversed result is what each of them submits.
     """
-    from .protocols import fsl_client_update  # deferred: protocols imports this module
-
-    if not malicious_batches:
+    if not own_rankings:
         raise ValueError("rank poisoning needs at least one malicious client")
-    rankings = [
-        fsl_client_update(seed_net, global_ranking, batches, epochs, k, sgd, rng)
-        for batches, rng in zip(malicious_batches, rngs)
-    ]
-    voted = vote_network(rankings)
-    return [reverse_ranking(layer) for layer in voted]
+    return [reverse_ranking(layer) for layer in vote_network(own_rankings)]
 
 
 def craft_scale_attack(benign_delta: ModelUpdate, scale_factor: float) -> ModelUpdate:

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .analytics import ARCH_PRESETS, comm_cost, sweep_bound
 from .config import ConfigError, config_to_flat_dict, parse_config
-from .protocols import RoundRecord, run_experiment
+from .protocols import RoundRecord, build_environment, run_experiment
 
 OUT_DIR_ENV = "FEDRANK_OUT_DIR"
 
@@ -72,6 +72,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: seed: {exc}", file=sys.stderr)
             return 2
+    try:
+        env = build_environment(cfg)  # loads and partitions the data before any output
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -89,7 +94,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
-    records = run_experiment(cfg, workers=args.workers)
+    records = run_experiment(cfg, workers=args.workers, env=env)
 
     with open(records_path, "w") as f:
         for r in records:

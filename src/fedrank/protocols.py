@@ -5,6 +5,12 @@ One rank round serves both rank algorithms.  Clients upload the top s
 fraction of each layer ranking, s = ``sparsity`` for ``sparse_fsl`` and
 s = 1 for ``fsl``, so the full vote is the sparse vote over whole rankings.
 
+Every round trains each sampled client once, attackers included, through
+one map over the clients (on the worker pool when there is one); attackers
+then turn their own results into what they submit.  The network all
+parties rebuild from the seed is drawn once per run by ``initial_state``
+and travels in the ``ServerState``.
+
 Determinism contract: every random choice comes from a stream derived from
 the experiment seed and purpose tags (sampling uses [TAG_SAMPLING, round],
 client training [TAG_TRAIN, round, client_id]), so results are identical
@@ -151,13 +157,15 @@ class ExperimentConfig:
 class ServerState:
     """What the server carries between rounds.
 
-    Ranking protocols hold only a permutation family; weight protocols
+    Ranking protocols hold a permutation family and the network every
+    party rebuilds from the seed, drawn once per run; weight protocols
     hold the flat global parameter vector.
     """
 
     round: int = 0
     ranking: NetworkRanking | None = None
     weights: np.ndarray | None = None
+    seed_net: SeedNetwork | None = None
 
 
 @dataclass
@@ -175,19 +183,13 @@ class RoundRecord:
 
 @dataclass
 class Environment:
-    """Immutable per-experiment context shared by every round.
-
-    ``seed_net`` is the network rebuilt from the seed, which
-    ``run_experiment`` adds for the rank protocols; without it every
-    rebuild draws the network from the seed again.
-    """
+    """Immutable per-experiment context shared by every round."""
 
     dataset: Dataset
     shards: ClientShards
     train_batches: list[list[Minibatch]]
     test_sets: list[tuple[np.ndarray, np.ndarray]]
     cost: CostReport
-    seed_net: SeedNetwork | None = None
 
 
 def _client_batches(dataset: Dataset, idx: np.ndarray, batch_size: int) -> list[Minibatch]:
@@ -214,6 +216,10 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         raise ValueError("architecture has fewer outputs than classes")
     shards = dirichlet_partition(dataset.labels, cfg.num_clients, cfg.dirichlet_alpha,
                                  derive(cfg.seed, [TAG_PARTITION]))
+    for c, idx in enumerate(shards.train):
+        if len(idx) == 0:
+            raise ValueError(f"client {c} gets no training samples ({len(dataset.labels)} "
+                             f"samples over {cfg.num_clients} clients)")
     batches = [_client_batches(dataset, idx, cfg.sgd.batch_size) for idx in shards.train]
     tests = [(dataset.features[idx], dataset.labels[idx]) for idx in shards.test]
     arch_counts = [sp.n_edges for sp in cfg.architecture]
@@ -223,13 +229,10 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
                        test_sets=tests, cost=cost)
 
 
-def _seed_network(cfg: ExperimentConfig) -> SeedNetwork:
-    return SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
-
-
-def initial_state(cfg: ExperimentConfig, seed_net: SeedNetwork | None = None) -> ServerState:
+def initial_state(cfg: ExperimentConfig) -> ServerState:
     if cfg.algorithm in RANK_ALGORITHMS:
-        return ServerState(round=0, ranking=(seed_net or _seed_network(cfg)).ranking)
+        seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
+        return ServerState(round=0, ranking=seed_net.ranking, seed_net=seed_net)
     net = Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
     return ServerState(round=0, weights=flatten_params(net.weights))
 
@@ -250,6 +253,17 @@ def fsl_client_update(seed_net: SeedNetwork, global_ranking: NetworkRanking,
     return net.score_rankings()
 
 
+def _attackers_and_epochs(cfg: ExperimentConfig, selected: list[int],
+                          kinds: tuple[AttackKind, ...]) -> tuple[list[int], list[int]]:
+    """Positions in ``selected`` of the malicious clients (none unless the
+    attack is one of ``kinds``), and each selected client's local epochs:
+    every client trains, attackers for ``attack_epochs``."""
+    n_mal = cfg.attack.malicious_count(cfg.num_clients) if cfg.attack.kind in kinds else 0
+    mal = [i for i, u in enumerate(selected) if u < n_mal]
+    return mal, [cfg.attack_epochs if i in mal else cfg.local_epochs
+                 for i in range(len(selected))]
+
+
 def _map_clients(executor: ThreadPoolExecutor | None, fn, args_list: list):
     if executor is None:
         return [fn(*args) for args in args_list]
@@ -257,13 +271,13 @@ def _map_clients(executor: ThreadPoolExecutor | None, fn, args_list: list):
 
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
-                      ranking: NetworkRanking) -> np.ndarray:
-    """Per-client test accuracy of the global subnetwork, masked once.
+                      state: ServerState) -> np.ndarray:
+    """Per-client test accuracy of the state's global subnetwork, masked once.
 
     Each test set keeps its own forward pass: one matmul over all of them
     could take another BLAS kernel and change the bytes.
     """
-    net = (env.seed_net or _seed_network(cfg)).rebuild(ranking)
+    net = state.seed_net.rebuild(state.ranking)
     weights = masked_weights(net, cfg.subnet_fraction)
     accs = [evaluate(net, cfg.subnet_fraction, feats, labels, weights)
             for feats, labels in env.test_sets if len(labels)]
@@ -300,28 +314,21 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     (s = 1 for fsl, which ignores ``sparsity``) and the server votes per
     layer over the cut rankings."""
     selected = select_clients(cfg, round_index)
-    n_mal_total = cfg.attack.malicious_count(cfg.num_clients)
-    mal = [u for u in selected if u < n_mal_total] \
-        if cfg.attack.kind is AttackKind.RANK_REVERSAL else []
-    seed_net = env.seed_net or _seed_network(cfg)
-    if mal:
-        poison = adversary.craft_rank_poison(
-            seed_net, state.ranking, [env.train_batches[u] for u in mal],
-            cfg.attack_epochs, cfg.subnet_fraction, cfg.sgd,
-            [derive(cfg.seed, [TAG_TRAIN, round_index, u]) for u in mal])
-    benign = [u for u in selected if u not in mal]
-    results = _map_clients(executor, fsl_client_update, [
-        (seed_net, state.ranking, env.train_batches[u], cfg.local_epochs,
+    mal, epochs = _attackers_and_epochs(cfg, selected, (AttackKind.RANK_REVERSAL,))
+    submissions = _map_clients(executor, fsl_client_update, [
+        (state.seed_net, state.ranking, env.train_batches[u], e,
          cfg.subnet_fraction, cfg.sgd, derive(cfg.seed, [TAG_TRAIN, round_index, u]))
-        for u in benign
+        for u, e in zip(selected, epochs)
     ])
-    by_client = dict(zip(benign, results))
-    submissions = [poison if u in mal else by_client[u] for u in selected]
+    if mal:
+        poison = adversary.craft_rank_poison([submissions[i] for i in mal])
+        for i in mal:
+            submissions[i] = poison
     s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
     new_ranking = [sparse_vote([truncate_ranking(sub[li], s) for sub in submissions])[0]
                    for li in range(len(cfg.architecture))]
-    new_state = ServerState(round=round_index, ranking=new_ranking)
-    accs = _evaluate_ranking(cfg, env, new_ranking) if with_eval else None
+    new_state = ServerState(round=round_index, ranking=new_ranking, seed_net=state.seed_net)
+    accs = _evaluate_ranking(cfg, env, new_state) if with_eval else None
     return new_state, _record(cfg, env, round_index, selected, bool(mal), accs)
 
 
@@ -354,34 +361,22 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
                    with_eval: bool = True) -> tuple[ServerState, RoundRecord]:
     """One round of a weight-based protocol (fedavg, signsgd or topk)."""
     selected = select_clients(cfg, round_index)
-    n_mal_total = cfg.attack.malicious_count(cfg.num_clients)
-    kind = cfg.attack.kind
-    mal = [u for u in selected if u < n_mal_total] \
-        if kind in (AttackKind.SCALE, AttackKind.OPT_POISON) else []
-    benign = [u for u in selected if u not in mal]
-
-    def benign_update(u: int, epochs: int) -> ModelUpdate:
-        return fedavg_client_update(state.weights, cfg.architecture,
-                                    env.train_batches[u], epochs, cfg.sgd,
-                                    derive(cfg.seed, [TAG_TRAIN, round_index, u]), u)
-
-    results = _map_clients(executor, benign_update,
-                           [(u, cfg.local_epochs) for u in benign])
-    updates_by_client = dict(zip(benign, results))
-
-    if mal and kind is AttackKind.SCALE:
-        for u in mal:
-            own = benign_update(u, cfg.attack_epochs)
-            updates_by_client[u] = adversary.craft_scale_attack(own, cfg.attack.scale_factor)
-    elif mal and kind is AttackKind.OPT_POISON:
-        own_deltas = [benign_update(u, cfg.attack_epochs) for u in mal]
+    mal, epochs = _attackers_and_epochs(cfg, selected,
+                                        (AttackKind.SCALE, AttackKind.OPT_POISON))
+    updates = _map_clients(executor, fedavg_client_update, [
+        (state.weights, cfg.architecture, env.train_batches[u], e, cfg.sgd,
+         derive(cfg.seed, [TAG_TRAIN, round_index, u]), u)
+        for u, e in zip(selected, epochs)
+    ])
+    if mal and cfg.attack.kind is AttackKind.SCALE:
+        for i in mal:
+            updates[i] = adversary.craft_scale_attack(updates[i], cfg.attack.scale_factor)
+    elif mal and cfg.attack.kind is AttackKind.OPT_POISON:
         crafted = adversary.craft_opt_poison(
-            own_deltas, len(mal), cfg.aggregator.value,
+            [updates[i] for i in mal], len(mal), cfg.aggregator.value,
             cfg.attack.omega_kind, cfg.attack.gamma_init, cfg.attack.gamma_iters)
-        for u in mal:
-            updates_by_client[u] = ModelUpdate(delta=crafted.delta, client_id=u)
-
-    updates = [updates_by_client[u] for u in selected]
+        for i in mal:
+            updates[i] = replace(crafted, client_id=selected[i])
     f = int(cfg.attack.malicious_fraction * len(updates))
 
     if cfg.algorithm is Algorithm.SIGNSGD:
@@ -420,9 +415,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     cfg.validate()
     if env is None:
         env = build_environment(cfg)
-    if cfg.algorithm in RANK_ALGORITHMS:
-        env = replace(env, seed_net=_seed_network(cfg))
-    state = initial_state(cfg, env.seed_net)
+    state = initial_state(cfg)
     round_fn = ROUND_FUNCTIONS[cfg.algorithm]
     records: list[RoundRecord] = []
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None

@@ -281,7 +281,7 @@ def test_criterion_9_sparsity_sweep():
         for seed in (3001, 3002, 3003, 3004, 3005):
             cfg = desk_task(Algorithm.FSL, rounds=5, k=1.0, seed=seed)
             env = build_environment(cfg)
-            untrained = float(_evaluate_ranking(cfg, env, initial_state(cfg).ranking).mean())
+            untrained = float(_evaluate_ranking(cfg, env, initial_state(cfg)).mean())
             trained = run_experiment(cfg, env=env)[-1].mean_acc
             assert abs(trained - untrained) <= 0.03, (seed, trained, untrained)
 

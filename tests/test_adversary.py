@@ -9,7 +9,8 @@ from fedrank.aggregation import (ModelUpdate, multi_krum_select, select_from_dis
                                  squared_distances)
 from fedrank.data import gen_blobs
 from fedrank.nn import LayerSpec, Minibatch, SeedNetwork, SgdConfig
-from fedrank.ranking import reverse_ranking, vote_network
+from fedrank.protocols import fsl_client_update
+from fedrank.ranking import argsort_ranking, reverse_ranking, vote_network
 from fedrank.rng import derive
 
 
@@ -44,54 +45,43 @@ class TestRankPoison:
     SGD = SgdConfig(0.4, 0.9, 1e-4, 8)
 
     def test_single_client_is_reversed_own_ranking(self):
-        from fedrank.protocols import fsl_client_update
         seed_net = SeedNetwork(901, self.SPECS)
-        rg = seed_net.ranking
         batches = make_batches(derive(71, []), 1)
-        own = fsl_client_update(seed_net, rg, batches[0], 2, 0.5, self.SGD,
+        own = fsl_client_update(seed_net, seed_net.ranking, batches[0], 2, 0.5, self.SGD,
                                 derive(901, [3, 1, 0]))
-        poison = craft_rank_poison(seed_net, rg, batches, 2, 0.5, self.SGD,
-                                   [derive(901, [3, 1, 0])])
+        poison = craft_rank_poison([own])
         for p, o in zip(poison, own):
             assert np.array_equal(p, reverse_ranking(o))
 
     def test_collusion_is_reverse_of_group_vote(self):
-        from fedrank.protocols import fsl_client_update
         seed_net = SeedNetwork(902, self.SPECS)
-        rg = seed_net.ranking
         batches = make_batches(derive(72, []), 3)
-        rngs = [derive(902, [3, 1, u]) for u in range(3)]
-        own = [fsl_client_update(seed_net, rg, b, 1, 0.5, self.SGD, derive(902, [3, 1, u]))
+        own = [fsl_client_update(seed_net, seed_net.ranking, b, 1, 0.5, self.SGD,
+                                 derive(902, [3, 1, u]))
                for u, b in enumerate(batches)]
-        poison = craft_rank_poison(seed_net, rg, batches, 1, 0.5, self.SGD, rngs)
+        poison = craft_rank_poison(own)
         expected = [reverse_ranking(layer) for layer in vote_network(own)]
         for p, e in zip(poison, expected):
             assert np.array_equal(p, e)
 
     def test_output_is_permutation_family(self):
-        seed_net = SeedNetwork(903, self.SPECS)
-        batches = make_batches(derive(73, []), 2)
-        poison = craft_rank_poison(seed_net, seed_net.ranking, batches, 1, 0.5, self.SGD,
-                                   [derive(903, [3, 1, u]) for u in range(2)])
+        own = [[argsort_ranking(derive(903, [u, li]).uniform(spec.n_edges))
+                for li, spec in enumerate(self.SPECS)] for u in range(2)]
+        poison = craft_rank_poison(own)
         for layer, spec in zip(poison, self.SPECS):
             assert sorted(layer.tolist()) == list(range(spec.n_edges))
 
-    def test_worked_fixture_submission(self, monkeypatch):
-        # colluders producing the worked-example rankings submit the
-        # reverse of that example's vote result
-        import fedrank.protocols as protocols
+    def test_worked_fixture_submission(self):
+        # colluders holding the worked-example rankings submit the reverse
+        # of that example's vote result; nothing is trained
         fixtures = [np.array([4, 0, 2, 3, 5, 1]), np.array([2, 0, 1, 5, 4, 3]),
                     np.array([0, 2, 5, 3, 4, 1])]
-        calls = []
-
-        def fake_update(seed_net, ranking, batches, epochs, k, sgd, rng):
-            calls.append(None)
-            return [fixtures[len(calls) - 1]]
-
-        monkeypatch.setattr(protocols, "fsl_client_update", fake_update)
-        poison = craft_rank_poison(None, [fixtures[0]], [[None]] * 3, 1, 0.5,
-                                   self.SGD, [None] * 3)
+        poison = craft_rank_poison([[f] for f in fixtures])
         assert poison[0].tolist() == [1, 3, 5, 4, 2, 0]
+
+    def test_no_colluders_rejected(self):
+        with pytest.raises(ValueError, match="at least one malicious client"):
+            craft_rank_poison([])
 
 
 class TestScaleAttack:

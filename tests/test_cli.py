@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,14 @@ def write_cfg(tmp_path, text=SMALL_RUN, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def demo_cfg(tmp_path, changes):
+    """configs/demo.cfg with ``changes`` applied; a None value drops the key."""
+    lines = [ln for ln in DEMO_CFG.read_text().splitlines()
+             if ln.split("=")[0].strip() not in changes]
+    added = [f"{k} = {v}" for k, v in changes.items() if v is not None]
+    return write_cfg(tmp_path, "\n".join(lines + added) + "\n")
 
 
 def read_rows(path):
@@ -129,13 +138,31 @@ class TestRun:
          "blob_classes and blob_samples_per_class must be >= 1"),
         ({"blob_cluster_std": "-1"}, "blob_cluster_std must be >= 0"),
         ({"dirichlet_alpha": "0"}, "dirichlet_alpha must be > 0"),
+        ({"blob_samples_per_class": "2"},
+         "client 0 gets no training samples (20 samples over 40 clients)"),
     ])
     def test_demo_config_value_that_would_fail_mid_run_rejected(
             self, tmp_path, capsys, changes, message):
-        lines = [ln for ln in DEMO_CFG.read_text().splitlines()
-                 if ln.split("=")[0].strip() not in changes]
-        text = "\n".join(lines + [f"{k} = {v}" for k, v in changes.items()]) + "\n"
-        rc = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")])
+        rc = main(["run", "--config", demo_cfg(tmp_path, changes), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_idx_data_error_rejected_before_output(self, tmp_path, capsys, missing):
+        # An idx dataset is checked once it is loaded, still before any output.
+        images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(16))  # 2x2 pixels
+        labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 0, 1]))
+        if missing:
+            images = tmp_path / "none.idx"
+            message = f"[Errno 2] No such file or directory: '{images}'"
+        else:
+            message = "dataset dimensionality does not match the first layer"
+        changes = {"dataset": "idx", "idx_images": str(images), "idx_labels": str(labels),
+                   "blob_classes": None, "blob_dims": None, "blob_samples_per_class": None,
+                   "blob_cluster_std": None}
+        rc = main(["run", "--config", demo_cfg(tmp_path, changes), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o" / "manifest.json").exists()

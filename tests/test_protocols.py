@@ -1,6 +1,5 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +7,8 @@ import pytest
 import fedrank.protocols as protocols
 from fedrank.adversary import AttackConfig, AttackKind
 from fedrank.aggregation import signs_of
-from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, dense_weight_grads,
-                        unflatten_params)
+from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
+                        dense_weight_grads, unflatten_params)
 from fedrank.protocols import (Aggregator, Algorithm, DatasetSpec,
                                ExperimentConfig, ServerState, baseline_round,
                                build_environment, fedavg_client_update,
@@ -185,30 +184,52 @@ class TestSharedSeedNetwork:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_shared_network_unchanged_by_training(self, fsl_env, workers):
         # Up to more threads than a small host has cores, switching often:
-        # clients sharing one seed network must vote exactly as clients
-        # that each rebuild their own, and leave the shared arrays untouched.
+        # clients, attackers included, sharing one seed network on a pool
+        # must vote exactly as clients trained one after another on a
+        # network drawn apart, and leave the shared arrays untouched.
         _, env = fsl_env
         cfg = tiny_config(clients_per_round=8,
                           attack=AttackConfig(0.25, AttackKind.RANK_REVERSAL))
-        seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
-        shared = replace(env, seed_net=seed_net)
+        serial_state, pooled_state = initial_state(cfg), initial_state(cfg)
+        seed_net = pooled_state.seed_net
         frozen = [a.tobytes() for a in seed_net.weights + seed_net.sorted_scores]
-        own_state = shared_state = initial_state(cfg)
         pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for t in range(1, 4):
-                own_state, own_rec = fsl_round(own_state, env, cfg, t, pool)
-                shared_state, shared_rec = fsl_round(shared_state, shared, cfg, t, pool)
-                assert own_rec == shared_rec
-                for a, b in zip(own_state.ranking, shared_state.ranking):
+                serial_state, serial_rec = fsl_round(serial_state, env, cfg, t)
+                pooled_state, pooled_rec = fsl_round(pooled_state, env, cfg, t, pool)
+                assert serial_rec == pooled_rec
+                assert pooled_state.seed_net is seed_net
+                for a, b in zip(serial_state.ranking, pooled_state.ranking):
                     assert a.tobytes() == b.tobytes()
         finally:
             sys.setswitchinterval(switch)
             if pool is not None:
                 pool.shutdown()
         assert frozen == [a.tobytes() for a in seed_net.weights + seed_net.sorted_scores]
+
+    def test_one_seed_network_draw_per_run(self, fsl_env, monkeypatch):
+        # The network is drawn in initial_state and carried by the state:
+        # neither the rounds, their evaluations nor the attackers draw it.
+        _, env = fsl_env
+        cfg = tiny_config()
+        attacked = tiny_config(attack=AttackConfig(0.5, AttackKind.RANK_REVERSAL))
+        draws = []
+        from_seed = Supernetwork.from_seed.__func__
+
+        def spy(cls, *args, **kwargs):
+            draws.append(args)
+            return from_seed(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Supernetwork, "from_seed", classmethod(spy))
+        state = initial_state(cfg)
+        for t, round_cfg in ((1, cfg), (2, attacked), (3, cfg)):
+            state, rec = fsl_round(state, env, round_cfg, t, with_eval=True)
+            assert rec.attack_active == (round_cfg is attacked)
+            assert not np.isnan(rec.mean_acc)
+        assert len(draws) == 1
 
     def test_client_training_leaves_next_rebuild_unchanged(self, fsl_env):
         cfg, env = fsl_env
@@ -341,10 +362,19 @@ class TestRunExperiment:
         b = run_experiment(tiny_config(rounds=3))
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_experiment(tiny_config(rounds=3))
-        parallel = run_experiment(tiny_config(rounds=3), workers=4)
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"attack": AttackConfig(0.5, AttackKind.RANK_REVERSAL)},
+        {"algorithm": Algorithm.FEDAVG, "aggregator": Aggregator.TRIMMED_MEAN,
+         "attack": AttackConfig(0.25, AttackKind.SCALE)},
+        {"algorithm": Algorithm.FEDAVG, "aggregator": Aggregator.MULTI_KRUM,
+         "attack": AttackConfig(0.25, AttackKind.OPT_POISON)},
+    ], ids=["fsl", "rank_reversal", "trimmed_mean_scale", "multi_krum_opt_poison"])
+    def test_worker_count_does_not_change_results(self, overrides):
+        serial = run_experiment(tiny_config(rounds=3, **overrides))
+        parallel = run_experiment(tiny_config(rounds=3, **overrides), workers=4)
         assert serial == parallel
+        assert any(r.attack_active for r in serial) == ("attack" in overrides)
 
     def test_eval_cadence(self):
         recs = run_experiment(tiny_config(rounds=5, eval_every=2))

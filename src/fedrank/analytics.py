@@ -64,8 +64,7 @@ def rank_payload_bits(arch: list[int]) -> int:
     return sum(n * (n - 1).bit_length() for n in arch)
 
 
-def comm_cost(arch: list[int], algorithm: str, k_or_s: float | None = None,
-              weight_bits: int = 32) -> CostReport:
+def comm_cost(arch: list[int], algorithm: str, k_or_s: float | None = None) -> CostReport:
     """Per-client traffic model for one round of the given protocol.
 
     k_or_s is the sparsity fraction for sparse_fsl and the kept fraction K
@@ -77,7 +76,7 @@ def comm_cost(arch: list[int], algorithm: str, k_or_s: float | None = None,
         raise ValueError(f"fraction must be in (0, 1], got {k_or_s}")
     total = sum(arch)
     ranks = rank_payload_bits(arch)
-    dense = total * weight_bits
+    dense = total * 32  # float32 weights
     if algorithm == "fsl":
         return CostReport(upload_bits=ranks, download_bits=ranks)
     if algorithm == "sparse_fsl":

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -79,7 +80,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     records_path = out_dir / "records.jsonl"
     summary_path = out_dir / "summary.csv"
@@ -92,28 +92,40 @@ def cmd_run(args: argparse.Namespace) -> int:
         "finished": None,
         "outputs": {"records": records_path.name, "summary": summary_path.name},
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     records = run_experiment(cfg, workers=args.workers, env=env)
 
     with open(records_path, "w") as f:
         for r in records:
-            f.write(json.dumps({
-                "round": r.round,
-                "selected": r.selected,
-                "mean_acc": _json_safe(r.mean_acc),
-                "std_acc": _json_safe(r.std_acc),
-                "min_acc": _json_safe(r.min_acc),
-                "max_acc": _json_safe(r.max_acc),
-                "upload_bits": r.upload_bits,
-                "download_bits": r.download_bits,
-                "attack_active": r.attack_active,
-            }) + "\n")
+            row = asdict(r)
+            for key in ("mean_acc", "std_acc", "min_acc", "max_acc"):
+                row[key] = _json_safe(row[key])
+            f.write(json.dumps(row) + "\n")
     summary_path.write_text(records_to_csv(records))
 
     manifest["finished"] = _now()
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {summary_path} ({len(records)} eval points)")
+    return 0
+
+
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out``, or to stdout without one; an
+    unwritable file is one ``error:`` line and exit code 2."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -143,11 +155,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(text, args.out)
 
 
 def commcost_csv(arch_name: str, counts: list[int]) -> str:
@@ -159,32 +167,28 @@ def commcost_csv(arch_name: str, counts: list[int]) -> str:
 
 
 def cmd_commcost(args: argparse.Namespace) -> int:
+    if bool(args.preset) == bool(args.counts):
+        print("error: provide exactly one of --preset or --counts", file=sys.stderr)
+        return 2
     if args.preset:
         if args.preset not in ARCH_PRESETS:
             print(f"error: unknown preset {args.preset!r}; choices: "
                   f"{', '.join(sorted(ARCH_PRESETS))}", file=sys.stderr)
             return 2
         name, counts = args.preset, ARCH_PRESETS[args.preset]
-    elif args.counts:
+    else:
         try:
             counts = [int(v) for v in args.counts.split(",")]
         except ValueError as exc:
             print(f"error: counts: {exc}", file=sys.stderr)
             return 2
         name = "custom"
-    else:
-        print("error: provide --preset or --counts", file=sys.stderr)
-        return 2
     try:
         text = commcost_csv(name, counts)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(text, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

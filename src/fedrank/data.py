@@ -44,10 +44,6 @@ class ClientShards:
     test: list[np.ndarray]
     undersized: bool = False
 
-    @property
-    def num_clients(self) -> int:
-        return len(self.train)
-
 
 def class_centers(num_classes: int, dims: int) -> np.ndarray:
     """Deterministic unit-norm direction per class."""

@@ -84,7 +84,7 @@ class Supernetwork:
     """Fixed random weights plus mutable per-edge scores, layer by layer."""
 
     def __init__(self, specs: list[LayerSpec], weights: list[np.ndarray],
-                 scores: list[np.ndarray], seed: int):
+                 scores: list[np.ndarray]):
         validate_architecture(specs)
         self.specs = specs
         self.weights = []
@@ -97,7 +97,6 @@ class Supernetwork:
                 w.flags.writeable = False
             self.weights.append(w)
         self.scores = [np.array(s, dtype=np.float32) for s in scores]
-        self.seed = seed
         for spec, w, s in zip(specs, self.weights, self.scores):
             if w.shape != (spec.fan_out, spec.fan_in) or s.shape != w.shape:
                 raise ValueError("weight/score shapes do not match the specs")
@@ -115,18 +114,13 @@ class Supernetwork:
         s_rng = derive(seed, [TAG_SCORES])
         weights = [init_weights((sp.fan_out, sp.fan_in), weight_init, w_rng) for sp in specs]
         scores = [init_scores((sp.fan_out, sp.fan_in), s_rng) for sp in specs]
-        return cls(specs, weights, scores, seed)
+        return cls(specs, weights, scores)
 
-    def reorder_all_scores(self, ranking: list[np.ndarray],
-                           sorted_scores: list[np.ndarray] | None = None) -> None:
-        """Overwrite scores so their layer-wise order matches ``ranking``.
-
-        ``sorted_scores`` are the values to hand out, ascending per layer;
-        by default the current scores, stably sorted.
-        """
-        if sorted_scores is None:
-            sorted_scores = [np.sort(s.ravel(), kind="stable") for s in self.scores]
-        for i, (s, values, perm) in enumerate(zip(self.scores, sorted_scores, ranking)):
+    def reorder_all_scores(self, ranking: list[np.ndarray]) -> None:
+        """Overwrite scores so their layer-wise order matches ``ranking``,
+        handing out the current scores, stably sorted."""
+        for i, (s, perm) in enumerate(zip(self.scores, ranking)):
+            values = np.sort(s.ravel(), kind="stable")
             self.scores[i] = reorder_scores(values, perm).reshape(s.shape)
 
     def score_rankings(self) -> list[np.ndarray]:
@@ -145,7 +139,6 @@ class SeedNetwork:
     def __init__(self, seed: int, specs: list[LayerSpec],
                  weight_init: InitKind = InitKind.SIGNED_KAIMING_CONSTANT):
         net = Supernetwork.from_seed(seed, specs, weight_init)
-        self.seed = seed
         self.specs = specs
         self.weights = net.weights
         self.ranking = net.score_rankings()
@@ -156,10 +149,9 @@ class SeedNetwork:
     def rebuild(self, ranking: list[np.ndarray]) -> Supernetwork:
         """What ``from_seed`` then ``reorder_all_scores(ranking)`` gives,
         without drawing the weights or sorting the scores again."""
-        shaped = [v.reshape(w.shape) for v, w in zip(self.sorted_scores, self.weights)]
-        net = Supernetwork(self.specs, self.weights, shaped, self.seed)
-        net.reorder_all_scores(ranking, self.sorted_scores)
-        return net
+        scores = [reorder_scores(v, perm).reshape(w.shape)
+                  for v, perm, w in zip(self.sorted_scores, ranking, self.weights)]
+        return Supernetwork(self.specs, self.weights, scores)
 
 
 def mask_layer(scores: np.ndarray, k: float) -> np.ndarray:
@@ -294,20 +286,9 @@ def _accuracy(specs: list[LayerSpec], weights: list[np.ndarray],
 # --- Edge-popup: scores trained over the frozen weights ----------------------
 
 
-def ep_forward(net: Supernetwork, k: float, batch: Minibatch,
-               weights: list[np.ndarray] | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """Masked forward pass; returns logits and the cache for ep_backward.
-
-    ``weights`` are ``masked_weights(net, k)`` when the caller already has
-    them, e.g. to run many batches under one mask.
-    """
-    return forward(net.specs, masked_weights(net, k) if weights is None else weights, batch)
-
-
-def score_gradient(upstream: np.ndarray, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Straight-through edge gradient: dL/ds[v,u] = dL/dI[v] * Z[u] * W[v,u]."""
-    return (np.asarray(upstream, dtype=np.float64).T @ np.asarray(inputs, dtype=np.float64)) \
-        * np.asarray(weights, dtype=np.float64)
+def ep_forward(net: Supernetwork, k: float, batch: Minibatch) -> tuple[np.ndarray, ForwardCache]:
+    """Masked forward pass; returns logits and the cache for ep_backward."""
+    return forward(net.specs, masked_weights(net, k), batch)
 
 
 def ep_backward(net: Supernetwork, k: float, batch: Minibatch,
@@ -335,7 +316,8 @@ def edge_popup_train(net: Supernetwork, batches: list[Minibatch], epochs: int,
 
 def evaluate(net: Supernetwork, k: float, inputs: np.ndarray, labels: np.ndarray,
              weights: list[np.ndarray] | None = None) -> float:
-    """Accuracy under the current mask (``weights`` as in :func:`ep_forward`)."""
+    """Accuracy under the current mask; ``weights`` are ``masked_weights(net, k)``
+    when the caller already has them, to evaluate many sets under one mask."""
     return _accuracy(net.specs, masked_weights(net, k) if weights is None else weights,
                      inputs, labels)
 

@@ -36,7 +36,7 @@ from .nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                  dense_evaluate, dense_train, edge_popup_train, evaluate,
                  flatten_params, masked_weights, unflatten_params,
                  validate_architecture)
-from .ranking import NetworkRanking, keep_count, sparse_vote, truncate_ranking
+from .ranking import NetworkRanking, keep_count, vote_network
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
 
 
@@ -162,7 +162,6 @@ class ServerState:
     hold the flat global parameter vector.
     """
 
-    round: int = 0
     ranking: NetworkRanking | None = None
     weights: np.ndarray | None = None
     seed_net: SeedNetwork | None = None
@@ -185,7 +184,7 @@ class RoundRecord:
 class Environment:
     """Immutable per-experiment context shared by every round."""
 
-    dataset: Dataset
+    dataset: Dataset  # unread; ROADMAP ("fresh_pages gauge") says why it stays
     shards: ClientShards
     train_batches: list[list[Minibatch]]
     test_sets: list[tuple[np.ndarray, np.ndarray]]
@@ -232,9 +231,9 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
 def initial_state(cfg: ExperimentConfig) -> ServerState:
     if cfg.algorithm in RANK_ALGORITHMS:
         seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
-        return ServerState(round=0, ranking=seed_net.ranking, seed_net=seed_net)
+        return ServerState(ranking=seed_net.ranking, seed_net=seed_net)
     net = Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
-    return ServerState(round=0, weights=flatten_params(net.weights))
+    return ServerState(weights=flatten_params(net.weights))
 
 
 def select_clients(cfg: ExperimentConfig, round_index: int) -> list[int]:
@@ -253,12 +252,13 @@ def fsl_client_update(seed_net: SeedNetwork, global_ranking: NetworkRanking,
     return net.score_rankings()
 
 
-def _attackers_and_epochs(cfg: ExperimentConfig, selected: list[int],
-                          kinds: tuple[AttackKind, ...]) -> tuple[list[int], list[int]]:
-    """Positions in ``selected`` of the malicious clients (none unless the
-    attack is one of ``kinds``), and each selected client's local epochs:
-    every client trains, attackers for ``attack_epochs``."""
-    n_mal = cfg.attack.malicious_count(cfg.num_clients) if cfg.attack.kind in kinds else 0
+def _attackers_and_epochs(cfg: ExperimentConfig,
+                          selected: list[int]) -> tuple[list[int], list[int]]:
+    """Positions in ``selected`` of the malicious clients, and each selected
+    client's local epochs: every client trains, attackers for
+    ``attack_epochs``.  ``validate`` ties each attack kind to one protocol
+    family, so a round only ever sees attackers of its own family."""
+    n_mal = cfg.attack.malicious_count(cfg.num_clients)
     mal = [i for i, u in enumerate(selected) if u < n_mal]
     return mal, [cfg.attack_epochs if i in mal else cfg.local_epochs
                  for i in range(len(selected))]
@@ -314,7 +314,7 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     (s = 1 for fsl, which ignores ``sparsity``) and the server votes per
     layer over the cut rankings."""
     selected = select_clients(cfg, round_index)
-    mal, epochs = _attackers_and_epochs(cfg, selected, (AttackKind.RANK_REVERSAL,))
+    mal, epochs = _attackers_and_epochs(cfg, selected)
     submissions = _map_clients(executor, fsl_client_update, [
         (state.seed_net, state.ranking, env.train_batches[u], e,
          cfg.subnet_fraction, cfg.sgd, derive(cfg.seed, [TAG_TRAIN, round_index, u]))
@@ -325,9 +325,7 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
         for i in mal:
             submissions[i] = poison
     s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
-    new_ranking = [sparse_vote([truncate_ranking(sub[li], s) for sub in submissions])[0]
-                   for li in range(len(cfg.architecture))]
-    new_state = ServerState(round=round_index, ranking=new_ranking, seed_net=state.seed_net)
+    new_state = ServerState(ranking=vote_network(submissions, s), seed_net=state.seed_net)
     accs = _evaluate_ranking(cfg, env, new_state) if with_eval else None
     return new_state, _record(cfg, env, round_index, selected, bool(mal), accs)
 
@@ -361,8 +359,7 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
                    with_eval: bool = True) -> tuple[ServerState, RoundRecord]:
     """One round of a weight-based protocol (fedavg, signsgd or topk)."""
     selected = select_clients(cfg, round_index)
-    mal, epochs = _attackers_and_epochs(cfg, selected,
-                                        (AttackKind.SCALE, AttackKind.OPT_POISON))
+    mal, epochs = _attackers_and_epochs(cfg, selected)
     updates = _map_clients(executor, fedavg_client_update, [
         (state.weights, cfg.architecture, env.train_batches[u], e, cfg.sgd,
          derive(cfg.seed, [TAG_TRAIN, round_index, u]), u)
@@ -395,7 +392,7 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
             agg = multi_krum(updates, f)
         new_weights = state.weights + agg.delta
 
-    new_state = ServerState(round=round_index, weights=new_weights)
+    new_state = ServerState(weights=new_weights)
     accs = _evaluate_weights(cfg, env, new_weights) if with_eval else None
     return new_state, _record(cfg, env, round_index, selected, bool(mal), accs)
 

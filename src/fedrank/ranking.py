@@ -200,10 +200,11 @@ def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndar
     return _tally([sr.top for sr in sparse], n)
 
 
-def vote_network(rankings: list[NetworkRanking]) -> NetworkRanking:
-    """Layer-wise vote over whole-network rankings."""
-    layer_count = len(rankings[0])
-    return [vote([r[i] for r in rankings])[0] for i in range(layer_count)]
+def vote_network(rankings: list[NetworkRanking], s: float = 1.0) -> NetworkRanking:
+    """Layer-wise vote over whole-network rankings, each layer ranking cut
+    to its top ``s`` fraction first; at s = 1 this is :func:`vote` per layer."""
+    return [sparse_vote([truncate_ranking(r, s) for r in layer])[0]
+            for layer in zip(*rankings)]
 
 
 def reverse_ranking(r: LayerRanking) -> LayerRanking:

@@ -63,10 +63,6 @@ class RngStream:
         self._key = key & _MASK
         self._counter = 0
 
-    @property
-    def key(self) -> int:
-        return self._key
-
     def next_u64(self, n: int) -> np.ndarray:
         """Return the next ``n`` raw 64-bit outputs as a uint64 array."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
@@ -142,10 +138,7 @@ def derive(seed: int, tags: list[int] | tuple[int, ...]) -> RngStream:
     Distinct tag lists give statistically independent streams.  The
     protocol seed is 32 bits on the wire; it is zero-extended here.
     """
-    key = _fin(seed)
-    for tag in tags:
-        key = _fold(key, tag)
-    return RngStream(key)
+    return RngStream(_fin(seed)).child(*tags)
 
 
 class InitKind(str, Enum):

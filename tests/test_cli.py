@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import struct
 from pathlib import Path
 
 import pytest
 
+from fedrank import cli
 from fedrank.cli import main
 
 SMALL_RUN = """
@@ -192,6 +194,24 @@ class TestRun:
         assert rc == 0
         assert (tmp_path / "envout/summary.csv").exists()
 
+    def test_demo_records_pinned(self, tmp_path):
+        assert main(["run", "--config", str(DEMO_CFG), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest() == \
+            "e5d7bf87a1b6559bbc968c87d4e72893d820b711e7cff89846886df3b9ac592e"
+
+    @pytest.mark.parametrize("below_file", [False, True])
+    def test_unwritable_out_rejected_before_training(self, tmp_path, capsys, monkeypatch,
+                                                     below_file):
+        monkeypatch.setattr(cli, "run_experiment", None)  # training would raise
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x" if below_file else blocker
+        rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert blocker.read_text() == ""
+
     def test_manifest_reproduces_run(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["run", "--config", cfg, "--out", str(tmp_path / "a")])
@@ -238,6 +258,16 @@ class TestBound:
         rows = read_rows(target)
         assert len(rows) == 8
 
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["bound", "--n", "25", "--p-min", "0.6", "--p-max", "0.9",
+                   "--p-steps", "4", "--alpha", "0.1", "--out", str(blocker / "x")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestCommcost:
     def test_preset_lenet_mnist(self, capsys):
@@ -274,3 +304,21 @@ class TestCommcost:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "arch,algorithm,upload_MiB,download_MiB"
         assert out.splitlines()[2] == "custom,fsl,0.000000,0.000000"
+
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["commcost", "--counts", "6", "--out", str(blocker / "x")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [["--preset", "lenet-mnist", "--counts", "5"], []],
+                             ids=["both", "neither"])
+    def test_not_exactly_one_of_preset_and_counts_rejected(self, capsys, args):
+        rc = main(["commcost"] + args)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: provide exactly one of --preset or --counts\n"
+        assert captured.out == ""

@@ -1,0 +1,82 @@
+"""Every definition in the package has a reader outside its own body.
+
+A module-level function or class, or a method, that nothing but its own
+body and the tests name is dead code.  A reader is an identifier or
+attribute of that name in ``src/fedrank`` or ``bench/*.py``, a name inside
+a ``bench/`` string (the tracer's ``module:Class.method`` targets are
+strings) or a name that ``fedrank/__init__.py`` imports.  Strings in
+``src/``, docstrings included, are no readers.
+"""
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fedrank"
+BENCH = ROOT / "bench"
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, name, first line, last line) of each module-level
+    function and class and each method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not re.fullmatch(r"__\w+__", item.name):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+
+
+def code_names(tree: ast.Module):
+    """(name, line) of every identifier and attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def unread(sources: dict[str, str], bench_sources: list[str], exported: set[str]) -> list[str]:
+    """``module.name`` of each definition in ``sources`` (module name to
+    text) that has no reader."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read_at = defaultdict(list)  # name -> (module, line) of each identifier
+    for module, tree in trees.items():
+        for name, line in code_names(tree):
+            read_at[name].append((module, line))
+    outside = set(exported)
+    for text in bench_sources:
+        tree = ast.parse(text)
+        outside.update(name for name, _ in code_names(tree))
+        outside.update(word for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       for word in re.findall(r"\w+", node.value))
+    return [f"{module}.{qualified}"
+            for module, tree in trees.items()
+            for qualified, name, first, last in definitions(tree)
+            if name not in outside
+            and all(m == module and first <= line <= last for m, line in read_at[name])]
+
+
+def test_finds_definitions_only_their_own_bodies_read():
+    source = ("def used():\n    return 1\n\n"
+              "def dead(n):\n    return dead(n - 1) + used()\n\n"
+              "class A:\n    def __init__(self):\n        self.m()\n\n"
+              "    def m(self):\n        return self.m()\n")
+    assert unread({"mod": source}, [], set()) == ["mod.dead", "mod.A"]
+    assert unread({"mod": source}, ['TARGET = "fedrank.mod:A.m"'], {"dead"}) == []
+    assert unread({"mod": source.replace("self.m()\n\n", "pass\n\n")}, [],
+                  {"A", "dead"}) == ["mod.A.m"]
+
+
+def test_every_definition_has_a_reader():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    exported = {alias.name for node in ast.walk(ast.parse(sources["__init__"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    assert unread(sources, bench, exported) == []

@@ -6,8 +6,8 @@ import pytest
 
 from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                         dense_evaluate, dense_weight_grads, edge_popup_train,
-                        ep_backward, ep_forward, evaluate, mask_layer,
-                        masked_weights, score_gradient, sgd_step)
+                        ep_backward, ep_forward, evaluate, forward, mask_layer,
+                        masked_weights, sgd_step)
 from fedrank.analytics import ARCH_PRESETS
 from fedrank.ranking import argsort_ranking
 from fedrank.rng import InitKind, derive
@@ -160,8 +160,7 @@ class TestForward:
         net = Supernetwork(
             [LayerSpec(2, 1, "identity")],
             weights=[np.array([[0.5, -0.5]])],
-            scores=[np.array([[1.0, 0.1]])],
-            seed=0)
+            scores=[np.array([[1.0, 0.1]])])
         logits, _ = ep_forward(net, 0.5, Minibatch(np.array([[2.0, 3.0]]), np.array([0])))
         assert logits.shape == (1, 1)
         assert logits[0, 0] == pytest.approx(1.0)
@@ -194,11 +193,6 @@ class TestForward:
 
 
 class TestBackward:
-    def test_single_neuron_analytic(self):
-        grads = score_gradient(np.array([[1.0]]), np.array([[1.0, 2.0]]),
-                               np.array([[0.5, -0.5]]))
-        assert np.allclose(grads, [[0.5, -1.0]])
-
     def test_zero_input_zero_first_layer_grads(self):
         net = random_net(derive(26, []), [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")])
         batch = Minibatch(np.zeros((5, 3)), np.array([0, 1, 0, 1, 0]))
@@ -263,7 +257,7 @@ class TestTrain:
         batch = batches[0]
         _, cache = ep_forward(net, 0.5, batch)
         grads = ep_backward(net, 0.5, batch, cache)
-        net2 = Supernetwork(net.specs, list(net.weights), before, net.seed)
+        net2 = Supernetwork(net.specs, list(net.weights), before)
         edge_popup_train(net2, [batch], 1, 0.5, SgdConfig(0.1, 0.0, 0.0, 8), derive(1, []))
         for b, g, after in zip(before, grads, net2.scores):
             assert np.allclose(after, (b.astype(np.float64) - 0.1 * g).astype(np.float32))
@@ -340,14 +334,14 @@ class TestEvaluate:
     def test_constant_net_all_correct(self):
         net = Supernetwork([LayerSpec(2, 2, "identity")],
                            weights=[np.array([[1.0, 1.0], [0.0, 0.0]])],
-                           scores=[np.array([[1.0, 1.0], [0.0, 0.0]])], seed=0)
+                           scores=[np.array([[1.0, 1.0], [0.0, 0.0]])])
         x = np.abs(derive(36, []).uniform(10).reshape(5, 2)) + 0.1
         assert evaluate(net, 1.0, x, np.zeros(5, dtype=int)) == 1.0
 
     def test_single_wrong_sample(self):
         net = Supernetwork([LayerSpec(2, 2, "identity")],
                            weights=[np.array([[1.0, 1.0], [0.0, 0.0]])],
-                           scores=[np.array([[1.0, 1.0], [0.0, 0.0]])], seed=0)
+                           scores=[np.array([[1.0, 1.0], [0.0, 0.0]])])
         assert evaluate(net, 1.0, np.array([[1.0, 1.0]]), np.array([1])) == 0.0
 
     def test_matches_hand_count(self):
@@ -375,9 +369,9 @@ class TestAccuracyRule:
 
     def test_evaluate_with_weights(self):
         net = Supernetwork([LayerSpec(2, 3, "identity")], weights=self.WEIGHTS,
-                           scores=[np.ones((3, 2))], seed=0)
+                           scores=[np.ones((3, 2))])
         weights = masked_weights(net, 1.0)
-        logits, _ = ep_forward(net, 1.0, Minibatch(self.X, self.LABELS), weights)
+        logits, _ = forward(net.specs, weights, Minibatch(self.X, self.LABELS))
         assert np.isnan(logits[:, 2]).all()
         assert evaluate(net, 1.0, self.X, self.LABELS, weights) == 1.0
 

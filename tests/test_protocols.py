@@ -167,7 +167,7 @@ class TestFslRound:
             return [fixtures[(len(calls) - 1) % 3], fixtures[(len(calls) - 1) % 3]]
 
         monkeypatch.setattr(protocols, "fsl_client_update", fake_update)
-        state = ServerState(round=0, ranking=[FIG_R1, FIG_R1])
+        state = ServerState(ranking=[FIG_R1, FIG_R1])
         new_state, _ = fsl_round(state, env, cfg3, 1, with_eval=False)
         assert new_state.ranking[0].tolist() == [0, 2, 4, 5, 3, 1]
 

@@ -7,10 +7,14 @@ import argparse
 import json
 import math
 import os
+import platform
+import statistics
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analytics import ARCH_PRESETS, comm_cost, sweep_bound
@@ -84,10 +88,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     records_path = out_dir / "records.jsonl"
     summary_path = out_dir / "summary.csv"
 
+    sizes = [len(tr) + len(te) for tr, te in zip(env.shards.train, env.shards.test)]
     manifest = {
         "config": config_to_flat_dict(cfg),
         "version": __version__,
         "workers": args.workers,
+        # The partition's gammas come from numpy's log and cos.
+        "shards": {"undersized": env.shards.undersized, "min": min(sizes),
+                   "median": statistics.median(sizes), "max": max(sizes),
+                   "python": platform.python_version(), "numpy": np.__version__},
         "started": _now(),
         "finished": None,
         "outputs": {"records": records_path.name, "summary": summary_path.name},

@@ -76,30 +76,60 @@ def gen_blobs(num_classes: int, dims: int, samples_per_class: int,
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
-def _gamma_variate(shape: float, rng: RngStream) -> float:
-    """Marsaglia-Tsang gamma sampler on the deterministic stream."""
-    if shape < 1.0:
-        # Boost: Gamma(a) = Gamma(a + 1) * U^(1/a)
-        u = float(rng.uniform(1)[0])
-        while u == 0.0:
-            u = float(rng.uniform(1)[0])
-        return _gamma_variate(shape + 1.0, rng) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
+def _trial_draws(rng: RngStream, size: int):
+    """Yield ``(x, u)`` for each next word of ``rng``, leaving its counter
+    just past the word yielded.
+
+    ``u`` is the word's ``uniform`` value and ``x`` the first ``normal`` of
+    the word and the one after, by the expressions of :class:`RngStream`,
+    so each is bit-equal to a one-value draw there.  Words are computed
+    ``size`` at a time.
+    """
     while True:
-        x = float(rng.normal(1)[0])
-        v = (1.0 + c * x) ** 3
-        if v <= 0.0:
-            continue
-        u = float(rng.uniform(1)[0])
-        if u == 0.0:
-            continue
-        if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-            return d * v
+        at = rng._counter
+        top = rng.next_u64(size) >> np.uint64(11)
+        u = top.astype(np.float64) * 2.0**-53
+        u1 = (top[:-1].astype(np.float64) + 1.0) * 2.0**-53
+        x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u[1:])
+        for end, xu in enumerate(zip(x.tolist(), u.tolist()), at + 1):
+            rng._counter = end
+            yield xu
 
 
 def dirichlet_proportions(alpha: float, n: int, rng: RngStream) -> np.ndarray:
-    gammas = np.array([_gamma_variate(alpha, rng) for _ in range(n)])
+    """Dirichlet(alpha) over ``n`` parts from Marsaglia-Tsang gammas.
+
+    A gamma trial reads a normal ``x`` from 2 words and, unless
+    ``v = (1 + c x)^3 <= 0``, a uniform ``u`` from a third; ``u == 0``
+    rejects the trial.  For ``alpha < 1`` each gamma first reads a nonzero
+    boost uniform ``b`` and is Gamma(alpha + 1) * b^(1 / alpha).  The
+    trials walk blocks of precomputed draws (see ``_trial_draws``).
+    """
+    shape = alpha + 1.0 if alpha < 1.0 else alpha
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    # A gamma takes about 3.1 words (4.1 with the boost): one block
+    # usually covers every gamma for alpha >= 1.
+    draws = _trial_draws(rng, 4 * n + 8)
+    gammas = []
+    for _ in range(n):
+        boost = 1.0
+        if alpha < 1.0:
+            b = 0.0
+            while b == 0.0:
+                _, b = next(draws)
+            boost = b ** (1.0 / alpha)
+        while True:
+            x, _ = next(draws)
+            next(draws)
+            v = (1.0 + c * x) ** 3
+            if v <= 0.0:
+                continue
+            _, u = next(draws)
+            if u != 0.0 and math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+                break
+        gammas.append(d * v * boost)
+    gammas = np.array(gammas)
     total = gammas.sum()
     if total == 0.0:
         return np.full(n, 1.0 / n)
@@ -140,7 +170,6 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     classes = np.unique(labels)
-    undersized = False
     for _ in range(_REROLL_LIMIT + 1):
         shards: list[list[int]] = [[] for _ in range(num_clients)]
         for c in classes:
@@ -154,8 +183,7 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
                 pos += cnt
         if min(len(s) for s in shards) >= MIN_SHARD:
             break
-    if min(len(s) for s in shards) < MIN_SHARD:
-        undersized = True
+    undersized = min(len(s) for s in shards) < MIN_SHARD
 
     train, test = [], []
     for client, shard in enumerate(shards):

@@ -7,6 +7,13 @@ counter-based, it produces bit-identical sequences on every platform and
 vectorizes cleanly.  Normal variates come from Box-Muller, so every
 distribution is a fixed function of the raw 64-bit outputs.
 
+Which words a draw reads is part of the stream's contract: a bounded
+integer below a power of two takes 1 word, any other bound a block of 8
+of which the first word below ``2**64 - 2**64 % bound`` is used (8 more if
+all are rejected).  ``shuffle`` and ``sample_without_replacement`` draw
+the words of all their steps in one block and keep that contract step by
+step, so the result does not depend on how the words were fetched.
+
 Streams for different purposes are derived from one experiment seed by
 folding integer tags into the key (see :func:`derive`).  Weights use tag 0
 and scores tag 1; the remaining tags below are simulator plumbing.
@@ -41,11 +48,11 @@ def _fin(z: int) -> int:
 
 
 def _fin_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_fin` on a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+    """Vectorized :func:`_fin` on a uint64 array (array products wrap
+    silently, so no ``errstate`` is needed)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _fold(key: int, tag: int) -> int:
@@ -67,9 +74,7 @@ class RngStream:
         """Return the next ``n`` raw 64-bit outputs as a uint64 array."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            states = np.uint64(self._key) + np.uint64(_GAMMA) * idx
-        return _fin_array(states)
+        return _fin_array(np.uint64(self._key) + np.uint64(_GAMMA) * idx)
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``n`` float64 samples uniform on [low, high)."""
@@ -108,21 +113,47 @@ class RngStream:
             filled += take
         return out
 
-    def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = int(self.integers_below(i + 1, 1)[0])
-            items[i], items[j] = items[j], items[i]
+    def _below_each(self, bounds: list[int]) -> list[int]:
+        """``[int(self.integers_below(b, 1)[0]) for b in bounds]`` from one
+        ``next_u64`` call that fetches every step's words (see the module
+        docstring).  Each step checks only its first word, which is almost
+        always accepted; from the first step where it is not, the counter
+        goes back to that step and the rest take :meth:`integers_below`.
+        """
+        if not bounds:  # a shuffle of 0 or 1 items draws nothing
+            return []
+        start = self._counter
+        rems = [(1 << 64) % b for b in bounds]
+        words = self.next_u64(sum(8 if rem else 1 for rem in rems)).tolist()
+        out = []
+        pos = 0
+        for b, rem in zip(bounds, rems):
+            if words[pos] >= (1 << 64) - rem:
+                self._counter = start + pos
+                return out + [int(self.integers_below(rest, 1)[0]) for rest in bounds[len(out):]]
+            out.append(words[pos] % b)
+            pos += 8 if rem else 1
+        return out
+
+    def shuffle(self, items: np.ndarray | list) -> None:
+        """In-place Fisher-Yates shuffle of an array or list: step ``i``
+        from ``len - 1`` down to 1 swaps item ``i`` with an index drawn
+        below ``i + 1``."""
+        n = len(items)
+        vals = list(items)
+        for i, j in zip(range(n - 1, 0, -1), self._below_each(list(range(n, 1, -1)))):
+            vals[i], vals[j] = vals[j], vals[i]
+        items[:] = vals
 
     def sample_without_replacement(self, n_total: int, k: int) -> np.ndarray:
-        """``k`` distinct integers from [0, n_total), uniform, order random."""
+        """``k`` distinct integers from [0, n_total), uniform, order random:
+        the first ``k`` steps of a forward Fisher-Yates shuffle."""
         if not 0 <= k <= n_total:
             raise ValueError(f"cannot sample {k} from {n_total}")
-        arr = np.arange(n_total, dtype=np.int64)
-        for i in range(k):
-            j = i + int(self.integers_below(n_total - i, 1)[0])
-            arr[i], arr[j] = arr[j], arr[i]
-        return arr[:k].copy()
+        vals = list(range(n_total))
+        for i, j in enumerate(self._below_each(list(range(n_total, n_total - k, -1)))):
+            vals[i], vals[i + j] = vals[i + j], vals[i]
+        return np.array(vals[:k], dtype=np.int64)
 
     def child(self, *tags: int) -> "RngStream":
         """Derive an independent stream; a pure function of (key, tags)."""

@@ -1,9 +1,11 @@
 import csv
 import hashlib
 import json
+import platform
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedrank import cli
@@ -198,6 +200,13 @@ class TestRun:
         assert main(["run", "--config", str(DEMO_CFG), "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest() == \
             "e5d7bf87a1b6559bbc968c87d4e72893d820b711e7cff89846886df3b9ac592e"
+        shards = json.loads((tmp_path / "manifest.json").read_text())["shards"]
+        assert set(shards) == {"undersized", "min", "median", "max", "python", "numpy"}
+        # 1000 samples over 40 clients at alpha 1.0.
+        assert (shards["undersized"], shards["min"], shards["median"], shards["max"]) == \
+            (False, 11, 22, 50)
+        assert shards["python"] == platform.python_version()
+        assert shards["numpy"] == np.__version__
 
     @pytest.mark.parametrize("below_file", [False, True])
     def test_unwritable_out_rejected_before_training(self, tmp_path, capsys, monkeypatch,

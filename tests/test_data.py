@@ -1,3 +1,5 @@
+import hashlib
+import math
 import struct
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from fedrank.data import (IdxFormatError, dirichlet_partition,
                           dirichlet_proportions, gen_blobs,
                           largest_remainder_counts, load_idx)
-from fedrank.rng import derive
+from fedrank.rng import RngStream, derive
 
 
 class TestBlobs:
@@ -97,6 +99,102 @@ class TestDirichletPartition:
             dirichlet_partition(np.array([0, 1]), 0, 1.0, derive(1, []))
         with pytest.raises(ValueError):
             dirichlet_partition(np.array([0, 1]), 2, 0.0, derive(1, []))
+
+
+def per_step_gamma(shape, rng):
+    """The scalar Marsaglia-Tsang sampler the block walk replaces."""
+    if shape < 1.0:
+        u = float(rng.uniform(1)[0])
+        while u == 0.0:
+            u = float(rng.uniform(1)[0])
+        return per_step_gamma(shape + 1.0, rng) * u ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = float(rng.normal(1)[0])
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            continue
+        u = float(rng.uniform(1)[0])
+        if u == 0.0:
+            continue
+        if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+            return d * v
+
+
+def per_step_proportions(alpha, n, rng):
+    gammas = np.array([per_step_gamma(alpha, rng) for _ in range(n)])
+    total = gammas.sum()
+    return np.full(n, 1.0 / n) if total == 0.0 else gammas / total
+
+
+def counting_blocks(rng):
+    """Count the next_u64 calls made on ``rng``."""
+    calls = []
+    draw = rng.next_u64
+    rng.next_u64 = lambda n: calls.append(n) or draw(n)
+    return calls
+
+
+class TestGammaBlockWalk:
+    """dirichlet_proportions walks precomputed blocks of draws; it must read
+    the words, give the bytes and leave the stream where the scalar
+    sampler does."""
+
+    ALPHAS = [0.1, 0.5, 1.0, 3.0, 1e6]  # 0.1 and 0.5 take the boost path
+
+    def check(self, alpha, n, key):
+        want, got = RngStream(key), RngStream(key)
+        expected = per_step_proportions(alpha, n, want)
+        assert dirichlet_proportions(alpha, n, got).tobytes() == expected.tobytes()
+        assert got._counter == want._counter
+        assert got.next_u64(1)[0] == want.next_u64(1)[0]
+
+    def test_matches_per_step_sampler(self):
+        case_rng = derive(63, [])
+        for case in range(320):
+            n = 1 + int(case_rng.integers_below(40)[0])
+            self.check(self.ALPHAS[case % len(self.ALPHAS)], n, 1000 + case)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_long_walk_refills_its_block(self, alpha):
+        # A boosted gamma takes at least 4 words and the first block holds
+        # 4n + 8, so the rejections among 400 gammas run past it.
+        rng = RngStream(7)
+        blocks = counting_blocks(rng)
+        dirichlet_proportions(alpha, 400, rng)
+        assert len(blocks) > 1
+        self.check(alpha, 400, 7)
+
+    def test_short_walk_draws_one_block(self):
+        rng = RngStream(8)
+        blocks = counting_blocks(rng)
+        dirichlet_proportions(1.0, 10, rng)
+        assert blocks == [48]
+
+
+def partition_digest(shards):
+    h = hashlib.sha256()
+    for tr, te in zip(shards.train, shards.test):
+        h.update(tr.astype("<i8").tobytes())
+        h.update(te.astype("<i8").tobytes())
+    h.update(bytes([shards.undersized]))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("per_class,alpha,undersized,digest", [
+    (60, 0.3, False, "dc037cb1e3684b38d944a007f1d2894ac8b631b86afd4bbd0acc6b4a634735d7"),
+    (60, 1.0, False, "db3bd14e2242809749cbf83306feaf4958383dd48c90e85ffd84b426a401d19b"),
+    # 30 samples cannot give 8 clients 5 each: every re-roll runs.
+    (3, 0.3, True, "61d9042adb99b4549adf139205f9b773e1ae9c0967a487e51b96ee149ec593dc"),
+])
+def test_partition_pinned(per_class, alpha, undersized, digest):
+    """Train/test index bytes and the undersized flag on 10 classes and 8
+    clients, pinned before the Dirichlet and shuffle draws were blocked."""
+    labels = np.repeat(np.arange(10), per_class)
+    shards = dirichlet_partition(labels, 8, alpha, derive(2024, [5]))
+    assert shards.undersized is undersized
+    assert partition_digest(shards) == digest
 
 
 def write_idx_pair(tmp_path, images, labels):

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fedrank.rng import InitKind, derive, init_scores, init_weights
+from fedrank.rng import InitKind, RngStream, derive, init_scores, init_weights
 
 
 class TestDerive:
@@ -68,6 +69,90 @@ class TestStreamPrimitives:
         arr = np.arange(30)
         derive(19, []).shuffle(arr)
         assert sorted(arr.tolist()) == list(range(30))
+
+
+def per_step_shuffle(rng, items):
+    """The scalar Fisher-Yates shuffle the block draws replace."""
+    for i in range(len(items) - 1, 0, -1):
+        j = int(rng.integers_below(i + 1, 1)[0])
+        items[i], items[j] = items[j], items[i]
+
+
+def per_step_sample(rng, n_total, k):
+    """The scalar sample_without_replacement the block draws replace."""
+    arr = np.arange(n_total, dtype=np.int64)
+    for i in range(k):
+        j = i + int(rng.integers_below(n_total - i, 1)[0])
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr[:k].copy()
+
+
+def assert_same_position(a, b):
+    assert a._counter == b._counter
+    assert a.next_u64(1)[0] == b.next_u64(1)[0]
+
+
+class TestBlockDraws:
+    """shuffle and sample_without_replacement draw all their bounded
+    integers in one block; the words, results and stream position must be
+    those of one integers_below(b, 1) call per step."""
+
+    def test_words_pinned_without_overflow_warnings(self):
+        # The uint64 products wrap; array integer arithmetic never warns.
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = derive(123, [4, 5]).next_u64(6)
+            first = derive(0, []).next_u64(1)[0]
+        assert [int(w) for w in words] == [
+            0x34E48A69BDDE78FF, 0xB918FA477E190255, 0xD9E8BD634EFDD415,
+            0x3A87B58949283E1E, 0x0BAAE1E1CE3BB70D, 0x4C884864176C808A]
+        assert int(first) == 0xE220A8397B1DCDAF
+
+    def test_shuffle_matches_per_step(self):
+        case_rng = derive(61, [])
+        sizes = [0, 1, 2] * 20 + [int(v) for v in case_rng.integers_below(80, 300)]
+        for case, n in enumerate(sizes):
+            want, got = RngStream(case), RngStream(case)
+            a = np.arange(n) * 3
+            b = a.copy()
+            per_step_shuffle(want, a)
+            if case % 2:
+                b = b.tolist()
+                got.shuffle(b)
+                assert isinstance(b, list)
+            else:
+                got.shuffle(b)
+            assert list(a) == list(b)
+            assert_same_position(want, got)
+
+    def test_sample_matches_per_step(self):
+        case_rng = derive(62, [])
+        for case in range(360):
+            n_total = case % 3 if case < 60 else 1 + int(case_rng.integers_below(120)[0])
+            k = [0, n_total][case % 2] if case < 120 else int(case_rng.integers_below(n_total + 1)[0])
+            want, got = RngStream(case), RngStream(case)
+            expected = per_step_sample(want, n_total, k)
+            picked = got.sample_without_replacement(n_total, k)
+            assert picked.dtype == np.int64
+            assert np.array_equal(expected, picked)
+            assert_same_position(want, got)
+
+    def test_rejections_fall_back_to_integers_below(self):
+        # Near 2**63 + 1 about half of all words are rejected, so most
+        # cases leave the block draw for the per-step path partway through.
+        fallback_steps = 0
+        for case in range(300):
+            bounds = [2**63 + 1 + case % 7 if j % 3 else 2 + j for j in range(1 + case % 9)]
+            want, got = RngStream(case), RngStream(case)
+            expected = [int(want.integers_below(b, 1)[0]) for b in bounds]
+            per_step = got.integers_below
+            calls = []
+            got.integers_below = lambda b, n: calls.append(b) or per_step(b, n)
+            assert got._below_each(bounds) == expected
+            assert calls == bounds[len(bounds) - len(calls):]
+            fallback_steps += len(calls)
+            assert_same_position(want, got)
+        assert fallback_steps > 300
 
 
 class TestInitializers:

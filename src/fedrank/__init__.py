@@ -9,12 +9,12 @@ __version__ = "0.1.0"
 
 from .adversary import AttackConfig, AttackKind, OmegaKind
 from .aggregation import ModelUpdate, SignUpdate, average, multi_krum, sign_majority, trimmed_mean
-from .analytics import ARCH_PRESETS, CostReport, comm_cost, failure_upper_bound, ideal_rank_bits
+from .analytics import ARCH_PRESETS, CostReport, comm_cost, failure_upper_bound
 from .data import ClientShards, Dataset, dirichlet_partition, gen_blobs, load_idx
 from .nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, edge_popup_train,
                  ep_backward, ep_forward, evaluate, mask_layer)
 from .protocols import (Aggregator, Algorithm, ExperimentConfig, RoundRecord,
                         ServerState, run_experiment)
 from .ranking import (SparseLayerRanking, argsort_ranking, reorder_scores,
-                      reverse_ranking, sparse_vote, top_edges, vote)
+                      reverse_ranking, sparse_vote, vote)
 from .rng import InitKind, RngStream, derive, init_scores, init_weights

@@ -18,6 +18,7 @@ import numpy as np
 # tracer wraps this module's alias of it, so the name stays importable.
 from .aggregation import (AGGREGATE_ID, ModelUpdate, multi_krum_select,  # noqa: F401
                           select_from_distances, squared_distances)
+from .nn import require_finite
 from .ranking import NetworkRanking, reverse_ranking, vote_network
 
 
@@ -51,6 +52,7 @@ class AttackConfig:
     def validate(self) -> None:
         self.kind = AttackKind(self.kind)
         self.omega_kind = OmegaKind(self.omega_kind)
+        require_finite(self, "scale_factor", "gamma_init")
         if not 0.0 <= self.malicious_fraction < 1.0:
             raise ValueError("malicious_fraction must be in [0, 1)")
         if self.gamma_init <= 0 or self.gamma_iters < 1:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .ranking import rank_bit_width
+
 MIB = 8 * 2**20  # bits per mebibyte
 
 # Layer parameter counts for the reference architectures used in the
@@ -60,8 +62,9 @@ class CostReport:
 
 
 def rank_payload_bits(arch: list[int]) -> int:
-    """Naive ranking wire size: each rank takes ceil(log2(n)) bits."""
-    return sum(n * (n - 1).bit_length() for n in arch)
+    """Naive ranking wire size: each rank takes the codec's
+    ``rank_bit_width(n)`` = ceil(log2(n)) bits."""
+    return sum(n * rank_bit_width(n) for n in arch)
 
 
 def comm_cost(arch: list[int], algorithm: str, k_or_s: float | None = None) -> CostReport:
@@ -93,10 +96,3 @@ def comm_cost(arch: list[int], algorithm: str, k_or_s: float | None = None) -> C
         # Kept coordinates at full width plus a 1-bit membership mask.
         return CostReport(upload_bits=k_or_s * dense + total, download_bits=dense)
     raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def ideal_rank_bits(arch: list[int]) -> float:
-    """Entropy floor for exchanging layer-wise permutations: sum log2(n!)."""
-    if not arch or any(n < 1 for n in arch):
-        raise ValueError("architecture must list positive layer sizes")
-    return sum(math.lgamma(n + 1) / math.log(2.0) for n in arch)

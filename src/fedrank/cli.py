@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import ARCH_PRESETS, comm_cost, sweep_bound
-from .config import ConfigError, config_to_flat_dict, parse_config
+from .analytics import ARCH_PRESETS, MIB, comm_cost, sweep_bound
+from .config import config_to_flat_dict, parse_config
 from .protocols import RoundRecord, build_environment, run_experiment
 
 OUT_DIR_ENV = "FEDRANK_OUT_DIR"
@@ -55,58 +55,55 @@ def records_to_csv(records: list[RoundRecord]) -> str:
     for r in records:
         lines.append(",".join([
             str(r.round), _f(r.mean_acc), _f(r.std_acc), _f(r.min_acc),
-            _f(r.max_acc), _f(r.upload_bits / (8 * 2**20)),
-            _f(r.download_bits / (8 * 2**20)),
+            _f(r.max_acc), _f(r.upload_bits / MIB), _f(r.download_bits / MIB),
         ]))
     return "\n".join(lines) + "\n"
 
 
+def _fail(exc: Exception) -> int:
+    """A user error: one ``error:`` line and exit code 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _parsed(key: str, conv, items: list[str]) -> list:
+    """``conv`` of each item; a bad item is a ValueError naming ``key``."""
+    try:
+        return [conv(v) for v in items]
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         cfg = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed_override is not None:
-        cfg.seed = args.seed_override
-        try:
+        if args.seed_override is not None:
+            cfg.seed = args.seed_override
             cfg.validate()
-        except ValueError as exc:
-            print(f"error: seed: {exc}", file=sys.stderr)
-            return 2
-    try:
         env = build_environment(cfg)  # loads and partitions the data before any output
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
-    manifest_path = out_dir / "manifest.json"
-    records_path = out_dir / "records.jsonl"
-    summary_path = out_dir / "summary.csv"
-
-    sizes = [len(tr) + len(te) for tr, te in zip(env.shards.train, env.shards.test)]
-    manifest = {
-        "config": config_to_flat_dict(cfg),
-        "version": __version__,
-        "workers": args.workers,
-        # The partition's gammas come from numpy's log and cos.
-        "shards": {"undersized": env.shards.undersized, "min": min(sizes),
-                   "median": statistics.median(sizes), "max": max(sizes),
-                   "python": platform.python_version(), "numpy": np.__version__},
-        "started": _now(),
-        "finished": None,
-        "outputs": {"records": records_path.name, "summary": summary_path.name},
-    }
-    try:
+        out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+        manifest_path = out_dir / "manifest.json"
+        records_path = out_dir / "records.jsonl"
+        summary_path = out_dir / "summary.csv"
+        sizes = [len(tr) + len(te) for tr, te in zip(env.shards.train, env.shards.test)]
+        manifest = {
+            "config": config_to_flat_dict(cfg),
+            "version": __version__,
+            "workers": args.workers,
+            # The partition's gammas come from numpy's log and cos.
+            "shards": {"undersized": env.shards.undersized, "min": min(sizes),
+                       "median": statistics.median(sizes), "max": max(sizes),
+                       "python": platform.python_version(), "numpy": np.__version__},
+            "started": _now(),
+            "finished": None,
+            "outputs": {"records": records_path.name, "summary": summary_path.name},
+        }
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, OSError) as exc:
+        return _fail(exc)
 
     records = run_experiment(cfg, workers=args.workers, env=env)
 
@@ -124,18 +121,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit(text: str, out: str | None) -> int:
-    """Write ``text`` to the file ``out``, or to stdout without one; an
-    unwritable file is one ``error:`` line and exit code 2."""
-    if not out:
-        sys.stdout.write(text)
-        return 0
-    try:
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
+    if out:
         Path(out).write_text(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    else:
+        sys.stdout.write(text)
 
 
 def bound_csv(n: int, p_min: float, p_max: float, p_steps: int,
@@ -148,23 +139,15 @@ def bound_csv(n: int, p_min: float, p_max: float, p_steps: int,
 
 def cmd_bound(args: argparse.Namespace) -> int:
     try:
-        alphas = [float(a) for a in args.alpha.split(",") if a.strip() != ""]
-    except ValueError as exc:
-        print(f"error: alpha: {exc}", file=sys.stderr)
-        return 2
-    if not alphas:
-        print("error: alpha list is empty", file=sys.stderr)
-        return 2
-    if args.p_steps < 1 or not (0 < args.p_min <= args.p_max < 1):
-        print("error: p grid must satisfy 0 < p_min <= p_max < 1 and p_steps >= 1",
-              file=sys.stderr)
-        return 2
-    try:
-        text = bound_csv(args.n, args.p_min, args.p_max, args.p_steps, alphas)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit(text, args.out)
+        alphas = _parsed("alpha", float, [a for a in args.alpha.split(",") if a.strip() != ""])
+        if not alphas:
+            raise ValueError("alpha list is empty")
+        if args.p_steps < 1 or not (0 < args.p_min <= args.p_max < 1):
+            raise ValueError("p grid must satisfy 0 < p_min <= p_max < 1 and p_steps >= 1")
+        _emit(bound_csv(args.n, args.p_min, args.p_max, args.p_steps, alphas), args.out)
+    except (ValueError, OSError) as exc:
+        return _fail(exc)
+    return 0
 
 
 def commcost_csv(arch_name: str, counts: list[int]) -> str:
@@ -176,28 +159,20 @@ def commcost_csv(arch_name: str, counts: list[int]) -> str:
 
 
 def cmd_commcost(args: argparse.Namespace) -> int:
-    if bool(args.preset) == bool(args.counts):
-        print("error: provide exactly one of --preset or --counts", file=sys.stderr)
-        return 2
-    if args.preset:
-        if args.preset not in ARCH_PRESETS:
-            print(f"error: unknown preset {args.preset!r}; choices: "
-                  f"{', '.join(sorted(ARCH_PRESETS))}", file=sys.stderr)
-            return 2
-        name, counts = args.preset, ARCH_PRESETS[args.preset]
-    else:
-        try:
-            counts = [int(v) for v in args.counts.split(",")]
-        except ValueError as exc:
-            print(f"error: counts: {exc}", file=sys.stderr)
-            return 2
-        name = "custom"
     try:
-        text = commcost_csv(name, counts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _emit(text, args.out)
+        if bool(args.preset) == bool(args.counts):
+            raise ValueError("provide exactly one of --preset or --counts")
+        if args.counts:
+            name, counts = "custom", _parsed("counts", int, args.counts.split(","))
+        elif args.preset in ARCH_PRESETS:
+            name, counts = args.preset, ARCH_PRESETS[args.preset]
+        else:
+            raise ValueError(f"unknown preset {args.preset!r}; choices: "
+                             f"{', '.join(sorted(ARCH_PRESETS))}")
+        _emit(commcost_csv(name, counts), args.out)
+    except (ValueError, OSError) as exc:
+        return _fail(exc)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

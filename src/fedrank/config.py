@@ -8,7 +8,6 @@ written as comma-separated ``fan_inxfan_out:activation`` entries, e.g.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 from .adversary import AttackKind, OmegaKind
@@ -119,8 +118,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             if conv in (int, float):
                 raise ConfigError(f"{key}: cannot parse {text!r} as {conv.__name__}") from exc
             raise ConfigError(f"{key}: {exc}") from exc
-        if conv is float and not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {text!r}")
         setattr(getattr(cfg, part) if part else cfg, attr, value)
     foreign = _foreign_prefix(cfg.dataset.kind)
     for key in raw:

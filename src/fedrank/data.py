@@ -76,60 +76,9 @@ def gen_blobs(num_classes: int, dims: int, samples_per_class: int,
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
-def _trial_draws(rng: RngStream, size: int):
-    """Yield ``(x, u)`` for each next word of ``rng``, leaving its counter
-    just past the word yielded.
-
-    ``u`` is the word's ``uniform`` value and ``x`` the first ``normal`` of
-    the word and the one after, by the expressions of :class:`RngStream`,
-    so each is bit-equal to a one-value draw there.  Words are computed
-    ``size`` at a time.
-    """
-    while True:
-        at = rng._counter
-        top = rng.next_u64(size) >> np.uint64(11)
-        u = top.astype(np.float64) * 2.0**-53
-        u1 = (top[:-1].astype(np.float64) + 1.0) * 2.0**-53
-        x = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u[1:])
-        for end, xu in enumerate(zip(x.tolist(), u.tolist()), at + 1):
-            rng._counter = end
-            yield xu
-
-
 def dirichlet_proportions(alpha: float, n: int, rng: RngStream) -> np.ndarray:
-    """Dirichlet(alpha) over ``n`` parts from Marsaglia-Tsang gammas.
-
-    A gamma trial reads a normal ``x`` from 2 words and, unless
-    ``v = (1 + c x)^3 <= 0``, a uniform ``u`` from a third; ``u == 0``
-    rejects the trial.  For ``alpha < 1`` each gamma first reads a nonzero
-    boost uniform ``b`` and is Gamma(alpha + 1) * b^(1 / alpha).  The
-    trials walk blocks of precomputed draws (see ``_trial_draws``).
-    """
-    shape = alpha + 1.0 if alpha < 1.0 else alpha
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    # A gamma takes about 3.1 words (4.1 with the boost): one block
-    # usually covers every gamma for alpha >= 1.
-    draws = _trial_draws(rng, 4 * n + 8)
-    gammas = []
-    for _ in range(n):
-        boost = 1.0
-        if alpha < 1.0:
-            b = 0.0
-            while b == 0.0:
-                _, b = next(draws)
-            boost = b ** (1.0 / alpha)
-        while True:
-            x, _ = next(draws)
-            next(draws)
-            v = (1.0 + c * x) ** 3
-            if v <= 0.0:
-                continue
-            _, u = next(draws)
-            if u != 0.0 and math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-                break
-        gammas.append(d * v * boost)
-    gammas = np.array(gammas)
+    """Dirichlet(alpha) over ``n`` parts: ``rng.gamma`` normalised (equal if all 0)."""
+    gammas = rng.gamma(alpha, n)
     total = gammas.sum()
     if total == 0.0:
         return np.full(n, 1.0 / n)
@@ -167,8 +116,6 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
     labels = np.asarray(labels, dtype=np.int64)
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     classes = np.unique(labels)
     for _ in range(_REROLL_LIMIT + 1):
         shards: list[list[int]] = [[] for _ in range(num_clients)]
@@ -195,31 +142,29 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
     return ClientShards(train=train, test=test, undersized=undersized)
 
 
+def _read_idx(path: str, magic: int, unit: str) -> tuple[list[int], bytes]:
+    """Dimension sizes and body of an IDX file: big-endian ``magic`` (low byte:
+    the dimension count), one uint32 size per dimension, one byte per ``unit``."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    head = 4 * (1 + (magic & 0xFF))
+    if len(raw) < head:
+        raise IdxFormatError(f"{path}: truncated header")
+    got, *sizes = struct.unpack(f">{head // 4}I", raw[:head])
+    if got != magic:
+        raise IdxFormatError(f"{path}: bad magic 0x{got:08x}")
+    if len(raw) - head != math.prod(sizes):
+        raise IdxFormatError(f"{path}: expected {math.prod(sizes)} {unit}, got {len(raw) - head}")
+    return sizes, raw[head:]
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse an IDX image/label file pair; pixels scaled to [0, 1]."""
-    with open(images_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise IdxFormatError(f"{images_path}: truncated header")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxFormatError(f"{images_path}: bad magic 0x{magic:08x}")
-    body = raw[16:]
-    if len(body) != count * rows * cols:
-        raise IdxFormatError(f"{images_path}: expected {count * rows * cols} pixels, got {len(body)}")
-    features = np.frombuffer(body, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
-
-    with open(labels_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8:
-        raise IdxFormatError(f"{labels_path}: truncated header")
-    magic, label_count = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxFormatError(f"{labels_path}: bad magic 0x{magic:08x}")
-    if len(raw) - 8 != label_count:
-        raise IdxFormatError(f"{labels_path}: expected {label_count} labels, got {len(raw) - 8}")
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, "pixels")
+    (label_count,), raw_labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels")
     if label_count != count:
         raise IdxFormatError(f"image/label count mismatch: {count} vs {label_count}")
-    labels = np.frombuffer(raw[8:], dtype=np.uint8).astype(np.int64)
+    features = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
+    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if label_count else 0
     return Dataset(features=features, labels=labels, num_classes=num_classes)

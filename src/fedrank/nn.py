@@ -14,6 +14,7 @@ parameters stay float32.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,14 @@ class LayerSpec:
         return self.fan_in * self.fan_out
 
 
+def require_finite(obj, *names: str) -> None:
+    """Raise unless each named attribute of ``obj`` is None or finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value!r}")
+
+
 @dataclass
 class SgdConfig:
     """Minibatch SGD settings (momentum and weight decay apply to scores)."""
@@ -54,6 +63,7 @@ class SgdConfig:
         self.validate()
 
     def validate(self) -> None:
+        require_finite(self, "learning_rate", "weight_decay")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -272,9 +282,10 @@ def _train(params: list[np.ndarray], grads_of, batches: list[Minibatch], epochs:
     return params
 
 
-def _accuracy(specs: list[LayerSpec], weights: list[np.ndarray],
-              inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions; a NaN logit never wins."""
+def evaluate(specs: list[LayerSpec], weights: list[np.ndarray],
+             inputs: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions under the effective float64
+    ``weights`` (``masked_weights`` for edge-popup); a NaN logit never wins."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) == 0:
         raise ValueError("dataset is empty")
@@ -291,12 +302,9 @@ def ep_forward(net: Supernetwork, k: float, batch: Minibatch) -> tuple[np.ndarra
     return forward(net.specs, masked_weights(net, k), batch)
 
 
-def ep_backward(net: Supernetwork, k: float, batch: Minibatch,
-                cache: ForwardCache) -> list[np.ndarray]:
-    """Score gradients per layer: dL/dW_eff times W, for every edge (the
-    mask is treated as identity)."""
-    if cache.batch is not batch:
-        raise ValueError("forward cache does not belong to this batch")
+def ep_backward(net: Supernetwork, cache: ForwardCache) -> list[np.ndarray]:
+    """Score gradients per layer from :func:`ep_forward`'s cache: dL/dW_eff
+    times W, for every edge (the mask is treated as identity)."""
     grads = backward(net.specs, cache)
     for g, w in zip(grads, net.weights):
         g *= w
@@ -309,17 +317,9 @@ def edge_popup_train(net: Supernetwork, batches: list[Minibatch], epochs: int,
     Returns the (mutated) score matrices."""
     def grads_of(batch: Minibatch) -> list[np.ndarray]:
         _, cache = ep_forward(net, k, batch)
-        return ep_backward(net, k, batch, cache)
+        return ep_backward(net, cache)
 
     return _train(net.scores, grads_of, batches, epochs, sgd, rng)
-
-
-def evaluate(net: Supernetwork, k: float, inputs: np.ndarray, labels: np.ndarray,
-             weights: list[np.ndarray] | None = None) -> float:
-    """Accuracy under the current mask; ``weights`` are ``masked_weights(net, k)``
-    when the caller already has them, to evaluate many sets under one mask."""
-    return _accuracy(net.specs, masked_weights(net, k) if weights is None else weights,
-                     inputs, labels)
 
 
 # --- Dense (weight-trained) entries for the baseline protocols ---------------
@@ -342,7 +342,7 @@ def dense_train(weights: list[np.ndarray], specs: list[LayerSpec],
 
 def dense_evaluate(weights: list[np.ndarray], specs: list[LayerSpec],
                    inputs: np.ndarray, labels: np.ndarray) -> float:
-    return _accuracy(specs, [w.astype(np.float64) for w in weights], inputs, labels)
+    return evaluate(specs, [w.astype(np.float64) for w in weights], inputs, labels)
 
 
 def flatten_params(mats: list[np.ndarray]) -> np.ndarray:

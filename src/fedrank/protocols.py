@@ -34,8 +34,8 @@ from .analytics import CostReport, comm_cost
 from .data import ClientShards, Dataset, dirichlet_partition, gen_blobs, load_idx
 from .nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                  dense_evaluate, dense_train, edge_popup_train, evaluate,
-                 flatten_params, masked_weights, unflatten_params,
-                 validate_architecture)
+                 flatten_params, masked_weights, require_finite,
+                 unflatten_params, validate_architecture)
 from .ranking import NetworkRanking, keep_count, vote_network
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
 
@@ -97,6 +97,8 @@ class ExperimentConfig:
         self.algorithm = Algorithm(self.algorithm)
         self.aggregator = Aggregator(self.aggregator)
         self.weight_init = InitKind(self.weight_init)
+        require_finite(self, "server_lr", "dirichlet_alpha")
+        require_finite(self.dataset, "blob_cluster_std", "blob_separation")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if not 1 <= self.clients_per_round <= self.num_clients:
@@ -277,9 +279,8 @@ def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
     Each test set keeps its own forward pass: one matmul over all of them
     could take another BLAS kernel and change the bytes.
     """
-    net = state.seed_net.rebuild(state.ranking)
-    weights = masked_weights(net, cfg.subnet_fraction)
-    accs = [evaluate(net, cfg.subnet_fraction, feats, labels, weights)
+    weights = masked_weights(state.seed_net.rebuild(state.ranking), cfg.subnet_fraction)
+    accs = [evaluate(cfg.architecture, weights, feats, labels)
             for feats, labels in env.test_sets if len(labels)]
     return np.asarray(accs)
 

@@ -223,13 +223,6 @@ def truncate_ranking(r: LayerRanking, s: float) -> SparseLayerRanking:
     return SparseLayerRanking(top=r[len(r) - keep :], n=len(r))
 
 
-def top_edges(r: LayerRanking, k: float) -> set[int]:
-    """Edges inside the subnetwork at fraction ``k``: the ranking's suffix."""
-    r = np.asarray(r, dtype=np.int64)
-    keep = keep_count(len(r), k)
-    return {int(e) for e in r[len(r) - keep :]}
-
-
 # --- Wire form -------------------------------------------------------------
 #
 # Per layer: each rank is a fixed-width big-endian unsigned integer of
@@ -285,7 +278,6 @@ def decode_entries(data: bytes, count: int, n: int) -> np.ndarray:
 
 
 def encode_layer_ranking(r: LayerRanking) -> bytes:
-    r = np.asarray(r, dtype=np.int64)
     return encode_entries(r, len(r))
 
 

@@ -55,6 +55,15 @@ def _fin_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Floats in [0, 1) from raw words: the top 53 bits times 2**-53.
+    Shifts ``words`` in place, so it allocates only the float array."""
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
 def _fold(key: int, tag: int) -> int:
     return _fin(key ^ _fin(tag + _GAMMA))
 
@@ -78,15 +87,14 @@ class RngStream:
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``n`` float64 samples uniform on [low, high)."""
-        u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return low + (high - low) * u
+        return low + (high - low) * _unit(self.next_u64(n))
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard-normal float64 samples via Box-Muller."""
         pairs = (n + 1) // 2
-        # u1 in (0, 1] so the log is finite; u2 in [0, 1).
-        u1 = ((self.next_u64(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self.next_u64(pairs) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u1 = _unit(self.next_u64(pairs))
+        u1 += 2.0**-53  # (0, 1], so the log is finite
+        u2 = _unit(self.next_u64(pairs))
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         out = np.empty(2 * pairs)
@@ -155,6 +163,53 @@ class RngStream:
             vals[i], vals[i + j] = vals[i + j], vals[i]
         return np.array(vals[:k], dtype=np.int64)
 
+    def gamma(self, alpha: float, n: int) -> np.ndarray:
+        """``n`` Gamma(alpha) float64 samples by Marsaglia-Tsang.
+
+        A trial reads a normal ``x`` from 2 words and, unless
+        ``v = (1 + c x)^3 <= 0``, a uniform ``u`` from a third; ``u == 0``
+        rejects the trial.  For ``alpha < 1`` each sample first reads a
+        nonzero boost uniform ``b`` and is Gamma(alpha + 1) * b^(1 / alpha).
+        ``x`` and ``u`` equal one-value draws at their words but come a block
+        at a time; the stream ends just past the last word read.
+        """
+        def draws(size: int):  # per word: (normal of it and the next, uniform of it)
+            while True:
+                at = self._counter
+                u = _unit(self.next_u64(size))
+                x = np.sqrt(-2.0 * np.log(u[:-1] + 2.0**-53)) * np.cos(2.0 * np.pi * u[1:])
+                for end, xu in enumerate(zip(x.tolist(), u.tolist()), at + 1):
+                    self._counter = end
+                    yield xu
+
+        if not 0 < alpha < math.inf:  # a NaN or infinite alpha rejects every trial
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+        shape = alpha + 1.0 if alpha < 1.0 else alpha
+        d = shape - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        # A sample takes about 3.1 words (4.1 with the boost): one block
+        # usually covers every sample for alpha >= 1.
+        walk = draws(4 * n + 8)
+        out = np.empty(n)
+        for i in range(n):
+            boost = 1.0
+            if alpha < 1.0:
+                b = 0.0
+                while b == 0.0:
+                    _, b = next(walk)
+                boost = b ** (1.0 / alpha)
+            while True:
+                x, _ = next(walk)
+                next(walk)
+                v = (1.0 + c * x) ** 3
+                if v <= 0.0:
+                    continue
+                _, u = next(walk)
+                if u != 0.0 and math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+                    break
+            out[i] = d * v * boost
+        return out
+
     def child(self, *tags: int) -> "RngStream":
         """Derive an independent stream; a pure function of (key, tags)."""
         key = self._key
@@ -202,11 +257,9 @@ def init_weights(shape: tuple[int, int], kind: InitKind, rng: RngStream) -> np.n
         sigma = math.sqrt(2.0 / fan_in)
         bits = rng.next_u64(n) & np.uint64(1)
         vals = np.where(bits == 1, sigma, -sigma)
-    elif kind is InitKind.KAIMING_UNIFORM:
+    else:  # kaiming_uniform
         b = math.sqrt(6.0 / fan_in)
         vals = rng.uniform(n, -b, b)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown init kind {kind}")
     return vals.astype(np.float32).reshape(fan_out, fan_in)
 
 

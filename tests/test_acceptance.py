@@ -19,7 +19,7 @@ from fedrank.nn import LayerSpec, Minibatch, SgdConfig, Supernetwork, ep_backwar
 from fedrank.protocols import (ROUND_FUNCTIONS, Aggregator, Algorithm, DatasetSpec,
                                ExperimentConfig, build_environment,
                                fsl_round, initial_state, run_experiment)
-from fedrank.ranking import top_edges, vote
+from fedrank.ranking import truncate_ranking, vote
 from fedrank.rng import InitKind, derive
 
 from test_nn import oracle_backward
@@ -133,7 +133,7 @@ def test_criterion_2_vote_fixture():
         result, tally = vote([r1, r2, r3])
         assert tally.tolist() == [2, 12, 3, 11, 8, 9]
         assert result.tolist() == [0, 2, 4, 5, 3, 1]
-        assert top_edges(r1, 0.5) == {3, 5, 1}
+        assert truncate_ranking(r1, 0.5).top.tolist() == [3, 5, 1]
 
 
 # --- 3: failure bound --------------------------------------------------------
@@ -177,7 +177,7 @@ def test_criterion_4_gradient_oracle():
             k = (0.3, 0.5, 0.8)[trial % 3]
             batch = Minibatch(x, labels)
             _, cache = ep_forward(net, k, batch)
-            got = ep_backward(net, k, batch, cache)
+            got = ep_backward(net, cache)
             want = oracle_backward(net.weights, net.scores,
                                    [sp.activation for sp in specs], k, x, labels)
             for g, w in zip(got, want):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedrank.analytics import (ARCH_PRESETS, comm_cost, failure_upper_bound,
-                               ideal_rank_bits, rank_payload_bits, sweep_bound)
+                               rank_payload_bits, sweep_bound)
 
 
 class TestFailureBound:
@@ -126,16 +126,3 @@ class TestCommCost:
             comm_cost([10], "sparse_fsl", 1.5)
         with pytest.raises(ValueError):
             comm_cost([10], "topk", 0.0)
-
-
-class TestIdealRankBits:
-    def test_single_edge(self):
-        assert ideal_rank_bits([1]) == 0.0
-
-    def test_six_edges(self):
-        assert ideal_rank_bits([6]) == pytest.approx(math.log2(720), abs=1e-9)
-
-    def test_never_exceeds_naive(self):
-        for counts in ARCH_PRESETS.values():
-            for n in counts:
-                assert ideal_rank_bits([n]) <= n * max((n - 1).bit_length(), 0) + 1e-9

@@ -190,6 +190,21 @@ class TestRun:
         manifest = json.loads((tmp_path / "b/manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
 
+    def test_seed_override_out_of_range_rejected(self, tmp_path, capsys):
+        rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o"),
+                   "--seed-override", "4294967296"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must fit in 32 bits\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_training_failure_propagates(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("training failed")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        with pytest.raises(ValueError, match="training failed"):
+            main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")])
+
     def test_out_dir_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDRANK_OUT_DIR", str(tmp_path / "envout"))
         rc = main(["run", "--config", write_cfg(tmp_path)])
@@ -254,6 +269,12 @@ class TestBound:
                    "--p-steps", "3", "--alpha", ""])
         assert rc == 2
 
+    def test_unparsable_alpha_named(self, capsys):
+        rc = main(["bound", "--n", "25", "--p-min", "0.6", "--p-max", "0.9",
+                   "--p-steps", "3", "--alpha", "0.1,x"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: alpha: could not convert string to float: 'x'\n"
+
     def test_bad_p_range(self, capsys):
         rc = main(["bound", "--n", "25", "--p-min", "0.9", "--p-max", "0.6",
                    "--p-steps", "3", "--alpha", "0.1"])
@@ -307,6 +328,24 @@ class TestCommcost:
         rc = main(["commcost", "--preset", "alexnet"])
         assert rc == 2
         assert "alexnet" in capsys.readouterr().err
+
+    def test_unparsable_count_named(self, capsys):
+        rc = main(["commcost", "--counts", "10,x"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: counts: invalid literal for int() with base 10: 'x'\n"
+        assert captured.out == ""
+
+    def test_layer_wider_than_the_codec_rejected(self, capsys):
+        # 2**32 edges is the widest layer rank_bit_width accepts.
+        assert main(["commcost", "--counts", str(2**32)]) == 0
+        capsys.readouterr()
+        rc = main(["commcost", "--counts", f"10,{2**32 + 1}"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == ("error: layer must have between 1 and 2**32 edges, "
+                                f"got {2**32 + 1}\n")
+        assert captured.out == ""
 
     def test_schema_golden(self, capsys):
         main(["commcost", "--counts", "1"])

@@ -100,6 +100,14 @@ class TestDirichletPartition:
         with pytest.raises(ValueError):
             dirichlet_partition(np.array([0, 1]), 2, 0.0, derive(1, []))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # Every gamma trial would be rejected: the draw would never return.
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            dirichlet_partition(np.array([0, 1]), 2, alpha, derive(1, []))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            RngStream(1).gamma(alpha, 3)
+
 
 def per_step_gamma(shape, rng):
     """The scalar Marsaglia-Tsang sampler the block walk replaces."""

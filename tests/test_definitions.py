@@ -2,10 +2,11 @@
 
 A module-level function or class, or a method, that nothing but its own
 body and the tests name is dead code.  A reader is an identifier or
-attribute of that name in ``src/fedrank`` or ``bench/*.py``, a name inside
-a ``bench/`` string (the tracer's ``module:Class.method`` targets are
-strings) or a name that ``fedrank/__init__.py`` imports.  Strings in
-``src/``, docstrings included, are no readers.
+attribute of that name in ``src/fedrank`` or ``bench/*.py``, or a name
+inside a ``bench/`` string (the tracer's ``module:Class.method`` targets
+are strings).  Strings in ``src/``, docstrings included, are no readers,
+and neither is a re-export from ``fedrank/__init__.py``: a name that only
+the package exports is read by nothing but the tests.
 """
 
 import ast
@@ -41,7 +42,7 @@ def code_names(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def unread(sources: dict[str, str], bench_sources: list[str], exported: set[str]) -> list[str]:
+def unread(sources: dict[str, str], bench_sources: list[str]) -> list[str]:
     """``module.name`` of each definition in ``sources`` (module name to
     text) that has no reader."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
@@ -49,7 +50,7 @@ def unread(sources: dict[str, str], bench_sources: list[str], exported: set[str]
     for module, tree in trees.items():
         for name, line in code_names(tree):
             read_at[name].append((module, line))
-    outside = set(exported)
+    outside = set()
     for text in bench_sources:
         tree = ast.parse(text)
         outside.update(name for name, _ in code_names(tree))
@@ -68,15 +69,16 @@ def test_finds_definitions_only_their_own_bodies_read():
               "def dead(n):\n    return dead(n - 1) + used()\n\n"
               "class A:\n    def __init__(self):\n        self.m()\n\n"
               "    def m(self):\n        return self.m()\n")
-    assert unread({"mod": source}, [], set()) == ["mod.dead", "mod.A"]
-    assert unread({"mod": source}, ['TARGET = "fedrank.mod:A.m"'], {"dead"}) == []
-    assert unread({"mod": source.replace("self.m()\n\n", "pass\n\n")}, [],
-                  {"A", "dead"}) == ["mod.A.m"]
+    assert unread({"mod": source}, []) == ["mod.dead", "mod.A"]
+    assert unread({"mod": source}, ['TARGET = "fedrank.mod:A.m"', "dead(3)"]) == []
+    assert unread({"mod": source.replace("self.m()\n\n", "pass\n\n")},
+                  ["A(); dead(1)"]) == ["mod.A.m"]
+    # A re-export is no reader.
+    exports = "from .mod import dead, used\n"
+    assert unread({"mod": source, "__init__": exports}, []) == ["mod.dead", "mod.A"]
 
 
 def test_every_definition_has_a_reader():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    exported = {alias.name for node in ast.walk(ast.parse(sources["__init__"]))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
     bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
-    assert unread(sources, bench, exported) == []
+    assert unread(sources, bench) == []

@@ -197,7 +197,7 @@ class TestBackward:
         net = random_net(derive(26, []), [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")])
         batch = Minibatch(np.zeros((5, 3)), np.array([0, 1, 0, 1, 0]))
         _, cache = ep_forward(net, 0.5, batch)
-        grads = ep_backward(net, 0.5, batch, cache)
+        grads = ep_backward(net, cache)
         assert np.allclose(grads[0], 0.0)
 
     def test_matches_oracle_two_layers(self):
@@ -209,7 +209,7 @@ class TestBackward:
             labels = rng.integers_below(3, 7)
             batch = Minibatch(x, labels)
             _, cache = ep_forward(net, 0.5, batch)
-            grads = ep_backward(net, 0.5, batch, cache)
+            grads = ep_backward(net, cache)
             expected = oracle_backward(net.weights, net.scores,
                                        [sp.activation for sp in specs], 0.5, x, labels)
             for g, e in zip(grads, expected):
@@ -228,18 +228,10 @@ class TestBackward:
                 x = rng.uniform(rows * specs[0].fan_in, -2, 2).reshape(rows, -1)
                 batch = Minibatch(x, rng.integers_below(specs[-1].fan_out, rows))
                 _, cache = ep_forward(net, 1.0, batch)
-                got = ep_backward(net, 1.0, batch, cache)
+                got = ep_backward(net, cache)
                 dense = dense_weight_grads(net.weights, specs, batch)
                 for g, d, w in zip(got, dense, net.weights):
                     assert g.tobytes() == (d * w.astype(np.float64)).tobytes()
-
-    def test_stale_cache_rejected(self):
-        net = random_net(derive(28, []), [LayerSpec(3, 2, "identity")])
-        b1 = Minibatch(np.ones((2, 3)), np.array([0, 1]))
-        b2 = Minibatch(np.ones((2, 3)), np.array([0, 1]))
-        _, cache = ep_forward(net, 0.5, b1)
-        with pytest.raises(ValueError):
-            ep_backward(net, 0.5, b2, cache)
 
 
 class TestTrain:
@@ -256,7 +248,7 @@ class TestTrain:
         before = [s.copy() for s in net.scores]
         batch = batches[0]
         _, cache = ep_forward(net, 0.5, batch)
-        grads = ep_backward(net, 0.5, batch, cache)
+        grads = ep_backward(net, cache)
         net2 = Supernetwork(net.specs, list(net.weights), before)
         edge_popup_train(net2, [batch], 1, 0.5, SgdConfig(0.1, 0.0, 0.0, 8), derive(1, []))
         for b, g, after in zip(before, grads, net2.scores):
@@ -318,7 +310,7 @@ class TestTrain:
         batches = [Minibatch(ds.features[i : i + 8], ds.labels[i : i + 8])
                    for i in range(0, len(ds.labels), 8)]
         edge_popup_train(net, batches, 20, 0.5, SgdConfig(0.4, 0.9, 1e-4, 8), derive(34, []))
-        assert evaluate(net, 0.5, ds.features, ds.labels) > 0.9
+        assert evaluate(net.specs, masked_weights(net, 0.5), ds.features, ds.labels) > 0.9
 
     def test_k_one_mask_equals_untrained(self):
         net, batches = self._tiny_problem(seed=35)
@@ -336,13 +328,14 @@ class TestEvaluate:
                            weights=[np.array([[1.0, 1.0], [0.0, 0.0]])],
                            scores=[np.array([[1.0, 1.0], [0.0, 0.0]])])
         x = np.abs(derive(36, []).uniform(10).reshape(5, 2)) + 0.1
-        assert evaluate(net, 1.0, x, np.zeros(5, dtype=int)) == 1.0
+        assert evaluate(net.specs, masked_weights(net, 1.0), x, np.zeros(5, dtype=int)) == 1.0
 
     def test_single_wrong_sample(self):
         net = Supernetwork([LayerSpec(2, 2, "identity")],
                            weights=[np.array([[1.0, 1.0], [0.0, 0.0]])],
                            scores=[np.array([[1.0, 1.0], [0.0, 0.0]])])
-        assert evaluate(net, 1.0, np.array([[1.0, 1.0]]), np.array([1])) == 0.0
+        weights = masked_weights(net, 1.0)
+        assert evaluate(net.specs, weights, np.array([[1.0, 1.0]]), np.array([1])) == 0.0
 
     def test_matches_hand_count(self):
         rng = derive(37, [])
@@ -351,12 +344,13 @@ class TestEvaluate:
         labels = rng.integers_below(3, 10)
         logits, _ = ep_forward(net, 0.5, Minibatch(x, labels))
         expected = sum(1 for i in range(10) if int(np.argmax(logits[i])) == labels[i]) / 10
-        assert evaluate(net, 0.5, x, labels) == expected
+        assert evaluate(net.specs, masked_weights(net, 0.5), x, labels) == expected
 
     def test_empty_dataset_rejected(self):
         net = random_net(derive(38, []), [LayerSpec(2, 2, "identity")])
         with pytest.raises(ValueError):
-            evaluate(net, 0.5, np.zeros((0, 2)), np.zeros(0, dtype=int))
+            evaluate(net.specs, masked_weights(net, 0.5), np.zeros((0, 2)),
+                     np.zeros(0, dtype=int))
 
 
 class TestAccuracyRule:
@@ -373,7 +367,7 @@ class TestAccuracyRule:
         weights = masked_weights(net, 1.0)
         logits, _ = forward(net.specs, weights, Minibatch(self.X, self.LABELS))
         assert np.isnan(logits[:, 2]).all()
-        assert evaluate(net, 1.0, self.X, self.LABELS, weights) == 1.0
+        assert evaluate(net.specs, weights, self.X, self.LABELS) == 1.0
 
     def test_dense_evaluate(self):
         weights = [w.astype(np.float32) for w in self.WEIGHTS]

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -73,6 +74,19 @@ class TestConfigValidation:
     def test_topk_average_only(self):
         with pytest.raises(ValueError):
             tiny_config(algorithm=Algorithm.TOPK, aggregator=Aggregator.MULTI_KRUM)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("part, key", [
+        (None, "server_lr"), (None, "dirichlet_alpha"),
+        ("sgd", "learning_rate"), ("sgd", "weight_decay"),
+        ("attack", "scale_factor"), ("attack", "gamma_init"),
+        ("dataset", "blob_cluster_std"), ("dataset", "blob_separation")])
+    def test_non_finite_float_rejected(self, part, key, value):
+        # A NaN dirichlet_alpha would make every gamma trial reject.
+        cfg = ExperimentConfig()
+        setattr(getattr(cfg, part) if part else cfg, key, value)
+        with pytest.raises(ValueError, match=f"^{key}: must be finite, got {value!r}$"):
+            cfg.validate()
 
 
 class TestSampling:

@@ -9,7 +9,7 @@ from fedrank.ranking import (SparseLayerRanking, _check_permutation, argsort_ran
                              encode_entries, encode_layer_ranking, encode_sparse_ranking,
                              keep_count, rank_bit_width,
                              reorder_scores, reverse_ranking, sparse_vote,
-                             stable_order, top_edges, truncate_ranking, vote)
+                             stable_order, truncate_ranking, vote)
 from fedrank.rng import derive
 
 # Worked single-round example: three client rankings over a 6-edge layer
@@ -339,14 +339,7 @@ class TestReverse:
 
 
 class TestTopEdges:
-    def test_worked_example(self):
-        assert top_edges(R1, 0.5) == {3, 5, 1}
-
-    def test_k_one_all_edges(self):
-        assert top_edges(R1, 1.0) == set(range(6))
-
-    def test_k_zero_empty(self):
-        assert top_edges(R1, 0.0) == set()
+    """The subnetwork at fraction k is the ranking's suffix of keep_count edges."""
 
     def test_keep_count_matches_exact_arithmetic(self):
         from fractions import Fraction
@@ -364,7 +357,7 @@ class TestTopEdges:
             scores = rng.uniform(n)
             k = (trial % 9 + 1) / 10
             support = {int(i) for i in np.flatnonzero(mask_layer(scores, k))}
-            assert top_edges(argsort_ranking(scores), k) == support
+            assert set(truncate_ranking(argsort_ranking(scores), k).top.tolist()) == support
 
 
 class TestWireEncoding:

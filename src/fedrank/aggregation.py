@@ -85,11 +85,9 @@ def select_from_distances(sq: np.ndarray, client_ids: list[int], f: int) -> list
     n = len(sq)
     if n < f + 3:
         raise ValueError(f"multi-krum needs at least f + 3 = {f + 3} updates, got {n}")
-    closest = n - f - 2
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.delete(sq[i], i)
-        scores[i] = np.sort(others)[:closest].sum()
+    # Each row's 0.0 self-distance sorts first (NaN sorts last), so the
+    # n - f - 2 nearest peers follow it.
+    scores = np.sort(sq, axis=1)[:, 1 : n - f - 1].sum(axis=1)
     order = np.lexsort((np.asarray(client_ids), scores))
     return sorted(int(i) for i in order[: n - f])
 

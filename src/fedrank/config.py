@@ -12,7 +12,7 @@ from enum import Enum
 
 from .adversary import AttackKind, OmegaKind
 from .nn import LayerSpec
-from .protocols import DATASET_KINDS, Aggregator, Algorithm, ExperimentConfig
+from .protocols import Aggregator, Algorithm, DatasetKind, ExperimentConfig
 from .rng import InitKind
 
 
@@ -37,12 +37,6 @@ def format_architecture(layers: list[LayerSpec]) -> str:
     return ",".join(f"{sp.fan_in}x{sp.fan_out}:{sp.activation}" for sp in layers)
 
 
-def _dataset_kind(text: str) -> str:
-    if text not in DATASET_KINDS:
-        raise ValueError(f"{text!r} is not a valid dataset kind ({', '.join(DATASET_KINDS)})")
-    return text
-
-
 # key -> (part of ExperimentConfig or None for the top level, attribute,
 # converter from the file's text), in the order config_to_flat_dict writes
 # them.
@@ -64,7 +58,7 @@ _FIELDS: dict[str, tuple[str | None, str, object]] = {
     "eval_every": (None, "eval_every", int),
     "weight_init": (None, "weight_init", InitKind),
     "architecture": (None, "architecture", parse_architecture),
-    "dataset": ("dataset", "kind", _dataset_kind),
+    "dataset": ("dataset", "kind", DatasetKind),
     "dirichlet_alpha": (None, "dirichlet_alpha", float),
     "attack": ("attack", "kind", AttackKind),
     "malicious_fraction": ("attack", "malicious_fraction", float),
@@ -122,7 +116,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     foreign = _foreign_prefix(cfg.dataset.kind)
     for key in raw:
         if key.startswith(foreign):
-            raise ConfigError(f"{key}: not used with dataset = {cfg.dataset.kind}")
+            raise ConfigError(f"{key}: not used with dataset = {cfg.dataset.kind.value}")
     try:
         cfg.validate()
     except ValueError as exc:

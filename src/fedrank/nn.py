@@ -342,7 +342,8 @@ def dense_train(weights: list[np.ndarray], specs: list[LayerSpec],
 
 def dense_evaluate(weights: list[np.ndarray], specs: list[LayerSpec],
                    inputs: np.ndarray, labels: np.ndarray) -> float:
-    return evaluate(specs, [w.astype(np.float64) for w in weights], inputs, labels)
+    return evaluate(specs, [w.astype(np.float64, copy=False) for w in weights],
+                    inputs, labels)
 
 
 def flatten_params(mats: list[np.ndarray]) -> np.ndarray:

@@ -54,13 +54,17 @@ class Aggregator(str, Enum):
     MULTI_KRUM = "multi_krum"
 
 
+class DatasetKind(str, Enum):
+    BLOBS = "blobs"
+    IDX = "idx"
+
+
 RANK_ALGORITHMS = (Algorithm.FSL, Algorithm.SPARSE_FSL)
-DATASET_KINDS = ("blobs", "idx")
 
 
 @dataclass
 class DatasetSpec:
-    kind: str = "blobs"  # one of DATASET_KINDS
+    kind: DatasetKind = DatasetKind.BLOBS
     blob_classes: int = 10
     blob_dims: int = 20
     blob_samples_per_class: int = 200
@@ -97,6 +101,7 @@ class ExperimentConfig:
         self.algorithm = Algorithm(self.algorithm)
         self.aggregator = Aggregator(self.aggregator)
         self.weight_init = InitKind(self.weight_init)
+        self.dataset.kind = DatasetKind(self.dataset.kind)
         require_finite(self, "server_lr", "dirichlet_alpha")
         require_finite(self.dataset, "blob_cluster_std", "blob_separation")
         if self.rounds < 0:
@@ -121,7 +126,7 @@ class ExperimentConfig:
         self.attack.validate()
         validate_architecture(self.architecture)
         spec, first, last = self.dataset, self.architecture[0], self.architecture[-1]
-        if spec.kind == "blobs":  # build_environment checks idx data once it is loaded
+        if spec.kind is DatasetKind.BLOBS:  # build_environment checks idx data once it is loaded
             if min(spec.blob_classes, spec.blob_samples_per_class) < 1:
                 raise ValueError("blob_classes and blob_samples_per_class must be >= 1")
             if spec.blob_cluster_std < 0:
@@ -132,7 +137,7 @@ class ExperimentConfig:
             if spec.blob_classes > last.fan_out:
                 raise ValueError(f"blob_classes = {spec.blob_classes} exceeds the last "
                                  f"layer's fan-out {last.fan_out}")
-        elif spec.kind == "idx" and (spec.idx_images is None or spec.idx_labels is None):
+        elif spec.idx_images is None or spec.idx_labels is None:
             raise ValueError("idx_images and idx_labels are required for dataset = idx")
         if self.algorithm is Algorithm.TOPK and self.aggregator is not Aggregator.AVERAGE:
             raise ValueError("topk only supports the average aggregator")
@@ -203,14 +208,12 @@ def _client_batches(dataset: Dataset, idx: np.ndarray, batch_size: int) -> list[
 def build_environment(cfg: ExperimentConfig) -> Environment:
     cfg.validate()
     spec = cfg.dataset
-    if spec.kind == "blobs":
+    if spec.kind is DatasetKind.BLOBS:
         dataset = gen_blobs(spec.blob_classes, spec.blob_dims, spec.blob_samples_per_class,
                             spec.blob_cluster_std, derive(cfg.seed, [TAG_DATA]),
                             separation=spec.blob_separation)
-    elif spec.kind == "idx":
-        dataset = load_idx(spec.idx_images, spec.idx_labels)
     else:
-        raise ValueError(f"unknown dataset kind {spec.kind!r}")
+        dataset = load_idx(spec.idx_images, spec.idx_labels)
     if dataset.features.shape[1] != cfg.architecture[0].fan_in:
         raise ValueError("dataset dimensionality does not match the first layer")
     if dataset.num_classes > cfg.architecture[-1].fan_out:
@@ -287,15 +290,14 @@ def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
 
 def _evaluate_weights(cfg: ExperimentConfig, env: Environment,
                       weights: np.ndarray) -> np.ndarray:
-    mats = unflatten_params(weights, cfg.architecture)
+    mats = [m.astype(np.float64) for m in unflatten_params(weights, cfg.architecture)]
     accs = [dense_evaluate(mats, cfg.architecture, feats, labels)
             for feats, labels in env.test_sets if len(labels)]
     return np.asarray(accs)
 
 
-def _record(cfg: ExperimentConfig, env: Environment, round_index: int,
-            selected: list[int], attack_active: bool,
-            accs: np.ndarray | None) -> RoundRecord:
+def _record(env: Environment, round_index: int, selected: list[int],
+            attack_active: bool, accs: np.ndarray | None) -> RoundRecord:
     if accs is None or len(accs) == 0:
         stats = (math.nan,) * 4
     else:
@@ -328,7 +330,7 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
     new_state = ServerState(ranking=vote_network(submissions, s), seed_net=state.seed_net)
     accs = _evaluate_ranking(cfg, env, new_state) if with_eval else None
-    return new_state, _record(cfg, env, round_index, selected, bool(mal), accs)
+    return new_state, _record(env, round_index, selected, bool(mal), accs)
 
 
 def fedavg_client_update(weights: np.ndarray, specs: list[LayerSpec],
@@ -381,11 +383,10 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
         agg_signs = sign_majority([signs_of(u.delta) for u in updates])
         new_weights = state.weights - cfg.server_lr * agg_signs.signs.astype(np.float64)
     else:
-        if cfg.algorithm is Algorithm.TOPK:
+        if cfg.algorithm is Algorithm.TOPK:  # validate ties topk to average
             updates = [replace(u, delta=_topk_sparsify(u.delta, cfg.architecture, cfg.sparsity))
                        for u in updates]
-            agg = average(updates)
-        elif cfg.aggregator is Aggregator.AVERAGE:
+        if cfg.aggregator is Aggregator.AVERAGE:
             agg = average(updates)
         elif cfg.aggregator is Aggregator.TRIMMED_MEAN:
             agg = trimmed_mean(updates, f)
@@ -395,7 +396,7 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
 
     new_state = ServerState(weights=new_weights)
     accs = _evaluate_weights(cfg, env, new_weights) if with_eval else None
-    return new_state, _record(cfg, env, round_index, selected, bool(mal), accs)
+    return new_state, _record(env, round_index, selected, bool(mal), accs)
 
 
 ROUND_FUNCTIONS = {

@@ -8,11 +8,11 @@ vectorizes cleanly.  Normal variates come from Box-Muller, so every
 distribution is a fixed function of the raw 64-bit outputs.
 
 Which words a draw reads is part of the stream's contract: a bounded
-integer below a power of two takes 1 word, any other bound a block of 8
-of which the first word below ``2**64 - 2**64 % bound`` is used (8 more if
-all are rejected).  ``shuffle`` and ``sample_without_replacement`` draw
-the words of all their steps in one block and keep that contract step by
-step, so the result does not depend on how the words were fetched.
+integer below a power of two takes a slot of 1 word, any other bound a
+slot of 8 of which the first word below ``2**64 - 2**64 % bound`` is used
+(the next 8 if all are rejected).  ``integers_below`` fetches the slots of
+all its steps at once, so n draws read exactly what n one-value draws
+read; ``shuffle`` and ``sample_without_replacement`` draw through it.
 
 Streams for different purposes are derived from one experiment seed by
 folding integer tags into the key (see :func:`derive`).  Weights use tag 0
@@ -102,45 +102,34 @@ class RngStream:
         out[1::2] = r * np.sin(theta)
         return out[:n]
 
-    def integers_below(self, bound: int, n: int = 1) -> np.ndarray:
-        """``n`` exactly-uniform integers in [0, bound) via rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        rem = (1 << 64) % bound
-        if rem == 0:  # power-of-two bound: plain modulo is already uniform
-            return (self.next_u64(n) % np.uint64(bound)).astype(np.int64)
-        # Accept raw words below the largest multiple of bound.
-        limit = np.uint64((1 << 64) - rem)
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            raw = self.next_u64(max(n - filled, 8))
-            good = raw[raw < limit]
-            take = min(len(good), n - filled)
-            out[filled : filled + take] = (good[:take] % np.uint64(bound)).astype(np.int64)
-            filled += take
-        return out
+    def integers_below(self, bounds: list[int]) -> list[int]:
+        """One exactly-uniform integer below each bound, by rejection.
 
-    def _below_each(self, bounds: list[int]) -> list[int]:
-        """``[int(self.integers_below(b, 1)[0]) for b in bounds]`` from one
-        ``next_u64`` call that fetches every step's words (see the module
-        docstring).  Each step checks only its first word, which is almost
-        always accepted; from the first step where it is not, the counter
-        goes back to that step and the rest take :meth:`integers_below`.
+        One ``next_u64`` call fetches the slot of every step (see the module
+        docstring).  A step takes the first word of its slot below the
+        largest multiple of its bound; if all 8 are rejected, it goes on
+        with the next 8 words and the steps after it fetch theirs again.
         """
         if not bounds:  # a shuffle of 0 or 1 items draws nothing
             return []
-        start = self._counter
-        rems = [(1 << 64) % b for b in bounds]
-        words = self.next_u64(sum(8 if rem else 1 for rem in rems)).tolist()
-        out = []
-        pos = 0
-        for b, rem in zip(bounds, rems):
-            if words[pos] >= (1 << 64) - rem:
-                self._counter = start + pos
-                return out + [int(self.integers_below(rest, 1)[0]) for rest in bounds[len(out):]]
-            out.append(words[pos] % b)
-            pos += 8 if rem else 1
+        if min(bounds) <= 0:
+            raise ValueError("bound must be positive")
+        out: list[int] = []
+        while len(out) < len(bounds):
+            rest = bounds[len(out):]
+            start = self._counter
+            rems = [(1 << 64) % b for b in rest]
+            words = self.next_u64(8 * len(rems) - 7 * rems.count(0)).tolist()
+            pos = 0
+            for b, rem in zip(rest, rems):
+                w = words[pos]
+                if w >= (1 << 64) - rem:
+                    w = next((v for v in words[pos + 1 : pos + 8] if v < (1 << 64) - rem), None)
+                    if w is None:  # the whole slot is rejected
+                        self._counter = start + pos + 8
+                        break
+                out.append(w % b)
+                pos += 8 if rem else 1
         return out
 
     def shuffle(self, items: np.ndarray | list) -> None:
@@ -149,7 +138,7 @@ class RngStream:
         below ``i + 1``."""
         n = len(items)
         vals = list(items)
-        for i, j in zip(range(n - 1, 0, -1), self._below_each(list(range(n, 1, -1)))):
+        for i, j in zip(range(n - 1, 0, -1), self.integers_below(list(range(n, 1, -1)))):
             vals[i], vals[j] = vals[j], vals[i]
         items[:] = vals
 
@@ -159,7 +148,7 @@ class RngStream:
         if not 0 <= k <= n_total:
             raise ValueError(f"cannot sample {k} from {n_total}")
         vals = list(range(n_total))
-        for i, j in enumerate(self._below_each(list(range(n_total, n_total - k, -1)))):
+        for i, j in enumerate(self.integers_below(list(range(n_total, n_total - k, -1)))):
             vals[i], vals[i + j] = vals[i + j], vals[i]
         return np.array(vals[:k], dtype=np.int64)
 

@@ -167,13 +167,13 @@ def test_criterion_4_gradient_oracle():
         ]
         for trial in range(50):
             specs = shapes[trial % len(shapes)]
-            net = Supernetwork.from_seed(int(rng.integers_below(2**31)[0]),
+            net = Supernetwork.from_seed(rng.integers_below([2**31])[0],
                                          specs, InitKind.KAIMING_NORMAL)
             assert sum(sp.n_edges for sp in specs) <= 100
             batch_size = 3 + trial % 4
             x = rng.uniform(batch_size * specs[0].fan_in, -1, 1) \
                 .reshape(batch_size, specs[0].fan_in)
-            labels = rng.integers_below(specs[-1].fan_out, batch_size)
+            labels = np.array(rng.integers_below([specs[-1].fan_out] * batch_size))
             k = (0.3, 0.5, 0.8)[trial % 3]
             batch = Minibatch(x, labels)
             _, cache = ep_forward(net, k, batch)
@@ -196,7 +196,7 @@ def test_criterion_5_seed_reconstruction():
         ]
         seed_rng = derive(5050, [])
         for specs in arches:
-            for seed in seed_rng.integers_below(2**32, 10):
+            for seed in seed_rng.integers_below([2**32] * 10):
                 server = Supernetwork.from_seed(int(seed), specs)
                 client = Supernetwork.from_seed(int(seed), specs)
                 for a, b in zip(server.weights, client.weights):

@@ -126,9 +126,9 @@ class TestMultiKrum:
     def test_distances_match_broadcast_bitwise(self):
         rng = derive(47, [])
         for _ in range(50):
-            n = int(rng.integers_below(12)[0]) + 1
-            d = int(rng.integers_below(400)[0]) + 1
-            scale = 10.0 ** (int(rng.integers_below(7)[0]) - 3)
+            n = rng.integers_below([12])[0] + 1
+            d = rng.integers_below([400])[0] + 1
+            scale = 10.0 ** (rng.integers_below([7])[0] - 3)
             mat = rng.normal(n * d).reshape(n, d) * scale
             broadcast = np.sum((mat[:, None, :] - mat[None, :, :]) ** 2, axis=2)
             assert squared_distances(mat).tobytes() == broadcast.tobytes()
@@ -137,10 +137,10 @@ class TestMultiKrum:
         rng = derive(48, [])
         cases = []
         for _ in range(40):
-            n = int(rng.integers_below(9)[0]) + 3
-            f = int(rng.integers_below(n - 2)[0])
+            n = rng.integers_below([9])[0] + 3
+            f = rng.integers_below([n - 2])[0]
             rows = rng.normal(n * 5).reshape(n, 5)
-            ids = [int(i) for i in rng.integers_below(100, n)]
+            ids = rng.integers_below([100] * n)
             cases.append((rows, ids, f))
         # all scores tie, so the ids alone pick the survivors
         cases.append((np.ones((6, 3)), [5, 4, 3, 2, 1, 0], 2))

@@ -102,7 +102,7 @@ class TestRun:
         rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == \
-            "error: dataset: 'foo' is not a valid dataset kind (blobs, idx)\n"
+            "error: dataset: 'foo' is not a valid DatasetKind\n"
         assert not (tmp_path / "o").exists()
 
     def test_architecture_error_names_key_once(self, tmp_path, capsys):

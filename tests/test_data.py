@@ -161,7 +161,7 @@ class TestGammaBlockWalk:
     def test_matches_per_step_sampler(self):
         case_rng = derive(63, [])
         for case in range(320):
-            n = 1 + int(case_rng.integers_below(40)[0])
+            n = 1 + case_rng.integers_below([40])[0]
             self.check(self.ALPHAS[case % len(self.ALPHAS)], n, 1000 + case)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5])

@@ -1,4 +1,5 @@
-"""Every definition in the package has a reader outside its own body.
+"""Every definition in the package has a reader outside its own body, and
+every function parameter a reader inside it.
 
 A module-level function or class, or a method, that nothing but its own
 body and the tests name is dead code.  A reader is an identifier or
@@ -82,3 +83,36 @@ def test_every_definition_has_a_reader():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     assert unread(sources, bench) == []
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """``module.function: parameter`` of each parameter (``self`` and ``cls``
+    aside) that its function's body, nested functions included, never reads."""
+    out = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, FUNCTIONS + (ast.Lambda,)):
+                continue
+            a = node.args
+            params = [p for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            out += [f"{module}.{name}: {p.arg}" for p in params
+                    if p.arg not in read and p.arg not in ("self", "cls")]
+    return out
+
+
+def test_finds_parameters_the_body_never_reads():
+    source = ("def f(a, b, *args, c, **kw):\n    return a + kw['x']\n\n"
+              "def g(x):\n    def inner():\n        return x\n    return inner\n\n"
+              "class A:\n    def m(self, y):\n        return self\n\n"
+              "h = lambda u, v: u\n")
+    assert unread_parameters({"mod": source}) == [
+        "mod.f: b", "mod.f: args", "mod.f: c", "mod.m: y", "mod.<lambda>: v"]
+
+
+def test_every_parameter_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_parameters(sources) == []

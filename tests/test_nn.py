@@ -85,7 +85,7 @@ def oracle_backward(weights, scores, activations, k, x, labels):
 
 
 def random_net(rng, specs):
-    seed = int(rng.integers_below(2**31)[0])
+    seed = rng.integers_below([2**31])[0]
     return Supernetwork.from_seed(seed, specs, InitKind.KAIMING_NORMAL)
 
 
@@ -120,11 +120,11 @@ class TestMaskLayer:
         rng = derive(29, [])
         pool = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0], dtype=np.float32)
         for case in range(600):
-            n = 1 if case % 10 == 0 else int(rng.integers_below(60)[0]) + 1
+            n = 1 if case % 10 == 0 else rng.integers_below([60])[0] + 1
             if case % 3 == 0:
-                scores = pool[rng.integers_below(len(pool), n)]
+                scores = pool[rng.integers_below([len(pool)] * n)]
             elif case % 3 == 1:
-                scores = pool[rng.integers_below(2, n)]  # only -0.0 and +0.0
+                scores = pool[rng.integers_below([2] * n)]  # only -0.0 and +0.0
             else:
                 scores = rng.uniform(n).astype(np.float32)
             for k in (0.0, 1e-9, 0.5, 1.0, float(rng.uniform(1)[0])):
@@ -206,7 +206,7 @@ class TestBackward:
         for _ in range(5):
             net = random_net(rng, specs)
             x = rng.uniform(7 * 4, -1, 1).reshape(7, 4)
-            labels = rng.integers_below(3, 7)
+            labels = np.array(rng.integers_below([3] * 7))
             batch = Minibatch(x, labels)
             _, cache = ep_forward(net, 0.5, batch)
             grads = ep_backward(net, cache)
@@ -224,9 +224,9 @@ class TestBackward:
                        LayerSpec(6, 2, "identity")]):
             for _ in range(10):
                 net = random_net(rng, specs)
-                rows = 1 + int(rng.integers_below(12)[0])
+                rows = 1 + rng.integers_below([12])[0]
                 x = rng.uniform(rows * specs[0].fan_in, -2, 2).reshape(rows, -1)
-                batch = Minibatch(x, rng.integers_below(specs[-1].fan_out, rows))
+                batch = Minibatch(x, np.array(rng.integers_below([specs[-1].fan_out] * rows)))
                 _, cache = ep_forward(net, 1.0, batch)
                 got = ep_backward(net, cache)
                 dense = dense_weight_grads(net.weights, specs, batch)
@@ -240,7 +240,7 @@ class TestTrain:
         specs = [LayerSpec(4, 8, "relu"), LayerSpec(8, 2, "identity")]
         net = random_net(rng, specs)
         x = rng.uniform(16 * 4, -1, 1).reshape(16, 4)
-        labels = rng.integers_below(2, 16)
+        labels = np.array(rng.integers_below([2] * 16))
         return net, [Minibatch(x[i : i + 8], labels[i : i + 8]) for i in (0, 8)]
 
     def test_single_step_identity(self):
@@ -341,7 +341,7 @@ class TestEvaluate:
         rng = derive(37, [])
         net = random_net(rng, [LayerSpec(3, 4, "relu"), LayerSpec(4, 3, "identity")])
         x = rng.uniform(10 * 3, -1, 1).reshape(10, 3)
-        labels = rng.integers_below(3, 10)
+        labels = np.array(rng.integers_below([3] * 10))
         logits, _ = ep_forward(net, 0.5, Minibatch(x, labels))
         expected = sum(1 for i in range(10) if int(np.argmax(logits[i])) == labels[i]) / 10
         assert evaluate(net.specs, masked_weights(net, 0.5), x, labels) == expected

@@ -10,7 +10,7 @@ from fedrank.adversary import AttackConfig, AttackKind
 from fedrank.aggregation import signs_of
 from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                         dense_weight_grads, unflatten_params)
-from fedrank.protocols import (Aggregator, Algorithm, DatasetSpec,
+from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
                                ExperimentConfig, ServerState, baseline_round,
                                build_environment, fedavg_client_update,
                                fsl_client_update, fsl_round, initial_state,
@@ -75,6 +75,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(algorithm=Algorithm.TOPK, aggregator=Aggregator.MULTI_KRUM)
 
+    def test_dataset_kind_coerced(self):
+        assert tiny_config().dataset.kind is DatasetKind.BLOBS
+
+    def test_unknown_dataset_kind_rejected_before_data(self, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data built for an unknown dataset kind")
+
+        monkeypatch.setattr(protocols, "gen_blobs", no_data)
+        monkeypatch.setattr(protocols, "load_idx", no_data)
+        with pytest.raises(ValueError, match="^'foo' is not a valid DatasetKind$"):
+            ExperimentConfig(dataset=DatasetSpec(kind="foo")).validate()
+        with pytest.raises(ValueError, match="^'foo' is not a valid DatasetKind$"):
+            run_experiment(ExperimentConfig(dataset=DatasetSpec(kind="foo")))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("part, key", [
         (None, "server_lr"), (None, "dirichlet_alpha"),
@@ -132,7 +146,7 @@ class TestFslClientUpdate:
         total = 0
         for seed in range(trials):
             rng = derive(1000 + seed, [])
-            labels = rng.integers_below(2, 64)
+            labels = np.array(rng.integers_below([2] * 64))
             signal = (2.0 * labels - 1.0) + 0.1 * rng.normal(64)
             noise = rng.normal(64)
             feats = np.stack([signal, noise], axis=1)

@@ -65,12 +65,12 @@ def codec_cases():
     sizes = [1, 2, 3]
     for j in range(2, 13):
         sizes += [2**j - 1, 2**j, 2**j + 1]
-    sizes += [2 + int(v) for v in rng.integers_below(3000, 40)]
+    sizes += [2 + v for v in rng.integers_below([3000] * 40)]
     cases = []
     for n in sizes:
-        cases += [(n, 0), (n, 1), (n, n), (n, int(rng.integers_below(n + 1)[0]))]
-    big = 30000 + int(rng.integers_below(10000)[0])
-    return cases + [(big, big - int(rng.integers_below(big // 2)[0]))]
+        cases += [(n, 0), (n, 1), (n, n), (n, rng.integers_below([n + 1])[0])]
+    big = 30000 + rng.integers_below([10000])[0]
+    return cases + [(big, big - rng.integers_below([big // 2])[0])]
 
 
 class TestArgsort:
@@ -103,16 +103,16 @@ class TestStableOrder:
                          np.inf, -np.inf, 1.0, -1.0, 0.5], dtype=np.float32)
         rng = derive(66, [])
         for case in range(300):
-            n = 1 + int(rng.integers_below(200)[0])
+            n = 1 + rng.integers_below([200])[0]
             choices = 2 if case % 4 == 0 else len(pool)  # every 4th: only -0.0 and +0.0
-            self.check(pool[rng.integers_below(choices, n)])
+            self.check(pool[rng.integers_below([choices] * n)])
 
     def test_int64_ties_with_negatives(self):
         rng = derive(67, [])
         for case in range(200):
-            n = 1 + int(rng.integers_below(300)[0])
+            n = 1 + rng.integers_below([300])[0]
             spread = (3, 50, 2**40)[case % 3]
-            values = rng.integers_below(spread, n).astype(np.int64) - spread // 2
+            values = np.array(rng.integers_below([spread] * n), dtype=np.int64) - spread // 2
             self.check(values)
             self.check(values.astype(np.int32))
 
@@ -122,13 +122,13 @@ class TestStableOrder:
         for j in range(2, 18):
             sizes += [2**j - 1, 2**j + 1]
         for n in sizes:
-            self.check((rng.integers_below(7, n).astype(np.float32) - 3) / 2)
-            self.check(rng.integers_below(max(n // 4, 1), n).astype(np.int64))
+            self.check((np.array(rng.integers_below([7] * n), dtype=np.float32) - 3) / 2)
+            self.check(np.array(rng.integers_below([max(n // 4, 1)] * n), dtype=np.int64))
 
     def test_fallbacks(self):
         rng = derive(69, [])
         # float64 values a float32 key would merge
-        self.check(1.0 + rng.integers_below(4, 500) * 1e-12)
+        self.check(1.0 + np.array(rng.integers_below([4] * 500)) * 1e-12)
         # width 2 leaves 62 key bits: a range of 2**62 - 1 fits, 2**62 does not
         for lo, hi in ((-2**61, 2**61 - 1), (-2**61, 2**61), (-2**63, 2**63 - 1)):
             self.check(np.array([hi, lo, hi, lo], dtype=np.int64))
@@ -149,7 +149,7 @@ class TestStableOrder:
     def test_argsort_ranking_same_for_float32_and_float64(self):
         rng = derive(71, [])
         for n in (1, 2, 17, 1000):
-            x = (rng.integers_below(9, n).astype(np.float32) - 4) * np.float32(0.1)
+            x = (np.array(rng.integers_below([9] * n), dtype=np.float32) - 4) * np.float32(0.1)
             x[::5] = -0.0
             assert np.array_equal(argsort_ranking(x), argsort_ranking(x.astype(np.float64)))
 
@@ -239,7 +239,7 @@ class TestSparseVote:
     def test_degenerate_sparsity_matches_full_vote(self):
         rng = derive(57, [])
         for _ in range(10):
-            n = 5 + int(rng.integers_below(6)[0])
+            n = 5 + rng.integers_below([6])[0]
             rankings = [rng.sample_without_replacement(n, n) for _ in range(3)]
             full_result, full_tally = vote(rankings)
             sparse = [SparseLayerRanking(top=r, n=n) for r in rankings]
@@ -331,7 +331,7 @@ class TestReverse:
     def test_reputation_flip(self):
         rng = derive(58, [])
         for _ in range(10):
-            n = 4 + int(rng.integers_below(5)[0])
+            n = 4 + rng.integers_below([5])[0]
             perm = rng.sample_without_replacement(n, n)
             rep = np.argsort(perm)
             rep_rev = np.argsort(reverse_ranking(perm))
@@ -406,7 +406,7 @@ class TestWireEncoding:
     def test_matches_bigint_oracle(self):
         rng = derive(62, [])
         for n, count in codec_cases():
-            entries = rng.integers_below(n, count)
+            entries = np.array(rng.integers_below([n] * count), dtype=np.int64)
             data = encode_entries(entries, n)
             assert data == bigint_encode(entries, n), (n, count)
             assert np.array_equal(decode_entries(data, count, n), entries), (n, count)
@@ -461,12 +461,12 @@ class TestWireEncoding:
         bad = [perm[:-1], np.append(perm, 0), perm.reshape(1, n),
                np.where(perm == 0, n, perm), np.where(perm == 0, -1, perm),
                np.where(perm == 0, 1, perm)]
-        bad += [rng.integers_below(n + 2, n) - 1 for _ in range(200)]
+        bad += [np.array(rng.integers_below([n + 2] * n)) - 1 for _ in range(200)]
         for p in [perm] + bad:
             assert sorted_is_permutation(p, n) == self._accepts(_check_permutation, p, n), p
         tops = [perm[:3], np.append(perm, 0), np.array([0, n]), np.array([-1, 2]),
                 np.array([2, 2]), np.zeros(0, np.int64)]
-        tops += [rng.integers_below(n + 2, 1 + i % n) - 1 for i in range(200)]
+        tops += [np.array(rng.integers_below([n + 2] * (1 + i % n))) - 1 for i in range(200)]
         for top in tops:
             assert unique_is_sparse_ranking(top, n) == self._accepts(
                 lambda t, m: SparseLayerRanking(top=t, n=m), top, n), top

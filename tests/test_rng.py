@@ -47,13 +47,13 @@ class TestStreamPrimitives:
         assert abs(z.std() - 1.0) < 0.02
 
     def test_integers_below_uniform_and_in_range(self):
-        vals = derive(13, []).integers_below(7, 20000)
+        vals = np.array(derive(13, []).integers_below([7] * 20000))
         assert vals.min() >= 0 and vals.max() < 7
         counts = np.bincount(vals, minlength=7)
         assert counts.min() > 20000 / 7 * 0.85
 
     def test_integers_below_power_of_two(self):
-        vals = derive(13, [1]).integers_below(8, 1000)
+        vals = derive(13, [1]).integers_below([8] * 1000)
         assert set(np.unique(vals)) <= set(range(8))
 
     def test_sample_without_replacement(self):
@@ -71,10 +71,21 @@ class TestStreamPrimitives:
         assert sorted(arr.tolist()) == list(range(30))
 
 
+def one_draw(rng, b):
+    """One integer below ``b`` from ``next_u64`` alone, by the one-value rule:
+    a power-of-two ``b`` reads 1 word; any other reads 8 and takes the first
+    below ``2**64 - 2**64 % b``, and reads 8 more while all are rejected."""
+    limit = (1 << 64) - (1 << 64) % b
+    while True:
+        for w in rng.next_u64(1 if limit == 1 << 64 else 8).tolist():
+            if w < limit:
+                return w % b
+
+
 def per_step_shuffle(rng, items):
     """The scalar Fisher-Yates shuffle the block draws replace."""
     for i in range(len(items) - 1, 0, -1):
-        j = int(rng.integers_below(i + 1, 1)[0])
+        j = one_draw(rng, i + 1)
         items[i], items[j] = items[j], items[i]
 
 
@@ -82,7 +93,7 @@ def per_step_sample(rng, n_total, k):
     """The scalar sample_without_replacement the block draws replace."""
     arr = np.arange(n_total, dtype=np.int64)
     for i in range(k):
-        j = i + int(rng.integers_below(n_total - i, 1)[0])
+        j = i + one_draw(rng, n_total - i)
         arr[i], arr[j] = arr[j], arr[i]
     return arr[:k].copy()
 
@@ -93,9 +104,9 @@ def assert_same_position(a, b):
 
 
 class TestBlockDraws:
-    """shuffle and sample_without_replacement draw all their bounded
-    integers in one block; the words, results and stream position must be
-    those of one integers_below(b, 1) call per step."""
+    """integers_below, shuffle and sample_without_replacement draw all their
+    bounded integers in one block; the words, results and stream position
+    must be those of one one-value draw per step."""
 
     def test_words_pinned_without_overflow_warnings(self):
         # The uint64 products wrap; array integer arithmetic never warns.
@@ -110,7 +121,7 @@ class TestBlockDraws:
 
     def test_shuffle_matches_per_step(self):
         case_rng = derive(61, [])
-        sizes = [0, 1, 2] * 20 + [int(v) for v in case_rng.integers_below(80, 300)]
+        sizes = [0, 1, 2] * 20 + case_rng.integers_below([80] * 300)
         for case, n in enumerate(sizes):
             want, got = RngStream(case), RngStream(case)
             a = np.arange(n) * 3
@@ -128,8 +139,8 @@ class TestBlockDraws:
     def test_sample_matches_per_step(self):
         case_rng = derive(62, [])
         for case in range(360):
-            n_total = case % 3 if case < 60 else 1 + int(case_rng.integers_below(120)[0])
-            k = [0, n_total][case % 2] if case < 120 else int(case_rng.integers_below(n_total + 1)[0])
+            n_total = case % 3 if case < 60 else 1 + case_rng.integers_below([120])[0]
+            k = [0, n_total][case % 2] if case < 120 else case_rng.integers_below([n_total + 1])[0]
             want, got = RngStream(case), RngStream(case)
             expected = per_step_sample(want, n_total, k)
             picked = got.sample_without_replacement(n_total, k)
@@ -137,22 +148,32 @@ class TestBlockDraws:
             assert np.array_equal(expected, picked)
             assert_same_position(want, got)
 
-    def test_rejections_fall_back_to_integers_below(self):
-        # Near 2**63 + 1 about half of all words are rejected, so most
-        # cases leave the block draw for the per-step path partway through.
-        fallback_steps = 0
+    def test_multi_draw_reads_what_one_draws_read(self):
+        rng = RngStream(5)
+        assert rng.integers_below([7, 7, 7]) == [3, 6, 5]
+        assert rng._counter == 24
+        with pytest.raises(ValueError):
+            rng.integers_below([3, 0])
+
+    def test_rejections_match_one_draws(self):
+        # Near 2**63 + 1 about half of all words are rejected, so many steps
+        # reject their first word and some reject a whole slot of 8.
+        first_rejected = whole_slot_cases = 0
         for case in range(300):
             bounds = [2**63 + 1 + case % 7 if j % 3 else 2 + j for j in range(1 + case % 9)]
             want, got = RngStream(case), RngStream(case)
-            expected = [int(want.integers_below(b, 1)[0]) for b in bounds]
-            per_step = got.integers_below
-            calls = []
-            got.integers_below = lambda b, n: calls.append(b) or per_step(b, n)
-            assert got._below_each(bounds) == expected
-            assert calls == bounds[len(bounds) - len(calls):]
-            fallback_steps += len(calls)
+            words = RngStream(case).next_u64(200).tolist()
+            expected, whole_slot = [], False
+            for b in bounds:
+                at = want._counter
+                expected.append(one_draw(want, b))
+                first_rejected += words[at] >= (1 << 64) - (1 << 64) % b
+                whole_slot |= want._counter - at > 8
+            whole_slot_cases += whole_slot
+            assert got.integers_below(bounds) == expected
             assert_same_position(want, got)
-        assert fallback_steps > 300
+        assert first_rejected > 300
+        assert whole_slot_cases > 0
 
 
 class TestInitializers:

@@ -48,13 +48,13 @@ def average(updates: list[ModelUpdate]) -> ModelUpdate:
 
 
 def trimmed_mean(updates: list[ModelUpdate], f: int) -> ModelUpdate:
-    """Drop the f largest and f smallest values per dimension, then average."""
-    mat = _stack(updates)
+    """Drop the f largest and f smallest values per dimension, then average;
+    at f = 0 this is :func:`average`, from the one stack."""
     if len(updates) <= 2 * f:
         raise ValueError(f"trimmed mean needs more than {2 * f} updates, got {len(updates)}")
-    if f == 0:
-        return average(updates)
-    mat = np.sort(mat, axis=0)[f:-f]
+    mat = _stack(updates)
+    if f:
+        mat = np.sort(mat, axis=0)[f:-f]
     return ModelUpdate(delta=mat.mean(axis=0), client_id=AGGREGATE_ID)
 
 

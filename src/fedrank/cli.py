@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None,
                      help=f"output directory (default: ${OUT_DIR_ENV} or .)")
     run.add_argument("--workers", type=int, default=1,
-                     help="parallel client workers within a round")
+                     help="threads that train a round's client cohorts in parallel")
     run.add_argument("--seed-override", type=int, default=None)
     run.set_defaults(func=cmd_run)
 

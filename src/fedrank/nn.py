@@ -7,9 +7,20 @@ float64 weights: W * mask for edge-popup, whose mask keeps the top-k scored
 edges per layer, and W itself for dense training.  The backward pass
 returns dL/dW_eff.  Dense training steps W along it; edge-popup's score
 gradient is dL/dW_eff * W for every edge, masked or not (the
-straight-through estimator), and its weights never change.  One epoch loop
+straight-through estimator), and its weights never change.  One trainer
 and one accuracy rule serve both.  All reductions run in float64;
 parameters stay float32.
+
+The trainer runs a cohort of G clients in lockstep.  Every client starts
+from the same parameters, so each layer's parameters and momentum are one
+(G, fan_out, fan_in) stack, row c client c's.  At each step the clients
+whose batches have one size make one stacked forward and backward pass
+(``np.matmul`` runs the same BLAS call on every row as on one client's
+matrices), and one elementwise SGD step moves every client still training;
+masks come from one row-wise selection per layer.  Batches of other sizes
+get their own pass and are never padded: zero rows could change how BLAS
+blocks the k-sum, and so the bytes.  Each cohort's rankings come from one
+row-wise sort per layer.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import InitKind, RngStream, TAG_SCORES, TAG_WEIGHTS, derive, init_scores, init_weights
-from .ranking import argsort_ranking, finite_flat, keep_count, reorder_scores
+from .ranking import finite_flat, keep_count, reorder_scores, stable_order
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -91,7 +102,12 @@ def validate_architecture(specs: list[LayerSpec]) -> None:
 
 
 class Supernetwork:
-    """Fixed random weights plus mutable per-edge scores, layer by layer."""
+    """Fixed random weights plus mutable per-edge scores, layer by layer.
+
+    Each layer's scores are one (fan_out, fan_in) matrix, or, once
+    :func:`edge_popup_train` has trained a cohort, a (G, fan_out, fan_in)
+    stack of G clients' scores over the shared weights.
+    """
 
     def __init__(self, specs: list[LayerSpec], weights: list[np.ndarray],
                  scores: list[np.ndarray]):
@@ -134,7 +150,11 @@ class Supernetwork:
             self.scores[i] = reorder_scores(values, perm).reshape(s.shape)
 
     def score_rankings(self) -> list[np.ndarray]:
-        return [argsort_ranking(s) for s in self.scores]
+        """Each layer's ranking of its scores: an (n,) permutation for a
+        matrix, a (G, n) array of one per client for a cohort's stack, from
+        one row-wise sort.  Raises unless every score is finite."""
+        return [stable_order(finite_flat(s).reshape(s.shape[:-2] + (-1,)))
+                for s in self.scores]
 
 
 class SeedNetwork:
@@ -165,31 +185,43 @@ class SeedNetwork:
 
 
 def mask_layer(scores: np.ndarray, k: float) -> np.ndarray:
-    """Binary mask keeping the top-k fraction of edges by score.
+    """Binary float32 mask keeping the top-k fraction of each row of
+    ``scores``: the last axis holds one layer's edges (a 1-D array is one
+    layer), any leading axes index clients.
 
-    Ties go to the lower flat index first in the ascending order, so equal
-    scores are dropped from index 0 upward: of the scores equal to the
-    smallest kept value, the highest flat indices are kept.  The threshold
-    comes from a selection, not a sort, in float32 for float32 scores and
-    in float64 otherwise (see :func:`finite_flat`).
+    Ties go to the lower index first in the ascending order, so equal
+    scores are dropped from index 0 upward: of the scores in a row equal to
+    its smallest kept value, the highest indices are kept.  Each row's
+    threshold comes from one row-wise selection, not a sort, in float32 for
+    float32 scores and in float64 otherwise (see :func:`finite_flat`).
     """
-    flat = finite_flat(scores)
-    keep = keep_count(flat.size, k)
+    shape, flat = np.shape(scores), finite_flat(scores)
+    n = shape[-1]
+    keep = keep_count(n, k)
     if not keep:
-        return np.zeros(np.shape(scores), dtype=np.float32)
-    threshold = np.partition(flat, flat.size - keep)[flat.size - keep]
-    above = flat > threshold
-    mask = above.astype(np.float32)
-    ties = np.flatnonzero(flat == threshold)
-    mask[ties[len(ties) - (keep - int(np.count_nonzero(above))):]] = 1.0
-    return mask.reshape(np.shape(scores))
+        return np.zeros(shape, dtype=np.float32)
+    rows = flat.reshape(-1, n)
+    threshold = np.partition(rows, n - keep, axis=1)[:, n - keep, None]
+    kept = rows >= threshold
+    # A row keeps more than ``keep`` only where several of its scores equal
+    # its threshold: drop that row's lowest-index ties.
+    if np.count_nonzero(kept) != len(rows) * keep:
+        surplus = np.count_nonzero(kept, axis=1) - keep
+        for r in np.flatnonzero(surplus):
+            kept[r, np.flatnonzero(rows[r] == threshold[r])[: surplus[r]]] = False
+    return kept.astype(np.float32).reshape(shape)
+
+
+def _layer_masks(scores: list[np.ndarray], k: float) -> list[np.ndarray]:
+    """The top-k mask of each layer's score matrix, or of each client's
+    matrix in a cohort's stack."""
+    return [mask_layer(s.reshape(s.shape[:-2] + (-1,)), k).reshape(s.shape) for s in scores]
 
 
 def masked_weights(net: Supernetwork, k: float) -> list[np.ndarray]:
     """Each layer's weights times its top-k mask, in float64: the matrices
-    the forward pass multiplies by."""
-    return [(w * mask_layer(s, k)).astype(np.float64)
-            for w, s in zip(net.weights, net.scores)]
+    the forward pass multiplies by (a stack of them for a cohort)."""
+    return [(w * m).astype(np.float64) for w, m in zip(net.weights, _layer_masks(net.scores, k))]
 
 
 @dataclass
@@ -205,29 +237,31 @@ class ForwardCache:
 def forward(specs: list[LayerSpec], weights: list[np.ndarray],
             batch: Minibatch) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass under the effective float64 ``weights``; returns the
-    logits and the cache for :func:`backward`."""
+    logits and the cache for :func:`backward`.  A cohort's pass takes
+    (G, b, fan_in) inputs and one (G, fan_out, fan_in) stack per layer."""
     x = np.asarray(batch.inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != specs[0].fan_in:
+    if x.ndim < 2 or x.shape[-1] != specs[0].fan_in:
         raise ValueError(f"input width {x.shape} does not match fan_in {specs[0].fan_in}")
     cache = ForwardCache(batch=batch, weights=weights)
     for spec, w in zip(specs, weights):
         cache.inputs.append(x)
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = x @ w.T
+            pre = x @ np.swapaxes(w, -1, -2)
         cache.pre_activations.append(pre)
         x = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
     return cache.pre_activations[-1], cache
 
 
 def softmax_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean cross-entropy)/d(logits): (softmax - onehot) / batch."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """d(mean cross-entropy)/d(logits): (softmax - onehot) / batch, per
+    client for a cohort's (G, b, classes) logits."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
-    grad = probs
-    grad[np.arange(len(labels)), labels] -= 1.0
-    return grad / len(labels)
+        probs = e / e.sum(axis=-1, keepdims=True)
+    # x - 0.0 is x, so only each label's entry changes, by exactly - 1.0.
+    grad = probs - (labels[..., None] == np.arange(probs.shape[-1]))
+    return grad / labels.shape[-1]
 
 
 def backward(specs: list[LayerSpec], cache: ForwardCache) -> list[np.ndarray]:
@@ -237,7 +271,7 @@ def backward(specs: list[LayerSpec], cache: ForwardCache) -> list[np.ndarray]:
     dldi = softmax_cross_entropy_grad(cache.pre_activations[-1], labels)
     grads: list[np.ndarray] = [None] * len(specs)
     for i in range(len(specs) - 1, -1, -1):
-        grads[i] = dldi.T @ cache.inputs[i]
+        grads[i] = np.swapaxes(dldi, -1, -2) @ cache.inputs[i]
         if i > 0:
             dz = dldi @ cache.weights[i]
             if specs[i - 1].activation == "relu":
@@ -248,7 +282,8 @@ def backward(specs: list[LayerSpec], cache: ForwardCache) -> list[np.ndarray]:
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
              buffers: list[np.ndarray], sgd: SgdConfig) -> None:
-    """One momentum/weight-decay SGD step, in place, float32 parameters."""
+    """One momentum/weight-decay SGD step, in place, float32 parameters;
+    elementwise, so a cohort's stacks step as each client's matrices do."""
     for p, g, buf in zip(params, grads, buffers):
         # One float64 scratch array per layer; products and sums commute
         # exactly, so this is grad + wd * p and lr * buf bit for bit.
@@ -262,24 +297,66 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
             p -= scratch.astype(np.float32)
 
 
-def _train(params: list[np.ndarray], grads_of, batches: list[Minibatch], epochs: int,
-           sgd: SgdConfig, rng: RngStream) -> list[np.ndarray]:
-    """``epochs`` SGD passes over ``params`` with ``grads_of(batch)``.
-
-    Batch groupings are fixed; only their order is reshuffled each epoch
-    from ``rng``.  Returns ``params``, updated in place.
-    """
+def _schedule(batches: list[Minibatch], epochs: int, rng: RngStream) -> list[Minibatch]:
+    """One client's batches in training order: ``epochs`` passes, the
+    groupings fixed and their order reshuffled from ``rng`` each epoch."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not batches:
         raise ValueError("training data is empty")
-    buffers = [np.zeros(p.shape, dtype=np.float64) for p in params]
     order = np.arange(len(batches))
+    steps = []
     for _ in range(epochs):
         rng.shuffle(order)
-        for bi in order:
-            sgd_step(params, grads_of(batches[bi]), buffers, sgd)
-    return params
+        steps += [batches[i] for i in order]
+    return steps
+
+
+def _stacked(batches: list[Minibatch]) -> Minibatch:
+    return Minibatch(inputs=np.stack([b.inputs for b in batches]),
+                     labels=np.stack([b.labels for b in batches]))
+
+
+def _grads_by_size(batches: list[Minibatch], stacks: list[np.ndarray], grads_of
+                   ) -> list[np.ndarray]:
+    """``grads_of(rows of stacks, stacked batch)`` for each group of clients
+    whose batches have one size, assembled in row order.  Short batches get
+    their own pass, never padding."""
+    groups: dict[int, list[int]] = {}
+    for row, b in enumerate(batches):
+        groups.setdefault(len(b.labels), []).append(row)
+    if len(groups) == 1:
+        return grads_of(stacks, _stacked(batches))
+    grads = [np.empty(s.shape, dtype=np.float64) for s in stacks]
+    for rows in groups.values():
+        part = grads_of([s[rows] for s in stacks], _stacked([batches[r] for r in rows]))
+        for g, p in zip(grads, part):
+            g[rows] = p
+    return grads
+
+
+def _train(start: list[np.ndarray], grads_of, batches: list[list[Minibatch]],
+           epochs: list[int], sgd: SgdConfig, rngs: list[RngStream]) -> list[np.ndarray]:
+    """Lockstep SGD for a cohort of G clients from the one starting point
+    ``start`` (a float32 matrix per layer).
+
+    Client c makes ``epochs[c]`` passes over ``batches[c]`` in the orders
+    ``rngs[c]`` shuffles.  Clients are stacked longest schedule first, so
+    the ones still training at a step are a prefix of the stacks; at each
+    step ``grads_of(their parameters, their batches)`` gives their
+    gradients and one :func:`sgd_step` moves them.  Returns each layer's
+    (G, fan_out, fan_in) stack, row c client c's.
+    """
+    schedules = [_schedule(b, e, rng) for b, e, rng in zip(batches, epochs, rngs)]
+    rows = sorted(range(len(schedules)), key=lambda c: -len(schedules[c]))
+    params = [np.repeat(p[None], len(rows), axis=0) for p in start]
+    buffers = [np.zeros(p.shape, dtype=np.float64) for p in params]
+    for t in range(len(schedules[rows[0]])):
+        steps = [schedules[c][t] for c in rows if t < len(schedules[c])]
+        live = [p[: len(steps)] for p in params]
+        sgd_step(live, grads_of(live, steps), [b[: len(steps)] for b in buffers], sgd)
+    back = np.argsort(rows)
+    return [p[back] for p in params]
 
 
 def evaluate(specs: list[LayerSpec], weights: list[np.ndarray],
@@ -297,9 +374,14 @@ def evaluate(specs: list[LayerSpec], weights: list[np.ndarray],
 # --- Edge-popup: scores trained over the frozen weights ----------------------
 
 
-def ep_forward(net: Supernetwork, k: float, batch: Minibatch) -> tuple[np.ndarray, ForwardCache]:
-    """Masked forward pass; returns logits and the cache for ep_backward."""
-    return forward(net.specs, masked_weights(net, k), batch)
+def ep_forward(net: Supernetwork, masks: list[np.ndarray],
+               batch: Minibatch) -> tuple[np.ndarray, ForwardCache]:
+    """Masked forward pass of a cohort: ``masks`` holds one float32
+    (G, fan_out, fan_in) stack per layer, row c the top-k mask of client
+    c's scores, over ``net``'s shared weights.  Returns logits and the
+    cache for ep_backward."""
+    return forward(net.specs, [(w * m).astype(np.float64)
+                               for w, m in zip(net.weights, masks)], batch)
 
 
 def ep_backward(net: Supernetwork, cache: ForwardCache) -> list[np.ndarray]:
@@ -311,15 +393,17 @@ def ep_backward(net: Supernetwork, cache: ForwardCache) -> list[np.ndarray]:
     return grads
 
 
-def edge_popup_train(net: Supernetwork, batches: list[Minibatch], epochs: int,
-                     k: float, sgd: SgdConfig, rng: RngStream) -> list[np.ndarray]:
-    """Train scores for ``epochs`` passes; weights are untouched.
-    Returns the (mutated) score matrices."""
-    def grads_of(batch: Minibatch) -> list[np.ndarray]:
-        _, cache = ep_forward(net, k, batch)
-        return ep_backward(net, cache)
+def edge_popup_train(net: Supernetwork, batches: list[list[Minibatch]], epochs: list[int],
+                     k: float, sgd: SgdConfig, rngs: list[RngStream]) -> list[np.ndarray]:
+    """Train one copy of ``net``'s scores per client of a cohort (see
+    :func:`_train`); weights are untouched.  ``net.scores`` become the
+    (G, fan_out, fan_in) stacks, which are returned."""
+    def grads_of(scores: list[np.ndarray], steps: list[Minibatch]) -> list[np.ndarray]:
+        return _grads_by_size(steps, _layer_masks(scores, k), lambda part, batch:
+                              ep_backward(net, ep_forward(net, part, batch)[1]))
 
-    return _train(net.scores, grads_of, batches, epochs, sgd, rng)
+    net.scores = _train(net.scores, grads_of, batches, epochs, sgd, rngs)
+    return net.scores
 
 
 # --- Dense (weight-trained) entries for the baseline protocols ---------------
@@ -327,17 +411,23 @@ def edge_popup_train(net: Supernetwork, batches: list[Minibatch], epochs: int,
 
 def dense_weight_grads(weights: list[np.ndarray], specs: list[LayerSpec],
                        batch: Minibatch) -> list[np.ndarray]:
+    """dL/dW per layer at float32 ``weights``: matrices, or a cohort's
+    stacks with a stacked batch."""
     _, cache = forward(specs, [w.astype(np.float64) for w in weights], batch)
     return backward(specs, cache)
 
 
 def dense_train(weights: list[np.ndarray], specs: list[LayerSpec],
-                batches: list[Minibatch], epochs: int, sgd: SgdConfig,
-                rng: RngStream) -> list[np.ndarray]:
-    """Plain weight training with the loop edge_popup_train uses."""
-    weights = [np.array(w, dtype=np.float32) for w in weights]
-    return _train(weights, lambda batch: dense_weight_grads(weights, specs, batch),
-                  batches, epochs, sgd, rng)
+                batches: list[list[Minibatch]], epochs: list[int], sgd: SgdConfig,
+                rngs: list[RngStream]) -> list[np.ndarray]:
+    """Plain weight training of a cohort from the same ``weights``, with the
+    trainer edge_popup_train uses; returns the (G, fan_out, fan_in) stacks."""
+    def grads_of(live: list[np.ndarray], steps: list[Minibatch]) -> list[np.ndarray]:
+        return _grads_by_size(steps, live, lambda part, batch:
+                              dense_weight_grads(part, specs, batch))
+
+    return _train([np.asarray(w, dtype=np.float32) for w in weights], grads_of,
+                  batches, epochs, sgd, rngs)
 
 
 def dense_evaluate(weights: list[np.ndarray], specs: list[LayerSpec],

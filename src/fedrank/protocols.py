@@ -5,16 +5,22 @@ One rank round serves both rank algorithms.  Clients upload the top s
 fraction of each layer ranking, s = ``sparsity`` for ``sparse_fsl`` and
 s = 1 for ``fsl``, so the full vote is the sparse vote over whole rankings.
 
-Every round trains each sampled client once, attackers included, through
-one map over the clients (on the worker pool when there is one); attackers
-then turn their own results into what they submit.  The network all
-parties rebuild from the seed is drawn once per run by ``initial_state``
-and travels in the ``ServerState``.
+Every round trains each sampled client once, attackers included; attackers
+then turn their own results into what they submit.  The sampled clients
+train in cohorts of consecutive clients, each layer one stacked array that
+``nn`` trains in lockstep.  :func:`cohort_size` fits as many clients as
+COHORT_BYTES holds at 8 bytes per edge, at least one: all 25 of a
+1,200-edge desk round, one at 784-200-10, whose layers already run inside
+numpy.  A rank cohort starts from one rebuild of the seed network (drawn
+once per run by ``initial_state``, carried in the ``ServerState``), since
+its clients all adopt the global ranking.  The cohorts of a round map onto
+the worker pool when there is one.
 
 Determinism contract: every random choice comes from a stream derived from
 the experiment seed and purpose tags (sampling uses [TAG_SAMPLING, round],
-client training [TAG_TRAIN, round, client_id]), so results are identical
-across runs and across worker counts.
+client training [TAG_TRAIN, round, client_id]), and each client's result is
+the same whatever cohort it trains in, so results are identical across runs
+and across worker counts.
 """
 
 from __future__ import annotations
@@ -248,13 +254,19 @@ def select_clients(cfg: ExperimentConfig, round_index: int) -> list[int]:
 
 
 def fsl_client_update(seed_net: SeedNetwork, global_ranking: NetworkRanking,
-                      batches: list[Minibatch], epochs: int, k: float,
-                      sgd: SgdConfig, rng) -> NetworkRanking:
-    """One client's round: rebuild from seed, adopt the global rank order,
-    train scores locally, and return the new layer-wise ranking."""
+                      batches: list[list[Minibatch]], epochs: list[int], k: float,
+                      sgd: SgdConfig, rngs: list) -> list[NetworkRanking]:
+    """One cohort's round: rebuild from seed once, adopt the global rank
+    order, train every client's scores locally (client c on ``batches[c]``
+    for ``epochs[c]`` epochs, shuffled by ``rngs[c]``), and return each
+    client's new layer-wise ranking."""
     net = seed_net.rebuild(global_ranking)
-    edge_popup_train(net, batches, epochs, k, sgd, rng)
-    return net.score_rankings()
+    edge_popup_train(net, batches, epochs, k, sgd, rngs)
+    return [list(client) for client in zip(*net.score_rankings())]
+
+
+def _train_streams(cfg: ExperimentConfig, round_index: int, selected: list[int]) -> list:
+    return [derive(cfg.seed, [TAG_TRAIN, round_index, u]) for u in selected]
 
 
 def _attackers_and_epochs(cfg: ExperimentConfig,
@@ -269,10 +281,27 @@ def _attackers_and_epochs(cfg: ExperimentConfig,
                  for i in range(len(selected))]
 
 
-def _map_clients(executor: ThreadPoolExecutor | None, fn, args_list: list):
-    if executor is None:
-        return [fn(*args) for args in args_list]
-    return [f.result() for f in [executor.submit(fn, *args) for args in args_list]]
+COHORT_BYTES = 256 * 1024
+
+
+def cohort_size(specs: list[LayerSpec]) -> int:
+    """Clients per training cohort: as many as fit COHORT_BYTES at 8 bytes
+    per edge, at least one."""
+    return max(1, COHORT_BYTES // (8 * sum(sp.n_edges for sp in specs)))
+
+
+def _map_cohorts(executor: ThreadPoolExecutor | None, cfg: ExperimentConfig,
+                 count: int, train) -> list:
+    """``train(cohort)`` for consecutive slices of ``count`` sampled
+    clients, one cohort_size each, on the pool when there is one and more
+    than one cohort; the per-client results in client order."""
+    size = cohort_size(cfg.architecture)
+    cohorts = [slice(i, i + size) for i in range(0, count, size)]
+    if executor is None or len(cohorts) == 1:
+        parts = [train(c) for c in cohorts]
+    else:
+        parts = [f.result() for f in [executor.submit(train, c) for c in cohorts]]
+    return [result for part in parts for result in part]
 
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
@@ -318,11 +347,10 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     layer over the cut rankings."""
     selected = select_clients(cfg, round_index)
     mal, epochs = _attackers_and_epochs(cfg, selected)
-    submissions = _map_clients(executor, fsl_client_update, [
-        (state.seed_net, state.ranking, env.train_batches[u], e,
-         cfg.subnet_fraction, cfg.sgd, derive(cfg.seed, [TAG_TRAIN, round_index, u]))
-        for u, e in zip(selected, epochs)
-    ])
+    rngs = _train_streams(cfg, round_index, selected)
+    submissions = _map_cohorts(executor, cfg, len(selected), lambda c: fsl_client_update(
+        state.seed_net, state.ranking, [env.train_batches[u] for u in selected[c]],
+        epochs[c], cfg.subnet_fraction, cfg.sgd, rngs[c]))
     if mal:
         poison = adversary.craft_rank_poison([submissions[i] for i in mal])
         for i in mal:
@@ -334,12 +362,14 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
 
 
 def fedavg_client_update(weights: np.ndarray, specs: list[LayerSpec],
-                         batches: list[Minibatch], epochs: int, sgd: SgdConfig,
-                         rng, client_id: int) -> ModelUpdate:
-    """Local dense training; the update is the parameter delta."""
+                         batches: list[list[Minibatch]], epochs: list[int], sgd: SgdConfig,
+                         rngs: list, client_ids: list[int]) -> list[ModelUpdate]:
+    """Local dense training of a cohort from the global ``weights``; each
+    client's update is its parameter delta."""
     trained = dense_train(unflatten_params(weights, specs), specs, batches,
-                          epochs, sgd, rng)
-    return ModelUpdate(delta=flatten_params(trained) - weights, client_id=client_id)
+                          epochs, sgd, rngs)
+    return [ModelUpdate(delta=flatten_params([t[c] for t in trained]) - weights, client_id=u)
+            for c, u in enumerate(client_ids)]
 
 
 def _topk_sparsify(delta: np.ndarray, specs: list[LayerSpec], fraction: float) -> np.ndarray:
@@ -363,11 +393,10 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     """One round of a weight-based protocol (fedavg, signsgd or topk)."""
     selected = select_clients(cfg, round_index)
     mal, epochs = _attackers_and_epochs(cfg, selected)
-    updates = _map_clients(executor, fedavg_client_update, [
-        (state.weights, cfg.architecture, env.train_batches[u], e, cfg.sgd,
-         derive(cfg.seed, [TAG_TRAIN, round_index, u]), u)
-        for u, e in zip(selected, epochs)
-    ])
+    rngs = _train_streams(cfg, round_index, selected)
+    updates = _map_cohorts(executor, cfg, len(selected), lambda c: fedavg_client_update(
+        state.weights, cfg.architecture, [env.train_batches[u] for u in selected[c]],
+        epochs[c], cfg.sgd, rngs[c], selected[c]))
     if mal and cfg.attack.kind is AttackKind.SCALE:
         for i in mal:
             updates[i] = adversary.craft_scale_attack(updates[i], cfg.attack.scale_factor)

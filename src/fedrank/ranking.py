@@ -78,26 +78,27 @@ def _order_keys(values: np.ndarray, width: int) -> np.ndarray | None:
 
 
 def stable_order(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")`` of the flattened values, int64.
+    """``np.argsort(values, axis=-1, kind="stable")`` as int64: the stable
+    order of each row along the last axis (of the one row of a 1-D array).
 
     Each entry becomes one unique uint64 word: an unsigned key that orders
     as the value does, shifted left by the index width and OR-ed with the
-    entry's index.  One plain sort of the words, masked to the index bits,
-    is the stable order.  The float32 key is the bit pattern with the sign
-    flipped (negatives inverted, -0.0 folded onto +0.0, which the argsort
-    treats as equal); an integer key is value - min.  Where key and index
-    need more than 64 bits (float64 input, an integer range too wide for
-    the index width), or for float32 with a NaN, this falls back to the
-    stable argsort itself.
+    entry's index in its row.  One plain sort of the words along the rows,
+    masked to the index bits, is the stable order.  The float32 key is the
+    bit pattern with the sign flipped (negatives inverted, -0.0 folded onto
+    +0.0, which the argsort treats as equal); an integer key is value - min.
+    Where key and index need more than 64 bits (float64 input, an integer
+    range too wide for the index width), or for float32 with a NaN, this
+    falls back to the stable argsort itself.
     """
-    values = np.asarray(values).ravel()
-    width = max(values.size - 1, 0).bit_length()
+    values = np.asarray(values)
+    width = max(values.shape[-1] - 1, 0).bit_length()
     words = _order_keys(values, width)
     if words is None:
-        return np.argsort(values, kind="stable").astype(np.int64, copy=False)
+        return np.argsort(values, axis=-1, kind="stable").astype(np.int64, copy=False)
     words <<= np.uint64(width)
-    words |= np.arange(values.size, dtype=np.uint64)
-    words.sort()
+    words |= np.arange(values.shape[-1], dtype=np.uint64)
+    words.sort(axis=-1)
     words &= np.uint64((1 << width) - 1)
     return words.view(np.int64)
 

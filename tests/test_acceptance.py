@@ -15,7 +15,8 @@ import pytest
 from fedrank.adversary import AttackConfig, AttackKind
 from fedrank.analytics import failure_upper_bound
 from fedrank.cli import main
-from fedrank.nn import LayerSpec, Minibatch, SgdConfig, Supernetwork, ep_backward, ep_forward
+from fedrank.nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, ep_backward, ep_forward,
+                        mask_layer)
 from fedrank.protocols import (ROUND_FUNCTIONS, Aggregator, Algorithm, DatasetSpec,
                                ExperimentConfig, build_environment,
                                fsl_round, initial_state, run_experiment)
@@ -175,9 +176,11 @@ def test_criterion_4_gradient_oracle():
                 .reshape(batch_size, specs[0].fan_in)
             labels = np.array(rng.integers_below([specs[-1].fan_out] * batch_size))
             k = (0.3, 0.5, 0.8)[trial % 3]
-            batch = Minibatch(x, labels)
-            _, cache = ep_forward(net, k, batch)
-            got = ep_backward(net, cache)
+            # one-client cohort: the masks and the batch stacked once
+            masks = [mask_layer(s.reshape(1, -1), k).reshape((1,) + s.shape)
+                     for s in net.scores]
+            _, cache = ep_forward(net, masks, Minibatch(x[None], labels[None]))
+            got = [g[0] for g in ep_backward(net, cache)]
             want = oracle_backward(net.weights, net.scores,
                                    [sp.activation for sp in specs], k, x, labels)
             for g, w in zip(got, want):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedrank import aggregation
 from fedrank.aggregation import (ModelUpdate, SignUpdate, average, multi_krum,
                                  multi_krum_select, select_from_distances,
                                  sign_majority, signs_of, squared_distances,
@@ -77,6 +78,24 @@ class TestTrimmedMean:
     def test_f_zero_is_average(self):
         u = updates_from([[1, 5], [3, 7], [5, 9]])
         assert np.array_equal(trimmed_mean(u, 0).delta, average(u).delta)
+
+    @pytest.mark.parametrize("f", [0, 2])
+    def test_stacks_once(self, f, monkeypatch):
+        rows = derive(63, []).uniform(25 * 40, -1, 1).reshape(25, 40)
+        u = updates_from(rows)
+        want = trimmed_mean(u, f).delta.tobytes()
+        stacked = []
+        stack = aggregation._stack
+
+        def spy(updates):
+            stacked.append(len(updates))
+            return stack(updates)
+
+        monkeypatch.setattr(aggregation, "_stack", spy)
+        assert trimmed_mean(u, f).delta.tobytes() == want
+        assert stacked == [25]
+        if f == 0:
+            assert want == average(u).delta.tobytes()
 
     def test_matches_oracle(self):
         rng = derive(61, [])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,15 @@ def oracle_backward(weights, scores, activations, k, x, labels):
     return list(reversed(grads))
 
 
+def ep_pass(net, k, batch):
+    """One client's logits and score gradients through the cohort kernels,
+    as a one-client cohort: its top-k masks and its batch stacked once."""
+    masks = [mask_layer(s.reshape(1, -1), k).reshape((1,) + s.shape) for s in net.scores]
+    stacked = Minibatch(np.asarray(batch.inputs)[None], np.asarray(batch.labels)[None])
+    logits, cache = ep_forward(net, masks, stacked)
+    return logits[0], [g[0] for g in ep_backward(net, cache)]
+
+
 def random_net(rng, specs):
     seed = rng.integers_below([2**31])[0]
     return Supernetwork.from_seed(seed, specs, InitKind.KAIMING_NORMAL)
@@ -155,13 +168,72 @@ class TestMaskLayer:
         assert np.array_equal(mask_layer(scores, 0.5), oracle_mask(scores, 0.5))
 
 
+class TestStackedKernels:
+    """The cohort trainer's stacked kernels give each client the bytes its
+    own call gives."""
+
+    # Stacked against per-client products, as forward and backward form
+    # them: x @ w.T, g.T @ x and g @ w for (batch, fan_in, fan_out) shapes.
+    MATMUL_SCRIPT = """
+import numpy as np
+from fedrank.rng import derive
+bad = []
+for b, fi, fo, g in [(8, 20, 40, 25), (8, 40, 10, 25), (3, 20, 40, 25),
+                     (8, 784, 200, 4), (8, 200, 10, 25)]:
+    rng = derive(5151, [b, fi, fo])
+    x = rng.uniform(g * b * fi, -2, 2).reshape(g, b, fi)
+    w = rng.uniform(g * fo * fi, -1, 1).reshape(g, fo, fi)
+    d = rng.uniform(g * b * fo, -1, 1).reshape(g, b, fo)
+    pairs = [(x @ np.swapaxes(w, -1, -2), [x[c] @ w[c].T for c in range(g)]),
+             (np.swapaxes(d, -1, -2) @ x, [d[c].T @ x[c] for c in range(g)]),
+             (d @ w, [d[c] @ w[c] for c in range(g)])]
+    bad += [(b, fi, fo, i) for i, (stacked, each) in enumerate(pairs)
+            if stacked.tobytes() != np.stack(each).tobytes()]
+print(bad)
+"""
+    BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+    @pytest.mark.parametrize("one_thread", [True, False], ids=["blas_1_thread", "blas_default"])
+    def test_stacked_matmul_matches_per_client(self, one_thread):
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_THREADS}
+        if one_thread:
+            env.update({k: "1" for k in self.BLAS_THREADS})
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", self.MATMUL_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_stacked_mask_matches_mask_layer_per_row(self):
+        # Rows 1, 3 and 4 hold few distinct values, so their threshold at
+        # k = 0.5 falls inside a tie group; rows 0 and 2 hold distinct values.
+        rng = derive(5252, [])
+        pool = np.array([-1.0, -0.0, 0.0, 0.5, 2.0], dtype=np.float32)
+        rows = [rng.uniform(40).astype(np.float32),
+                pool[rng.integers_below([len(pool)] * 40)],
+                rng.uniform(40, -3, 3).astype(np.float32),
+                np.full(40, 0.25, dtype=np.float32),
+                pool[rng.integers_below([2] * 40)]]  # only -0.0 and +0.0
+        flat = np.stack(rows)
+        keep = 20
+        at = np.sort(flat, axis=1)[:, 40 - keep]
+        straddles = [int(np.count_nonzero(r >= t)) > keep for r, t in zip(flat, at)]
+        assert straddles == [False, True, False, True, True]
+        for k in (0.0, 0.3, 0.5, 0.9, 1.0):
+            got = mask_layer(flat, k)
+            assert got.dtype == np.float32 and got.shape == flat.shape
+            for r in range(5):
+                assert got[r].tobytes() == mask_layer(flat[r], k).tobytes()
+                assert np.array_equal(got[r], oracle_mask(flat[r], k)), (r, k)
+
+
 class TestForward:
     def test_two_edge_hand_example(self):
         net = Supernetwork(
             [LayerSpec(2, 1, "identity")],
             weights=[np.array([[0.5, -0.5]])],
             scores=[np.array([[1.0, 0.1]])])
-        logits, _ = ep_forward(net, 0.5, Minibatch(np.array([[2.0, 3.0]]), np.array([0])))
+        logits, _ = ep_pass(net, 0.5, Minibatch(np.array([[2.0, 3.0]]), np.array([0])))
         assert logits.shape == (1, 1)
         assert logits[0, 0] == pytest.approx(1.0)
 
@@ -170,7 +242,7 @@ class TestForward:
         specs = [LayerSpec(4, 6, "relu"), LayerSpec(6, 3, "identity")]
         net = random_net(rng, specs)
         x = rng.uniform(8 * 4).reshape(8, 4)
-        logits, _ = ep_forward(net, 1.0, Minibatch(x, np.zeros(8, dtype=int)))
+        logits, _ = ep_pass(net, 1.0, Minibatch(x, np.zeros(8, dtype=int)))
         dense = np.maximum(x @ net.weights[0].astype(np.float64).T, 0.0) \
             @ net.weights[1].astype(np.float64).T
         assert np.allclose(logits, dense)
@@ -181,7 +253,7 @@ class TestForward:
         for _ in range(5):
             net = random_net(rng, specs)
             x = rng.uniform(6 * 5, -1, 1).reshape(6, 5)
-            logits, _ = ep_forward(net, 0.5, Minibatch(x, np.zeros(6, dtype=int)))
+            logits, _ = ep_pass(net, 0.5, Minibatch(x, np.zeros(6, dtype=int)))
             expected, _, _, _ = oracle_forward(net.weights, net.scores,
                                                [sp.activation for sp in specs], 0.5, x)
             assert np.allclose(logits, expected, atol=1e-9)
@@ -189,15 +261,14 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         net = random_net(derive(25, []), [LayerSpec(4, 2, "identity")])
         with pytest.raises(ValueError):
-            ep_forward(net, 0.5, Minibatch(np.ones((3, 5)), np.zeros(3, dtype=int)))
+            ep_pass(net, 0.5, Minibatch(np.ones((3, 5)), np.zeros(3, dtype=int)))
 
 
 class TestBackward:
     def test_zero_input_zero_first_layer_grads(self):
         net = random_net(derive(26, []), [LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")])
         batch = Minibatch(np.zeros((5, 3)), np.array([0, 1, 0, 1, 0]))
-        _, cache = ep_forward(net, 0.5, batch)
-        grads = ep_backward(net, cache)
+        _, grads = ep_pass(net, 0.5, batch)
         assert np.allclose(grads[0], 0.0)
 
     def test_matches_oracle_two_layers(self):
@@ -208,8 +279,7 @@ class TestBackward:
             x = rng.uniform(7 * 4, -1, 1).reshape(7, 4)
             labels = np.array(rng.integers_below([3] * 7))
             batch = Minibatch(x, labels)
-            _, cache = ep_forward(net, 0.5, batch)
-            grads = ep_backward(net, cache)
+            _, grads = ep_pass(net, 0.5, batch)
             expected = oracle_backward(net.weights, net.scores,
                                        [sp.activation for sp in specs], 0.5, x, labels)
             for g, e in zip(grads, expected):
@@ -227,8 +297,7 @@ class TestBackward:
                 rows = 1 + rng.integers_below([12])[0]
                 x = rng.uniform(rows * specs[0].fan_in, -2, 2).reshape(rows, -1)
                 batch = Minibatch(x, np.array(rng.integers_below([specs[-1].fan_out] * rows)))
-                _, cache = ep_forward(net, 1.0, batch)
-                got = ep_backward(net, cache)
+                _, got = ep_pass(net, 1.0, batch)
                 dense = dense_weight_grads(net.weights, specs, batch)
                 for g, d, w in zip(got, dense, net.weights):
                     assert g.tobytes() == (d * w.astype(np.float64)).tobytes()
@@ -247,11 +316,10 @@ class TestTrain:
         net, batches = self._tiny_problem()
         before = [s.copy() for s in net.scores]
         batch = batches[0]
-        _, cache = ep_forward(net, 0.5, batch)
-        grads = ep_backward(net, cache)
+        _, grads = ep_pass(net, 0.5, batch)
         net2 = Supernetwork(net.specs, list(net.weights), before)
-        edge_popup_train(net2, [batch], 1, 0.5, SgdConfig(0.1, 0.0, 0.0, 8), derive(1, []))
-        for b, g, after in zip(before, grads, net2.scores):
+        edge_popup_train(net2, [[batch]], [1], 0.5, SgdConfig(0.1, 0.0, 0.0, 8), [derive(1, [])])
+        for b, g, after in zip(before, grads, [s[0] for s in net2.scores]):
             assert np.allclose(after, (b.astype(np.float64) - 0.1 * g).astype(np.float32))
 
     def test_sgd_step_matches_reference_formula(self):
@@ -283,17 +351,17 @@ class TestTrain:
     def test_epochs_zero_rejected(self):
         net, batches = self._tiny_problem()
         with pytest.raises(ValueError):
-            edge_popup_train(net, batches, 0, 0.5, SgdConfig(0.1), derive(1, []))
+            edge_popup_train(net, [batches], [0], 0.5, SgdConfig(0.1), [derive(1, [])])
 
     def test_empty_dataset_rejected(self):
         net, _ = self._tiny_problem()
         with pytest.raises(ValueError):
-            edge_popup_train(net, [], 1, 0.5, SgdConfig(0.1), derive(1, []))
+            edge_popup_train(net, [[]], [1], 0.5, SgdConfig(0.1), [derive(1, [])])
 
     def test_weights_bitwise_unchanged(self):
         net, batches = self._tiny_problem()
         before = [w.copy() for w in net.weights]
-        edge_popup_train(net, batches, 5, 0.5, SgdConfig(0.4, 0.9, 1e-4, 8), derive(2, []))
+        edge_popup_train(net, [batches], [5], 0.5, SgdConfig(0.4, 0.9, 1e-4, 8), [derive(2, [])])
         for b, w in zip(before, net.weights):
             assert np.array_equal(b, w)
 
@@ -309,16 +377,18 @@ class TestTrain:
         net = Supernetwork.from_seed(7, specs)
         batches = [Minibatch(ds.features[i : i + 8], ds.labels[i : i + 8])
                    for i in range(0, len(ds.labels), 8)]
-        edge_popup_train(net, batches, 20, 0.5, SgdConfig(0.4, 0.9, 1e-4, 8), derive(34, []))
-        assert evaluate(net.specs, masked_weights(net, 0.5), ds.features, ds.labels) > 0.9
+        edge_popup_train(net, [batches], [20], 0.5, SgdConfig(0.4, 0.9, 1e-4, 8), [derive(34, [])])
+        trained = Supernetwork(specs, net.weights, [s[0] for s in net.scores])
+        assert evaluate(specs, masked_weights(trained, 0.5), ds.features, ds.labels) > 0.9
 
     def test_k_one_mask_equals_untrained(self):
         net, batches = self._tiny_problem(seed=35)
         before = [s.copy() for s in net.scores]
-        edge_popup_train(net, batches, 3, 1.0, SgdConfig(0.4, 0.9, 0.0, 8), derive(3, []))
-        changed = any(not np.array_equal(b, s) for b, s in zip(before, net.scores))
+        edge_popup_train(net, [batches], [3], 1.0, SgdConfig(0.4, 0.9, 0.0, 8), [derive(3, [])])
+        after = [s[0] for s in net.scores]
+        changed = any(not np.array_equal(b, s) for b, s in zip(before, after))
         assert changed  # scores move, the mask cannot
-        for s in net.scores:
+        for s in after:
             assert np.all(mask_layer(s, 1.0) == 1.0)
 
 
@@ -342,7 +412,7 @@ class TestEvaluate:
         net = random_net(rng, [LayerSpec(3, 4, "relu"), LayerSpec(4, 3, "identity")])
         x = rng.uniform(10 * 3, -1, 1).reshape(10, 3)
         labels = np.array(rng.integers_below([3] * 10))
-        logits, _ = ep_forward(net, 0.5, Minibatch(x, labels))
+        logits, _ = ep_pass(net, 0.5, Minibatch(x, labels))
         expected = sum(1 for i in range(10) if int(np.argmax(logits[i])) == labels[i]) / 10
         assert evaluate(net.specs, masked_weights(net, 0.5), x, labels) == expected
 

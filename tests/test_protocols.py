@@ -15,6 +15,7 @@ from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
                                build_environment, fedavg_client_update,
                                fsl_client_update, fsl_round, initial_state,
                                run_experiment, select_clients)
+from fedrank.ranking import argsort_ranking
 from fedrank.rng import TAG_TRAIN, derive
 
 FIG_R1 = np.array([4, 0, 2, 3, 5, 1])
@@ -122,18 +123,18 @@ class TestFslClientUpdate:
     def test_zero_lr_returns_global_ranking(self, fsl_env):
         cfg, env = fsl_env
         state = initial_state(cfg)
-        out = fsl_client_update(seed_network(cfg), state.ranking, env.train_batches[0],
-                                1, 0.5, SgdConfig(0.0, 0.0, 0.0, 8),
-                                derive(cfg.seed, [TAG_TRAIN, 1, 0]))
+        out = fsl_client_update(seed_network(cfg), state.ranking, [env.train_batches[0]],
+                                [1], 0.5, SgdConfig(0.0, 0.0, 0.0, 8),
+                                [derive(cfg.seed, [TAG_TRAIN, 1, 0])])[0]
         for got, want in zip(out, state.ranking):
             assert np.array_equal(got, want)
 
     def test_identical_clients_identical_rankings(self, fsl_env):
         cfg, env = fsl_env
         state = initial_state(cfg)
-        args = (seed_network(cfg), state.ranking, env.train_batches[3], 2, 0.5, cfg.sgd)
-        a = fsl_client_update(*args, derive(9, [0]))
-        b = fsl_client_update(*args, derive(9, [0]))
+        args = (seed_network(cfg), state.ranking, [env.train_batches[3]], [2], 0.5, cfg.sgd)
+        a = fsl_client_update(*args, [derive(9, [0])])[0]
+        b = fsl_client_update(*args, [derive(9, [0])])[0]
         for ra, rb in zip(a, b):
             assert np.array_equal(ra, rb)
 
@@ -153,8 +154,8 @@ class TestFslClientUpdate:
             batches = [Minibatch(feats[i : i + 8], labels[i : i + 8])
                        for i in range(0, 64, 8)]
             seed_net = SeedNetwork(seed, specs)
-            ranking = fsl_client_update(seed_net, seed_net.ranking, batches, 3, 0.5, sgd,
-                                        derive(seed, [TAG_TRAIN, 1, 0]))
+            ranking = fsl_client_update(seed_net, seed_net.ranking, [batches], [3], 0.5, sgd,
+                                        [derive(seed, [TAG_TRAIN, 1, 0])])[0]
             bottom = set(ranking[0][:8].tolist())
             noise_edges = {i for i in range(16) if i % 2 == 1}
             hits += len(bottom & noise_edges)
@@ -169,9 +170,9 @@ class TestFslRound:
         state = initial_state(cfg1)
         new_state, record = fsl_round(state, env, cfg1, 1)
         u = record.selected[0]
-        expected = fsl_client_update(seed_network(cfg1), state.ranking, env.train_batches[u],
-                                     cfg1.local_epochs, cfg1.subnet_fraction, cfg1.sgd,
-                                     derive(cfg1.seed, [TAG_TRAIN, 1, u]))
+        expected = fsl_client_update(seed_network(cfg1), state.ranking, [env.train_batches[u]],
+                                     [cfg1.local_epochs], cfg1.subnet_fraction, cfg1.sgd,
+                                     [derive(cfg1.seed, [TAG_TRAIN, 1, u])])[0]
         for got, want in zip(new_state.ranking, expected):
             assert np.array_equal(got, want)
 
@@ -190,9 +191,12 @@ class TestFslRound:
         fixtures = [FIG_R1, FIG_R2, FIG_R3]
         calls = []
 
-        def fake_update(seed_net, ranking, batches, epochs, k, sgd, rng):
-            calls.append(None)
-            return [fixtures[(len(calls) - 1) % 3], fixtures[(len(calls) - 1) % 3]]
+        def fake_update(seed_net, ranking, batches, epochs, k, sgd, rngs):
+            out = []
+            for _ in batches:  # one ranking per client of the cohort
+                calls.append(None)
+                out.append([fixtures[(len(calls) - 1) % 3], fixtures[(len(calls) - 1) % 3]])
+            return out
 
         monkeypatch.setattr(protocols, "fsl_client_update", fake_update)
         state = ServerState(ranking=[FIG_R1, FIG_R1])
@@ -210,11 +214,13 @@ class TestFslRound:
 
 class TestSharedSeedNetwork:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_shared_network_unchanged_by_training(self, fsl_env, workers):
+    def test_shared_network_unchanged_by_training(self, fsl_env, workers, monkeypatch):
         # Up to more threads than a small host has cores, switching often:
         # clients, attackers included, sharing one seed network on a pool
         # must vote exactly as clients trained one after another on a
         # network drawn apart, and leave the shared arrays untouched.
+        # One-client cohorts, so the pool has eight to run at once.
+        monkeypatch.setattr(protocols, "cohort_size", lambda specs: 1)
         _, env = fsl_env
         cfg = tiny_config(clients_per_round=8,
                           attack=AttackConfig(0.25, AttackKind.RANK_REVERSAL))
@@ -265,8 +271,8 @@ class TestSharedSeedNetwork:
         before = [s.tobytes() for s in seed_net.rebuild(seed_net.ranking).scores]
 
         def client(net):
-            return fsl_client_update(net, seed_net.ranking, env.train_batches[0], 2, 0.5,
-                                     cfg.sgd, derive(cfg.seed, [TAG_TRAIN, 1, 0]))
+            return fsl_client_update(net, seed_net.ranking, [env.train_batches[0]], [2], 0.5,
+                                     cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, 0])])[0]
 
         trained = client(seed_net)
         assert any(not np.array_equal(a, b) for a, b in zip(trained, seed_net.ranking))
@@ -312,8 +318,8 @@ class TestFedavgClientUpdate:
     def test_zero_lr_zero_delta(self, fsl_env):
         cfg, env = fsl_env
         theta = initial_state(tiny_config(algorithm=Algorithm.FEDAVG)).weights
-        out = fedavg_client_update(theta, cfg.architecture, env.train_batches[0],
-                                   1, SgdConfig(0.0, 0.0, 0.0, 8), derive(1, []), 0)
+        out = fedavg_client_update(theta, cfg.architecture, [env.train_batches[0]],
+                                   [1], SgdConfig(0.0, 0.0, 0.0, 8), [derive(1, [])], [0])[0]
         assert np.all(out.delta == 0.0)
 
     def test_single_step_is_neg_lr_grad(self, fsl_env):
@@ -321,8 +327,8 @@ class TestFedavgClientUpdate:
         fed = tiny_config(algorithm=Algorithm.FEDAVG)
         theta = initial_state(fed).weights
         batch = env.train_batches[2][0]
-        out = fedavg_client_update(theta, fed.architecture, [batch], 1,
-                                   SgdConfig(0.05, 0.0, 0.0, 8), derive(1, []), 2)
+        out = fedavg_client_update(theta, fed.architecture, [[batch]], [1],
+                                   SgdConfig(0.05, 0.0, 0.0, 8), [derive(1, [])], [2])[0]
         grads = dense_weight_grads(unflatten_params(theta, fed.architecture),
                                    fed.architecture, batch)
         expected = np.concatenate([
@@ -333,10 +339,10 @@ class TestFedavgClientUpdate:
     def test_identical_clients_identical_deltas(self, fsl_env):
         cfg, env = fsl_env
         theta = initial_state(tiny_config(algorithm=Algorithm.FEDAVG)).weights
-        a = fedavg_client_update(theta, cfg.architecture, env.train_batches[1],
-                                 2, cfg.sgd, derive(5, []), 1)
-        b = fedavg_client_update(theta, cfg.architecture, env.train_batches[1],
-                                 2, cfg.sgd, derive(5, []), 1)
+        a = fedavg_client_update(theta, cfg.architecture, [env.train_batches[1]],
+                                 [2], cfg.sgd, [derive(5, [])], [1])[0]
+        b = fedavg_client_update(theta, cfg.architecture, [env.train_batches[1]],
+                                 [2], cfg.sgd, [derive(5, [])], [1])[0]
         assert np.array_equal(a.delta, b.delta)
 
 
@@ -349,8 +355,8 @@ class TestBaselineRound:
         new_state, record = baseline_round(state, env, cfg, 1, with_eval=False)
         u = record.selected[0]
         expected = fedavg_client_update(state.weights, cfg.architecture,
-                                        env.train_batches[u], cfg.local_epochs,
-                                        cfg.sgd, derive(cfg.seed, [TAG_TRAIN, 1, u]), u)
+                                        [env.train_batches[u]], [cfg.local_epochs],
+                                        cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u])], [u])[0]
         assert np.allclose(new_state.weights, state.weights + expected.delta)
 
     def test_topk_full_fraction_equals_fedavg(self):
@@ -375,8 +381,8 @@ class TestBaselineRound:
         new_state, record = baseline_round(state, env, cfg, 1, with_eval=False)
         u = record.selected[0]
         delta = fedavg_client_update(state.weights, cfg.architecture,
-                                     env.train_batches[u], cfg.local_epochs,
-                                     cfg.sgd, derive(cfg.seed, [TAG_TRAIN, 1, u]), u)
+                                     [env.train_batches[u]], [cfg.local_epochs],
+                                     cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u])], [u])[0]
         expected = state.weights - 0.01 * signs_of(delta.delta).signs.astype(np.float64)
         assert np.allclose(new_state.weights, expected)
 
@@ -425,3 +431,187 @@ class TestRunExperiment:
         for r in recs:
             assert r.upload_bits == env_cost.upload_bits
             assert r.download_bits == env_cost.download_bits
+
+
+# --- The cohort trainer against the per-client loop it replaced -------------
+#
+# A self-contained copy of the per-client training path as it was before
+# clients trained in cohorts: one rebuilt network (or one weight copy) per
+# client, one masked forward and backward per batch, float64 reductions.
+
+
+def _ref_mask(scores, k):
+    flat = scores.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("values must be finite")
+    keep = math.ceil(k * flat.size)
+    if not keep:
+        return np.zeros(scores.shape, dtype=np.float32)
+    threshold = np.partition(flat, flat.size - keep)[flat.size - keep]
+    above = flat > threshold
+    mask = above.astype(np.float32)
+    ties = np.flatnonzero(flat == threshold)
+    mask[ties[len(ties) - (keep - int(np.count_nonzero(above))):]] = 1.0
+    return mask.reshape(scores.shape)
+
+
+def _ref_grads(specs, weights, batch):
+    """dL/dW_eff per layer at the float64 effective ``weights``."""
+    x = np.asarray(batch.inputs, dtype=np.float64)
+    inputs, pres = [], []
+    for spec, w in zip(specs, weights):
+        inputs.append(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = x @ w.T
+        pres.append(pre)
+        x = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
+    labels = np.asarray(batch.labels, dtype=np.int64)
+    logits = pres[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(shifted)
+        dldi = e / e.sum(axis=1, keepdims=True)
+    dldi[np.arange(len(labels)), labels] -= 1.0
+    dldi = dldi / len(labels)
+    grads = [None] * len(specs)
+    for i in range(len(specs) - 1, -1, -1):
+        grads[i] = dldi.T @ inputs[i]
+        if i > 0:
+            dz = dldi @ weights[i]
+            if specs[i - 1].activation == "relu":
+                dz = dz * (pres[i - 1] > 0)
+            dldi = dz
+    return grads
+
+
+def _ref_train(params, grads_of, batches, epochs, sgd, rng):
+    buffers = [np.zeros(p.shape, dtype=np.float64) for p in params]
+    order = np.arange(len(batches))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for bi in order:
+            for p, g, buf in zip(params, grads_of(batches[bi]), buffers):
+                scratch = p.astype(np.float64)
+                scratch *= sgd.weight_decay
+                scratch += g
+                buf *= sgd.momentum
+                buf += scratch
+                np.multiply(buf, sgd.learning_rate, out=scratch)
+                with np.errstate(over="ignore"):
+                    p -= scratch.astype(np.float32)
+    return params
+
+
+def _ref_fsl_client(seed_net, ranking, batches, epochs, k, sgd, rng):
+    net = seed_net.rebuild(ranking)
+
+    def grads_of(batch):
+        eff = [(w * _ref_mask(s, k)).astype(np.float64) for w, s in zip(net.weights, net.scores)]
+        return [g * w for g, w in zip(_ref_grads(net.specs, eff, batch), net.weights)]
+
+    scores = _ref_train(net.scores, grads_of, batches, epochs, sgd, rng)
+    for s in scores:
+        if not np.all(np.isfinite(s)):
+            raise ValueError("values must be finite")
+    return [np.argsort(s.ravel(), kind="stable") for s in scores]
+
+
+def _ref_fedavg_client(theta, specs, batches, epochs, sgd, rng):
+    weights = [np.array(w, dtype=np.float32) for w in unflatten_params(theta, specs)]
+    _ref_train(weights, lambda batch: _ref_grads(specs, [w.astype(np.float64) for w in weights],
+                                                 batch), batches, epochs, sgd, rng)
+    return np.concatenate([w.astype(np.float64).ravel() for w in weights]) - theta
+
+
+class TestCohortTrainer:
+    # Shards of 17, 8, 3, 22, 13, 1 and 30 samples in batches of 8: last
+    # batches of 1, 8, 3, 6, 5, 1 and 6 rows, so a step mixes batch sizes.
+    # The fourth client stands for an attacker training longer.
+    LENGTHS = [17, 8, 3, 22, 13, 1, 30]
+    EPOCHS = [2, 2, 2, 5, 2, 2, 2]
+    SPECS = [LayerSpec(6, 9, "relu"), LayerSpec(9, 7, "relu"), LayerSpec(7, 4, "identity")]
+
+    def shards(self):
+        rng = derive(4242, [])
+        out = []
+        for n in self.LENGTHS:
+            x = rng.uniform(n * 6, -2, 2).reshape(n, 6)
+            y = np.array(rng.integers_below([4] * n))
+            out.append([Minibatch(x[i : i + 8], y[i : i + 8]) for i in range(0, n, 8)])
+        return out
+
+    def streams(self):
+        return [derive(77, [TAG_TRAIN, 3, u]) for u in range(len(self.LENGTHS))]
+
+    @pytest.mark.parametrize("cohort", [len(LENGTHS), 1])
+    def test_fsl_matches_per_client_loop(self, cohort):
+        seed_net = SeedNetwork(31, self.SPECS)
+        ranking = [argsort_ranking(derive(32, [li]).uniform(sp.n_edges))
+                   for li, sp in enumerate(self.SPECS)]
+        sgd = SgdConfig(0.4, 0.9, 1e-4, 8)
+        batches, rngs = self.shards(), self.streams()
+        got = []
+        for lo in range(0, len(batches), cohort):
+            sl = slice(lo, lo + cohort)
+            got += fsl_client_update(seed_net, ranking, batches[sl], self.EPOCHS[sl], 0.5,
+                                     sgd, rngs[sl])
+        want = [_ref_fsl_client(seed_net, ranking, b, e, 0.5, sgd, r)
+                for b, e, r in zip(batches, self.EPOCHS, self.streams())]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
+
+    @pytest.mark.parametrize("cohort", [len(LENGTHS), 1])
+    def test_fedavg_matches_per_client_loop(self, cohort):
+        theta = initial_state(tiny_config(algorithm=Algorithm.FEDAVG,
+                                          architecture=self.SPECS)).weights
+        sgd = SgdConfig(0.05, 0.9, 1e-4, 8)
+        batches, rngs = self.shards(), self.streams()
+        ids = list(range(100, 100 + len(batches)))
+        got = []
+        for lo in range(0, len(batches), cohort):
+            sl = slice(lo, lo + cohort)
+            got += fedavg_client_update(theta, self.SPECS, batches[sl], self.EPOCHS[sl], sgd,
+                                        rngs[sl], ids[sl])
+        assert [u.client_id for u in got] == ids
+        for u, b, e, r in zip(got, batches, self.EPOCHS, self.streams()):
+            assert u.delta.tobytes() == _ref_fedavg_client(theta, self.SPECS, b, e, sgd, r).tobytes()
+
+    def test_non_finite_scores_raise_as_before(self):
+        seed_net = SeedNetwork(33, self.SPECS)
+        sgd = SgdConfig(1e300, 0.0, 0.0, 8)  # the first step overflows the scores
+        batches = self.shards()
+        with pytest.raises(ValueError) as want:
+            _ref_fsl_client(seed_net, seed_net.ranking, batches[0], 2, 0.5, sgd,
+                            self.streams()[0])
+        with pytest.raises(ValueError) as got:
+            fsl_client_update(seed_net, seed_net.ranking, batches, self.EPOCHS, 0.5, sgd,
+                              self.streams())
+        assert str(got.value) == str(want.value) == "values must be finite"
+
+    @pytest.mark.parametrize("overrides", [
+        {"attack": AttackConfig(0.25, AttackKind.RANK_REVERSAL, epochs=4)},
+        {"algorithm": Algorithm.FEDAVG, "aggregator": Aggregator.TRIMMED_MEAN,
+         "attack": AttackConfig(0.25, AttackKind.SCALE, epochs=3)},
+    ], ids=["fsl_rank_reversal", "fedavg_scale"])
+    def test_rounds_do_not_depend_on_cohort_size(self, overrides, monkeypatch):
+        # One cohort of every client, serially, against one-client cohorts
+        # on a pool: the pool maps cohorts, and neither changes a byte.
+        cfg = tiny_config(clients_per_round=8, **overrides)
+        assert protocols.cohort_size(cfg.architecture) >= cfg.clients_per_round
+        env = build_environment(cfg)
+        round_fn = protocols.ROUND_FUNCTIONS[cfg.algorithm]
+
+        def run(pool):
+            state, out = initial_state(cfg), []
+            for t in range(1, 4):
+                state, rec = round_fn(state, env, cfg, t, pool)
+                final = state.ranking if state.weights is None else [state.weights]
+                out.append((rec, [a.tobytes() for a in final]))
+            return out
+
+        whole = run(None)
+        assert any(rec.attack_active for rec, _ in whole)
+        monkeypatch.setattr(protocols, "cohort_size", lambda specs: 1)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            assert run(pool) == whole

@@ -14,6 +14,7 @@ ranges too wide to leave room for the index fall back to the stable argsort.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ class SparseLayerRanking:
     n: int
 
     def __post_init__(self):
-        top = np.asarray(self.top, dtype=np.int64)
+        top = _integer_entries(self.top).astype(np.int64, copy=False)
         object.__setattr__(self, "top", top)
         if top.ndim != 1 or len(top) > self.n:
             raise ValueError("sparse ranking must be one row no longer than the layer")
@@ -129,11 +130,20 @@ def reorder_scores(sorted_values: np.ndarray, ranking: LayerRanking) -> np.ndarr
     ranking = np.asarray(ranking, dtype=np.int64)
     if sorted_values.shape[0] != ranking.shape[0]:
         raise ValueError("length mismatch between values and ranking")
-    if np.any(np.diff(sorted_values.astype(np.float64)) < 0):
+    if (sorted_values[1:] < sorted_values[:-1]).any():
         raise ValueError("values must be sorted ascending")
     out = np.empty_like(sorted_values)
     out[ranking] = sorted_values
     return out
+
+
+def _integer_entries(entries) -> np.ndarray:
+    """``entries`` as an array, which must be empty or of an integer dtype:
+    a float row would be truncated and a bool row read as 0 and 1."""
+    entries = np.asarray(entries)
+    if entries.size and entries.dtype.kind not in "iu":
+        raise ValueError(f"entries must be integers, got {entries.dtype}")
+    return entries
 
 
 def _out_of_range(entries: np.ndarray, n: int) -> bool:
@@ -149,7 +159,7 @@ def _has_duplicate(entries: np.ndarray, n: int) -> bool:
 
 def _check_permutation(perm: np.ndarray, n: int) -> np.ndarray:
     """``perm`` as int64 if it is a permutation of [0, n); linear time."""
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = _integer_entries(perm).astype(np.int64, copy=False)
     if perm.shape != (n,) or _out_of_range(perm, n) or _has_duplicate(perm, n):
         raise ValueError("ranking is not a permutation of [0, n)")
     return perm
@@ -227,10 +237,20 @@ def truncate_ranking(r: LayerRanking, s: float) -> SparseLayerRanking:
 # --- Wire form -------------------------------------------------------------
 #
 # Per layer: each rank is a fixed-width big-endian unsigned integer of
-# ceil(log2(n)) bits, packed MSB-first; the final byte is zero-padded.  The
-# sparse form packs the s kept entries at the same width.  Both directions
-# go through 32-bit words, one bit per uint8 column, in blocks of _BLOCK
-# entries; _BLOCK is a multiple of 8 so every block starts on a byte.
+# w = ceil(log2(n)) bits, packed MSB-first; the final byte is zero-padded.
+# The sparse form packs the s kept entries at the same width.
+#
+# Eight fields of w bits fill exactly w bytes, so the codec works on groups
+# of eight entries, held as a (groups, 8) uint64 array.  A group's bytes are
+# the first w bytes of ceil(w / 8) big-endian uint64 words.  Encode shifts
+# each position into its word (a field that crosses a word boundary leaves
+# its low bits at the top of the next word) and ORs each word's positions
+# together, one position range per word; the shifts are planned once per
+# width.  Decode reads each position's field from the 8 big-endian bytes that
+# start at the field's first byte (a field spans at most 39 bits, so they
+# hold it whole), then shifts and masks.  Both directions run in blocks of
+# _BLOCK entries, so their uint64 arrays stay a fixed size; _BLOCK is a
+# multiple of 8, so every block starts on a group.
 
 _BLOCK = 1 << 16
 
@@ -242,23 +262,52 @@ def rank_bit_width(n: int) -> int:
     return (n - 1).bit_length()
 
 
+@functools.cache
+def _encode_plan(width: int) -> tuple:
+    """Per uint64 word of a group: the positions [lo, hi) with bits in it,
+    each one's left shift as a column, and the right shift that keeps the
+    high bits of a last position crossing into the next word (0 if none)."""
+    plan = []
+    for k in range(-(-width // 8)):
+        lo, hi = 64 * k // width, min(-(-64 * (k + 1) // width), 8)
+        shifts = [64 * (k + 1) - (p + 1) * width for p in range(lo, hi)]
+        left = np.array([[max(s, 0)] for s in shifts], dtype=np.uint64)
+        plan.append((lo, hi, left, np.uint64(max(-shifts[-1], 0))))
+    return tuple(plan)
+
+
+@functools.cache
+def _decode_plan(width: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """Each position's first byte in its group, the right shift that brings
+    its field down from the top of the 8 bytes read there, and the mask."""
+    first = np.array([p * width // 8 for p in range(8)])
+    shifts = np.array([64 - p * width % 8 - width for p in range(8)], dtype=np.uint64)
+    return first, shifts, np.uint64((1 << width) - 1)
+
+
 def encode_entries(entries: np.ndarray, n: int) -> bytes:
-    """Pack entries of [0, n) as fixed-width MSB-first fields."""
+    """Pack integer entries of [0, n) as fixed-width MSB-first fields."""
     width = rank_bit_width(n)
-    entries = np.asarray(entries)
+    entries = _integer_entries(entries)
     if entries.ndim != 1:
         raise ValueError("entries must be one row")
-    if _out_of_range(entries, n):
-        raise ValueError(f"entry outside [0, {n})")
-    count = len(entries)
-    out = np.empty((width * count + 7) // 8, dtype=np.uint8)
-    for start in range(0, count, _BLOCK):
-        words = entries[start:start + _BLOCK].astype(">u4").view(np.uint8)
-        bits = np.unpackbits(words).reshape(-1, 32)[:, 32 - width:]
-        packed = np.packbits(bits)
-        lo = start * width // 8
-        out[lo:lo + len(packed)] = packed
-    return out.tobytes()
+    plan = _encode_plan(width)
+    chunks = []
+    for start in range(0, len(entries), _BLOCK):
+        block = entries[start:start + _BLOCK]
+        fields = np.zeros((-(-len(block) // 8), 8), dtype=np.uint64)
+        fields.ravel()[:len(block)] = block  # a negative entry wraps above n
+        if fields.max() >= n:
+            raise ValueError(f"entry outside [0, {n})")
+        words = np.empty((len(fields), len(plan)), dtype=np.uint64)
+        for k, (lo, hi, left, right) in enumerate(plan):
+            part = np.left_shift(fields[:, lo:hi].T, left, order="C")
+            if right:
+                part[-1] >>= right
+            np.bitwise_or.reduce(part, axis=0, out=words[:, k])
+        group_bytes = words.byteswap(inplace=True).view(np.uint8)[:, :width]
+        chunks.append(group_bytes.tobytes()[:(width * len(block) + 7) // 8])
+    return b"".join(chunks)
 
 
 def decode_entries(data: bytes, count: int, n: int) -> np.ndarray:
@@ -266,15 +315,18 @@ def decode_entries(data: bytes, count: int, n: int) -> np.ndarray:
     width = rank_bit_width(n)
     if count < 0 or len(data) != (width * count + 7) // 8:
         raise ValueError("encoded ranking has the wrong length")
+    first, shifts, mask = _decode_plan(width)
+    groups = -(-count // 8)
+    buf = np.zeros(groups * width + 8, dtype=np.uint8)  # room to read past the end
+    buf[:len(data)] = np.frombuffer(data, dtype=np.uint8)
+    # windows[i, j]: the 8 bytes from byte j of group i, one big-endian word
+    windows = np.ndarray((groups, first[-1] + 1), dtype=">u8", buffer=buf,
+                         strides=(width, 1))
     out = np.empty(count, dtype=np.int64)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    words = np.zeros((min(count, _BLOCK), 32), dtype=np.uint8)
     for start in range(0, count, _BLOCK):
-        m = min(_BLOCK, count - start)
-        lo = start * width // 8
-        bits = np.unpackbits(buf[lo:lo + (m * width + 7) // 8], count=m * width)
-        words[:m, 32 - width:] = bits.reshape(m, width)
-        out[start:start + m] = np.packbits(words[:m], axis=1).view(">u4")[:, 0]
+        fields = windows[start // 8:(start + _BLOCK) // 8][:, first] >> shifts
+        fields &= mask
+        out[start:start + _BLOCK] = fields.ravel()[:count - start]
     return out
 
 

@@ -1,13 +1,14 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fedrank.analytics import ARCH_PRESETS, rank_payload_bits
-from fedrank.ranking import (SparseLayerRanking, _check_permutation, argsort_ranking,
-                             decode_entries, decode_layer_ranking, decode_sparse_ranking,
-                             encode_entries, encode_layer_ranking, encode_sparse_ranking,
-                             keep_count, rank_bit_width,
+from fedrank.ranking import (_BLOCK, SparseLayerRanking, _check_permutation,
+                             argsort_ranking, decode_entries, decode_layer_ranking,
+                             decode_sparse_ranking, encode_entries, encode_layer_ranking,
+                             encode_sparse_ranking, keep_count, rank_bit_width,
                              reorder_scores, reverse_ranking, sparse_vote,
                              stable_order, truncate_ranking, vote)
 from fedrank.rng import derive
@@ -21,28 +22,43 @@ TALLY = np.array([2, 12, 3, 11, 8, 9])
 AGGREGATE = np.array([0, 2, 4, 5, 3, 1])
 
 
-# Reference codec: one growing Python integer shifted per entry.  Quadratic,
-# so the tests keep layers small, but independent of numpy's bit packing.
+# Reference codec: one Python integer holding every field, the first most
+# significant, independent of numpy's bit packing.  It is built and split by
+# halves, so a block-sized row costs O(bits log bits), not quadratic time.
 def bigint_encode(entries, n):
     width = (n - 1).bit_length()
+
+    def join(vals):
+        if len(vals) <= 64:
+            acc = 0
+            for v in vals:
+                acc = (acc << width) | v
+            return acc
+        half = len(vals) // 2
+        return (join(vals[:half]) << (width * (len(vals) - half))) | join(vals[half:])
+
     total_bits = width * len(entries)
-    acc = 0
-    for v in entries:
-        acc = (acc << width) | int(v)
     pad = (-total_bits) % 8
-    acc <<= pad
+    acc = join([int(v) for v in entries]) << pad
     return acc.to_bytes((total_bits + pad) // 8, "big")
 
 
 def bigint_decode(data, count, n):
     width = (n - 1).bit_length()
-    total_bits = width * count
-    acc = int.from_bytes(data, "big") >> ((-total_bits) % 8)
     out = np.empty(count, dtype=np.int64)
-    mask = (1 << width) - 1
-    for i in range(count - 1, -1, -1):
-        out[i] = acc & mask
-        acc >>= width
+
+    def split(acc, lo, hi):  # acc holds the fields of entries lo..hi-1
+        if hi - lo <= 64:
+            for i in range(hi - 1, lo - 1, -1):
+                out[i] = acc & ((1 << width) - 1)
+                acc >>= width
+            return
+        mid = (lo + hi) // 2
+        low_bits = width * (hi - mid)
+        split(acc >> low_bits, lo, mid)
+        split(acc & ((1 << low_bits) - 1), mid, hi)
+
+    split(int.from_bytes(data, "big") >> ((-width * count) % 8), 0, count)
     return out
 
 
@@ -60,7 +76,8 @@ def unique_is_sparse_ranking(top, n):
 
 def codec_cases():
     """(n, count) pairs: edge widths, powers of two and their neighbours,
-    and random sizes, each with counts from 0 to n."""
+    and random sizes, each with counts from 0 to n; every width up to 32 at
+    small counts; and counts around the codec's block size at two widths."""
     rng = derive(61, [])
     sizes = [1, 2, 3]
     for j in range(2, 13):
@@ -70,7 +87,12 @@ def codec_cases():
     for n in sizes:
         cases += [(n, 0), (n, 1), (n, n), (n, rng.integers_below([n + 1])[0])]
     big = 30000 + rng.integers_below([10000])[0]
-    return cases + [(big, big - rng.integers_below([big // 2])[0])]
+    cases.append((big, big - rng.integers_below([big // 2])[0]))
+    for n in [2**j for j in range(13, 33)] + [2**j + 1 for j in range(13, 32)]:
+        cases += [(n, count) for count in (1, 7, 8, 9, 23)]
+    for n in (1605632, 2**30 + 7):  # widths 21 and 31: odd counts leave pad bits
+        cases += [(n, _BLOCK - 1), (n, _BLOCK), (n, _BLOCK + 1), (n, 2 * _BLOCK + 9)]
+    return cases
 
 
 class TestArgsort:
@@ -181,6 +203,30 @@ class TestReorder:
         with pytest.raises(ValueError):
             reorder_scores(np.array([2.0, 1.0]), np.array([0, 1]))
 
+    def test_sortedness_on_the_native_dtype(self):
+        # the float64 np.diff rule this check replaced, on the values it
+        # agrees on: NaN, signed zeros and infinities
+        inf, nan = np.inf, np.nan
+        rows = [[nan, 1.0], [1.0, nan], [-0.0, 0.0], [0.0, -0.0], [inf, inf],
+                [-inf, inf], [inf, -inf], [1.0, inf, nan, 0.5], [-inf, -inf, 2.0]]
+        for row in rows:
+            for dtype in (np.float32, np.float64):
+                values = np.array(row, dtype=dtype)
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    old = bool(np.any(np.diff(values.astype(np.float64)) < 0))
+                assert self._rejects(values) == old, (row, dtype)
+        # above 2**53 a float64 copy rounds both values to the same number
+        assert self._rejects(np.array([2**53 + 1, 2**53], dtype=np.int64))
+        assert not self._rejects(np.array([2**53, 2**53 + 1], dtype=np.int64))
+
+    @staticmethod
+    def _rejects(values):
+        try:
+            reorder_scores(values, np.arange(len(values)))
+        except ValueError:
+            return True
+        return False
+
 
 class TestVote:
     def test_worked_example(self):
@@ -258,6 +304,13 @@ class TestSparseVote:
         with pytest.raises(ValueError):
             SparseLayerRanking(top=np.array([1, 1]), n=4)
 
+    def test_non_integer_top_rejected(self):
+        for top in (np.array([0.7, 2.2]), np.array([True, False]), [0.0, 1.0]):
+            with pytest.raises(ValueError, match="integers"):
+                SparseLayerRanking(top=top, n=6)
+        empty = SparseLayerRanking(top=np.zeros(0), n=6)
+        assert empty.top.dtype == np.int64 and empty.top.size == 0
+
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             sparse_vote([SparseLayerRanking(top=np.array([0]), n=3),
@@ -315,7 +368,9 @@ class TestOneTally:
                     assert np.array_equal(sparse_vote(sparse)[1], _oracle_vote(rankings)[1])
 
     @pytest.mark.parametrize("bad", [np.array([0, 1]), np.array([0, 1, 1, 3]),
-                                     np.array([0, 1, 2, 4]), np.array([-1, 0, 1, 2])])
+                                     np.array([0, 1, 2, 4]), np.array([-1, 0, 1, 2]),
+                                     np.array([0.5, 1.9, 2.2, 3.0]),
+                                     np.array([True, False, True, False])])
     def test_vote_rejects_non_permutation(self, bad):
         with pytest.raises(ValueError):
             vote([np.array([3, 2, 1, 0]), bad])
@@ -406,7 +461,7 @@ class TestWireEncoding:
     def test_matches_bigint_oracle(self):
         rng = derive(62, [])
         for n, count in codec_cases():
-            entries = np.array(rng.integers_below([n] * count), dtype=np.int64)
+            entries = (rng.next_u64(count) % np.uint64(n)).astype(np.int64)
             data = encode_entries(entries, n)
             assert data == bigint_encode(entries, n), (n, count)
             assert np.array_equal(decode_entries(data, count, n), entries), (n, count)
@@ -431,6 +486,20 @@ class TestWireEncoding:
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             encode_entries(np.array([1]), 1)
 
+    def test_non_integer_entries_rejected(self):
+        for entries in (np.array([0.5, 5.9]), np.array([True, False]),
+                        np.array([1.0, 2.0], dtype=np.float32)):
+            with pytest.raises(ValueError, match="integers"):
+                encode_entries(entries, 6)
+        for dtype in (np.float64, bool, np.int8, np.uint64):
+            assert encode_entries(np.zeros(0, dtype=dtype), 6) == b""
+        # every integer dtype encodes as int64 does, a negative one rejected
+        entries = np.array([5, 0, 3, 1])
+        for dtype in (np.int8, np.uint8, np.int32, ">i4", np.uint64):
+            assert encode_entries(entries.astype(dtype), 6) == encode_entries(entries, 6)
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            encode_entries(np.array([2, -3], dtype=np.int8), 6)
+
     def test_paper_size_layer(self):
         n = max(ARCH_PRESETS["lenet-mnist"])
         assert n == 1605632
@@ -450,6 +519,11 @@ class TestWireEncoding:
         assert len(part) == -(-rank_payload_bits([n]) * s // (8 * n))
         assert np.array_equal(back, perm)
         assert np.array_equal(back_sparse.top, sr.top) and back_sparse.n == n
+        # the wire bytes themselves: any change to them is a protocol change
+        assert hashlib.sha256(full).hexdigest() == (
+            "c5bff246aa53ab84f8413c591267c95a4f94e1fa08b871b09f2271280d12c999")
+        assert hashlib.sha256(part).hexdigest() == (
+            "c4ccf54424690dd62930374e7943012a97a37076b6d3c51b5fea1b7021c23279")
         # transient memory stays linear: the peak also holds both encodings
         # and both decoded rankings, about 12 bytes per edge
         assert peak <= 32 * n

@@ -8,7 +8,7 @@ communication-cost model.
 __version__ = "0.1.0"
 
 from .adversary import AttackConfig, AttackKind, OmegaKind
-from .aggregation import ModelUpdate, SignUpdate, average, multi_krum, sign_majority, trimmed_mean
+from .aggregation import average, multi_krum, sign_majority, trimmed_mean
 from .analytics import ARCH_PRESETS, CostReport, comm_cost, failure_upper_bound
 from .data import ClientShards, Dataset, dirichlet_partition, gen_blobs, load_idx
 from .nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, edge_popup_train,

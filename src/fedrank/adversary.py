@@ -16,10 +16,9 @@ import numpy as np
 # multi_krum_select is unused here since the gamma search selects from
 # distances it builds itself; bench/test_bench.py still checks that the
 # tracer wraps this module's alias of it, so the name stays importable.
-from .aggregation import (AGGREGATE_ID, ModelUpdate, multi_krum_select,  # noqa: F401
-                          select_from_distances, squared_distances)
+from .aggregation import multi_krum_select, select_from_distances, squared_distances  # noqa: F401
 from .nn import require_finite
-from .ranking import NetworkRanking, reverse_ranking, vote_network
+from .ranking import NetworkRanking, floor_count, reverse_ranking, vote_network
 
 
 class AttackKind(str, Enum):
@@ -63,7 +62,7 @@ class AttackConfig:
     def malicious_count(self, num_clients: int) -> int:
         if self.kind is AttackKind.NONE:
             return 0
-        return int(self.malicious_fraction * num_clients)
+        return floor_count(num_clients, self.malicious_fraction)
 
 
 def craft_rank_poison(own_rankings: list[NetworkRanking]) -> NetworkRanking:
@@ -78,10 +77,9 @@ def craft_rank_poison(own_rankings: list[NetworkRanking]) -> NetworkRanking:
     return [reverse_ranking(layer) for layer in vote_network(own_rankings)]
 
 
-def craft_scale_attack(benign_delta: ModelUpdate, scale_factor: float) -> ModelUpdate:
+def craft_scale_attack(benign_delta: np.ndarray, scale_factor: float) -> np.ndarray:
     """Large update in the opposite direction: scale_factor * (-delta)."""
-    return ModelUpdate(delta=scale_factor * (-benign_delta.delta),
-                       client_id=benign_delta.client_id)
+    return scale_factor * (-benign_delta)
 
 
 def _krum_accepts(crafted: np.ndarray, benign: np.ndarray, benign_sq: np.ndarray,
@@ -107,26 +105,33 @@ def _krum_accepts(crafted: np.ndarray, benign: np.ndarray, benign_sq: np.ndarray
     return max(select_from_distances(sq, ids, f)) >= nb
 
 
-def craft_opt_poison(benign_deltas: list[ModelUpdate], n_malicious: int,
-                     aggregator: str, omega_kind: OmegaKind = OmegaKind.NEG_UNIT,
+def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
+                     n_malicious: int, aggregator: str,
+                     omega_kind: OmegaKind = OmegaKind.NEG_UNIT,
                      gamma_init: float = 50.0, gamma_iters: int = 20,
-                     f: int | None = None) -> ModelUpdate:
+                     f: int | None = None) -> np.ndarray:
     """Perturb the benign mean along a malicious direction.
 
-    The crafted update is mean(benign) + gamma * omega with omega the
-    negated unit mean or its negated sign pattern.  The halving search
-    pushes gamma toward the largest value the aggregator's selection still
-    accepts (for aggregators without a selection step it saturates near
-    2 * gamma_init).
+    ``benign_deltas`` are the attackers' own deltas as rows (a 2-D array
+    works the same) and ``client_ids`` their ids, which only the simulated
+    Krum reads: ties break toward the lower id, and the ``n_malicious``
+    crafted copies take ids below every real one.  ``aggregator`` names the
+    server's rule.  The crafted update is mean(benign) + gamma * omega with
+    omega the negated unit mean or its negated sign pattern (``omega_kind``).
+    The halving search takes ``gamma_iters`` steps from ``gamma_init``
+    toward the largest value the aggregator's selection still accepts (for
+    aggregators without a selection step it saturates near 2 * gamma_init).
 
     ``f`` is the number of Byzantine clients the simulated Krum tolerates;
     it defaults to ``n_malicious``, the attackers sampled this round.  The
-    server (``protocols.baseline_round``) uses int(malicious_fraction * n)
+    server (``protocols.baseline_round``) uses floor(malicious_fraction * n)
     instead, so the two can differ.  The mismatch is deliberate: aligning
     them changes the bytes of every opt_poison run, pinned hashes included.
     """
-    if not benign_deltas:
+    if len(benign_deltas) == 0:
         raise ValueError("opt poisoning needs at least one benign delta")
+    if len(client_ids) != len(benign_deltas):
+        raise ValueError(f"{len(client_ids)} client ids for {len(benign_deltas)} updates")
     if n_malicious < 1:
         raise ValueError("n_malicious must be >= 1")
     omega_kind = OmegaKind(omega_kind)
@@ -134,7 +139,7 @@ def craft_opt_poison(benign_deltas: list[ModelUpdate], n_malicious: int,
         f = n_malicious
     if aggregator not in ("average", "trimmed_mean", "multi_krum"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
-    benign = np.stack([u.delta for u in benign_deltas])
+    benign = np.stack(benign_deltas)
     base = np.mean(benign, axis=0)
     if omega_kind is OmegaKind.NEG_UNIT:
         norm = float(np.linalg.norm(base))
@@ -150,7 +155,7 @@ def craft_opt_poison(benign_deltas: list[ModelUpdate], n_malicious: int,
     if simulate:
         benign_sq = squared_distances(benign)
         # Ids below any real client id so score ties favor the adversary.
-        ids = [u.client_id for u in benign_deltas] + [-(i + 1) for i in range(n_malicious)]
+        ids = list(client_ids) + [-(i + 1) for i in range(n_malicious)]
     gamma = gamma_init
     step = gamma_init / 2.0
     for _ in range(gamma_iters):
@@ -159,4 +164,4 @@ def craft_opt_poison(benign_deltas: list[ModelUpdate], n_malicious: int,
         else:
             gamma -= step
         step /= 2.0
-    return ModelUpdate(delta=base + gamma * omega, client_id=AGGREGATE_ID)
+    return base + gamma * omega

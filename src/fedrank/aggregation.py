@@ -1,53 +1,27 @@
-"""Weight-space aggregation rules for the baseline protocols."""
+"""Weight-space aggregation rules for the baseline protocols.
+
+An update is one client's flat float64 parameter delta.  Each rule takes
+the round's updates as a list of rows (a 2-D array works the same) and
+returns an array.  Client ids exist only for Krum's score tie-break.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-AGGREGATE_ID = -1  # client_id carried by aggregated outputs
 
-
-@dataclass
-class ModelUpdate:
-    """Flat parameter delta (or gradient) from one client."""
-
-    delta: np.ndarray
-    client_id: int
-
-    def __post_init__(self):
-        self.delta = np.asarray(self.delta, dtype=np.float64)
-
-
-@dataclass
-class SignUpdate:
-    """Elementwise signs of an update; zeros map to +1."""
-
-    signs: np.ndarray
-
-    def __post_init__(self):
-        self.signs = np.asarray(self.signs, dtype=np.int8)
-        if self.signs.size and not np.all(np.isin(self.signs, (-1, 1))):
-            raise ValueError("signs must be -1 or +1")
-
-
-def signs_of(delta: np.ndarray) -> SignUpdate:
-    return SignUpdate(signs=np.where(np.asarray(delta) < 0, -1, 1))
-
-
-def _stack(updates: list[ModelUpdate]) -> np.ndarray:
-    if not updates:
+def _stack(updates: list[np.ndarray]) -> np.ndarray:
+    if len(updates) == 0:
         raise ValueError("no updates to aggregate")
-    return np.stack([u.delta for u in updates])
+    return np.stack(updates)
 
 
-def average(updates: list[ModelUpdate]) -> ModelUpdate:
+def average(updates: list[np.ndarray]) -> np.ndarray:
     """Unweighted dimension-wise mean."""
-    return ModelUpdate(delta=_stack(updates).mean(axis=0), client_id=AGGREGATE_ID)
+    return _stack(updates).mean(axis=0)
 
 
-def trimmed_mean(updates: list[ModelUpdate], f: int) -> ModelUpdate:
+def trimmed_mean(updates: list[np.ndarray], f: int) -> np.ndarray:
     """Drop the f largest and f smallest values per dimension, then average;
     at f = 0 this is :func:`average`, from the one stack."""
     if len(updates) <= 2 * f:
@@ -55,7 +29,7 @@ def trimmed_mean(updates: list[ModelUpdate], f: int) -> ModelUpdate:
     mat = _stack(updates)
     if f:
         mat = np.sort(mat, axis=0)[f:-f]
-    return ModelUpdate(delta=mat.mean(axis=0), client_id=AGGREGATE_ID)
+    return mat.mean(axis=0)
 
 
 def squared_distances(mat: np.ndarray) -> np.ndarray:
@@ -92,20 +66,21 @@ def select_from_distances(sq: np.ndarray, client_ids: list[int], f: int) -> list
     return sorted(int(i) for i in order[: n - f])
 
 
-def multi_krum_select(updates: list[ModelUpdate], f: int) -> list[int]:
-    """Indices of the m = n - f updates with the lowest Krum scores."""
-    return select_from_distances(squared_distances(_stack(updates)),
-                                 [u.client_id for u in updates], f)
+def multi_krum_select(updates: list[np.ndarray], client_ids: list[int], f: int) -> list[int]:
+    """Indices of the m = n - f updates with the lowest Krum scores;
+    ``client_ids[i]`` is the id of ``updates[i]``."""
+    if len(client_ids) != len(updates):
+        raise ValueError(f"{len(client_ids)} client ids for {len(updates)} updates")
+    return select_from_distances(squared_distances(_stack(updates)), client_ids, f)
 
 
-def multi_krum(updates: list[ModelUpdate], f: int) -> ModelUpdate:
-    selected = multi_krum_select(updates, f)
+def multi_krum(updates: list[np.ndarray], client_ids: list[int], f: int) -> np.ndarray:
+    selected = multi_krum_select(updates, client_ids, f)
     return average([updates[i] for i in selected])
 
 
-def sign_majority(sign_updates: list[SignUpdate]) -> SignUpdate:
-    """Per-dimension majority sign; exact ties resolve to +1."""
-    if not sign_updates:
-        raise ValueError("no updates to aggregate")
-    total = np.sum([u.signs.astype(np.int64) for u in sign_updates], axis=0)
-    return SignUpdate(signs=np.where(total < 0, -1, 1))
+def sign_majority(updates: list[np.ndarray]) -> np.ndarray:
+    """Per-dimension majority of the updates' signs as int8 -1 or +1; a zero
+    entry counts as +1, and exact ties resolve to +1."""
+    total = np.where(_stack(updates) < 0, -1, 1).sum(axis=0)
+    return np.where(total < 0, -1, 1).astype(np.int8)

@@ -27,22 +27,21 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import adversary
 from .adversary import AttackConfig, AttackKind
-from .aggregation import (ModelUpdate, average, multi_krum, sign_majority,
-                          signs_of, trimmed_mean)
+from .aggregation import average, multi_krum, sign_majority, trimmed_mean
 from .analytics import CostReport, comm_cost
 from .data import ClientShards, Dataset, dirichlet_partition, gen_blobs, load_idx
 from .nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                  dense_evaluate, dense_train, edge_popup_train, evaluate,
                  flatten_params, masked_weights, require_finite,
                  unflatten_params, validate_architecture)
-from .ranking import NetworkRanking, keep_count, vote_network
+from .ranking import NetworkRanking, floor_count, keep_count, vote_network
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
 
 
@@ -154,7 +153,7 @@ class ExperimentConfig:
             raise ValueError(f"{kind.value} only applies to weight-based protocols")
         if self.algorithm is Algorithm.FEDAVG:
             n = self.clients_per_round
-            f = int(self.attack.malicious_fraction * n)  # the f baseline_round tolerates
+            f = floor_count(n, self.attack.malicious_fraction)  # the f baseline_round tolerates
             of_f = f"(f = int(malicious_fraction * clients_per_round) = {f}), got {n}"
             if self.aggregator is Aggregator.MULTI_KRUM and n < f + 3:
                 raise ValueError(f"multi_krum needs clients_per_round >= f + 3 = {f + 3} {of_f}")
@@ -363,13 +362,12 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
 
 def fedavg_client_update(weights: np.ndarray, specs: list[LayerSpec],
                          batches: list[list[Minibatch]], epochs: list[int], sgd: SgdConfig,
-                         rngs: list, client_ids: list[int]) -> list[ModelUpdate]:
+                         rngs: list) -> list[np.ndarray]:
     """Local dense training of a cohort from the global ``weights``; each
-    client's update is its parameter delta."""
+    client's update is its float64 parameter delta."""
     trained = dense_train(unflatten_params(weights, specs), specs, batches,
                           epochs, sgd, rngs)
-    return [ModelUpdate(delta=flatten_params([t[c] for t in trained]) - weights, client_id=u)
-            for c, u in enumerate(client_ids)]
+    return [flatten_params([t[c] for t in trained]) - weights for c in range(len(rngs))]
 
 
 def _topk_sparsify(delta: np.ndarray, specs: list[LayerSpec], fraction: float) -> np.ndarray:
@@ -396,32 +394,31 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     rngs = _train_streams(cfg, round_index, selected)
     updates = _map_cohorts(executor, cfg, len(selected), lambda c: fedavg_client_update(
         state.weights, cfg.architecture, [env.train_batches[u] for u in selected[c]],
-        epochs[c], cfg.sgd, rngs[c], selected[c]))
+        epochs[c], cfg.sgd, rngs[c]))
     if mal and cfg.attack.kind is AttackKind.SCALE:
         for i in mal:
             updates[i] = adversary.craft_scale_attack(updates[i], cfg.attack.scale_factor)
     elif mal and cfg.attack.kind is AttackKind.OPT_POISON:
         crafted = adversary.craft_opt_poison(
-            [updates[i] for i in mal], len(mal), cfg.aggregator.value,
-            cfg.attack.omega_kind, cfg.attack.gamma_init, cfg.attack.gamma_iters)
+            [updates[i] for i in mal], [selected[i] for i in mal], len(mal),
+            cfg.aggregator.value, cfg.attack.omega_kind, cfg.attack.gamma_init,
+            cfg.attack.gamma_iters)
         for i in mal:
-            updates[i] = replace(crafted, client_id=selected[i])
-    f = int(cfg.attack.malicious_fraction * len(updates))
+            updates[i] = crafted
+    f = floor_count(len(updates), cfg.attack.malicious_fraction)
 
     if cfg.algorithm is Algorithm.SIGNSGD:
-        agg_signs = sign_majority([signs_of(u.delta) for u in updates])
-        new_weights = state.weights - cfg.server_lr * agg_signs.signs.astype(np.float64)
+        new_weights = state.weights - cfg.server_lr * sign_majority(updates)
     else:
         if cfg.algorithm is Algorithm.TOPK:  # validate ties topk to average
-            updates = [replace(u, delta=_topk_sparsify(u.delta, cfg.architecture, cfg.sparsity))
-                       for u in updates]
+            updates = [_topk_sparsify(u, cfg.architecture, cfg.sparsity) for u in updates]
         if cfg.aggregator is Aggregator.AVERAGE:
             agg = average(updates)
         elif cfg.aggregator is Aggregator.TRIMMED_MEAN:
             agg = trimmed_mean(updates, f)
         else:
-            agg = multi_krum(updates, f)
-        new_weights = state.weights + agg.delta
+            agg = multi_krum(updates, selected, f)
+        new_weights = state.weights + agg
 
     new_state = ServerState(weights=new_weights)
     accs = _evaluate_weights(cfg, env, new_weights) if with_eval else None

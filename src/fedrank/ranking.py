@@ -46,16 +46,26 @@ class SparseLayerRanking:
             raise ValueError("duplicate edge in sparse ranking")
 
 
-def keep_count(n_edges: int, k: float) -> int:
-    """Edges retained at subnetwork fraction ``k``; the rest are dropped.
+def floor_count(n: int, k: float) -> int:
+    """floor(k * n) at the decimal value of k, e.g. the malicious clients
+    among n: a product within 1e-12 * n of an integer is that integer.  A
+    fraction such as 0.7 is stored a hair off its decimal, so the float
+    product can miss the count it stands for (0.7 * 90 is 62.99999999999999).
+    Float error stays below 1e-15 * n; a wider tolerance such as 1e-9 * n
+    would count k = 1e-9 of one edge as zero edges."""
+    x = k * n
+    r = round(x)
+    return r if abs(x - r) <= 1e-12 * n else math.floor(x)
 
-    Equals n - floor((1-k) * n).  Computed as ceil(k * n) because forming
-    (1-k) in floating point loses the decimal intent of k (e.g. k=0.8,
-    n=10 would keep 9 instead of 8).
-    """
+
+def keep_count(n_edges: int, k: float) -> int:
+    """Edges retained at subnetwork fraction ``k``: n - floor((1-k) * n),
+    the rest being dropped.  floor_count reads the product at its decimal
+    value, which forming (1-k) in floating point would otherwise lose
+    (k=0.8, n=10 would keep 9 instead of 8)."""
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"k must be in [0, 1], got {k}")
-    return math.ceil(k * n_edges)
+    return n_edges - floor_count(n_edges, 1.0 - k)
 
 
 def _order_keys(values: np.ndarray, width: int) -> np.ndarray | None:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from fedrank import adversary
 from fedrank.adversary import (AttackConfig, AttackKind, OmegaKind,
                                craft_opt_poison, craft_rank_poison,
                                craft_scale_attack)
-from fedrank.aggregation import (ModelUpdate, multi_krum_select, select_from_distances,
-                                 squared_distances)
+from fedrank.aggregation import multi_krum_select, select_from_distances, squared_distances
 from fedrank.data import gen_blobs
 from fedrank.nn import LayerSpec, Minibatch, SeedNetwork, SgdConfig
 from fedrank.protocols import fsl_client_update
@@ -24,6 +25,9 @@ class TestAttackConfig:
         cfg = AttackConfig(malicious_fraction=0.1, kind=AttackKind.SCALE)
         assert cfg.malicious_count(100) == 10
         assert cfg.malicious_count(25) == 2
+        # floor at the decimal value: int(0.7 * 90) is 62 in floating point
+        cfg = AttackConfig(malicious_fraction=0.7, kind=AttackKind.SCALE)
+        assert cfg.malicious_count(90) == 63
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
@@ -86,55 +90,52 @@ class TestRankPoison:
 
 class TestScaleAttack:
     def test_negated_and_scaled(self):
-        u = ModelUpdate(delta=np.array([1.0, -2.0]), client_id=4)
-        out = craft_scale_attack(u, 10.0)
-        assert out.delta.tolist() == [-10.0, 20.0]
-        assert out.client_id == 4
+        out = craft_scale_attack(np.array([1.0, -2.0]), 10.0)
+        assert out.tolist() == [-10.0, 20.0]
 
     def test_zero_factor(self):
-        u = ModelUpdate(delta=np.array([3.0, 5.0]), client_id=0)
-        assert craft_scale_attack(u, 0.0).delta.tolist() == [0.0, 0.0]
+        assert craft_scale_attack(np.array([3.0, 5.0]), 0.0).tolist() == [0.0, 0.0]
 
 
 def krum_accepts(benign, crafted, n_mal, f):
-    """Whether Krum keeps a crafted copy among the benign rows and n_mal
-    copies; the distances come from one broadcast, not pair by pair."""
-    mat = np.stack([u.delta for u in benign] + [crafted] * n_mal)
+    """Whether Krum keeps a crafted copy among the benign rows (ids 0, 1,
+    ...) and n_mal copies; the distances come from one broadcast, not pair
+    by pair."""
+    mat = np.stack(list(benign) + [crafted] * n_mal)
     sq = ((mat[:, None] - mat[None]) ** 2).sum(-1)
-    ids = [u.client_id for u in benign] + [-(i + 1) for i in range(n_mal)]
+    ids = list(range(len(benign))) + [-(i + 1) for i in range(n_mal)]
     return max(select_from_distances(sq, ids, f)) >= len(benign)
 
 
 class TestOptPoison:
     def _benign_cloud(self, seed, n=20, dims=2):
         rng = derive(seed, [])
-        pts = rng.uniform(n * dims, -1, 1).reshape(n, dims)
-        return [ModelUpdate(delta=p, client_id=i) for i, p in enumerate(pts)]
+        return list(rng.uniform(n * dims, -1, 1).reshape(n, dims))
 
     def test_average_saturates(self):
         benign = self._benign_cloud(81)
-        out = craft_opt_poison(benign, 3, "average", OmegaKind.NEG_UNIT,
+        out = craft_opt_poison(benign, list(range(20)), 3, "average", OmegaKind.NEG_UNIT,
                                gamma_init=50.0, gamma_iters=20)
-        base = np.mean([u.delta for u in benign], axis=0)
-        gamma = float(np.linalg.norm(out.delta - base))
+        base = np.mean(benign, axis=0)
+        gamma = float(np.linalg.norm(out - base))
         # always accepted: gamma climbs to gamma_init * (2 - 2^-iters)
         assert gamma == pytest.approx(50.0 * (2.0 - 2.0**-20), rel=1e-9)
 
     def test_neg_sign_formula(self):
-        u = ModelUpdate(delta=np.array([2.0, -3.0]), client_id=0)
-        out = craft_opt_poison([u, u, u], 2, "trimmed_mean", OmegaKind.NEG_SIGN,
+        u = np.array([2.0, -3.0])
+        out = craft_opt_poison([u, u, u], [0, 0, 0], 2, "trimmed_mean", OmegaKind.NEG_SIGN,
                                gamma_init=8.0, gamma_iters=10)
         gamma = 8.0 * (2.0 - 2.0**-10)
-        assert np.allclose(out.delta, np.array([2.0, -3.0]) - gamma * np.sign([2.0, -3.0]))
+        assert np.allclose(out, np.array([2.0, -3.0]) - gamma * np.sign([2.0, -3.0]))
 
     def test_krum_gamma_near_boundary(self):
         benign = self._benign_cloud(82, n=20, dims=2)
         n_mal, f = 5, 5
-        out = craft_opt_poison(benign, n_mal, "multi_krum", OmegaKind.NEG_UNIT,
-                               gamma_init=50.0, gamma_iters=30)
-        base = np.mean([u.delta for u in benign], axis=0)
+        out = craft_opt_poison(benign, list(range(20)), n_mal, "multi_krum",
+                               OmegaKind.NEG_UNIT, gamma_init=50.0, gamma_iters=30)
+        base = np.mean(benign, axis=0)
         omega = -base / np.linalg.norm(base)
-        gamma = float(np.linalg.norm(out.delta - base))
+        gamma = float(np.linalg.norm(out - base))
         # linear-scan oracle for the largest accepted gamma
         grid = np.linspace(1e-4, 100.0, 4000)
         accepted = [g for g in grid
@@ -144,42 +145,48 @@ class TestOptPoison:
         assert krum_accepts(benign, base + (gamma - 1e-6) * omega, n_mal, f)
 
     def test_zero_norm_neg_unit_rejected(self):
-        u = ModelUpdate(delta=np.zeros(3), client_id=0)
         with pytest.raises(ValueError):
-            craft_opt_poison([u], 1, "average", OmegaKind.NEG_UNIT)
+            craft_opt_poison([np.zeros(3)], [0], 1, "average", OmegaKind.NEG_UNIT)
 
     def test_empty_benign_rejected(self):
         with pytest.raises(ValueError):
-            craft_opt_poison([], 1, "average")
+            craft_opt_poison([], [], 1, "average")
+
+    @pytest.mark.parametrize("aggregator", ["average", "multi_krum"])
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5, 6]])
+    def test_client_ids_must_match_rows(self, aggregator, ids):
+        benign = self._benign_cloud(84, n=6)
+        with pytest.raises(ValueError, match=f"{len(ids)} client ids for 6 updates"):
+            craft_opt_poison(benign, ids, 2, aggregator)
 
     def test_gamma_search_monotone_toward_boundary(self):
         # with a never-accepting aggregator stub the search only descends
         benign = self._benign_cloud(83, n=6)
-        out = craft_opt_poison(benign, 2, "multi_krum", OmegaKind.NEG_UNIT,
+        out = craft_opt_poison(benign, list(range(6)), 2, "multi_krum", OmegaKind.NEG_UNIT,
                                gamma_init=1e9, gamma_iters=25)
-        base = np.mean([u.delta for u in benign], axis=0)
-        gamma = float(np.linalg.norm(out.delta - base))
+        base = np.mean(benign, axis=0)
+        gamma = float(np.linalg.norm(out - base))
         assert gamma < 1e9  # descended from the absurd start
 
 
 # The gamma search as it was before it reused the benign distances: Krum is
 # simulated anew on the stacked rows at every step.
 
-def oracle_accepted(crafted, benign_deltas, n_malicious, aggregator, f):
+def oracle_accepted(crafted, benign_deltas, client_ids, n_malicious, aggregator, f):
     if aggregator in ("average", "trimmed_mean"):
         return True
-    sim = list(benign_deltas)
-    sim += [ModelUpdate(delta=crafted, client_id=-(i + 1)) for i in range(n_malicious)]
+    sim = list(benign_deltas) + [crafted] * n_malicious
     if len(sim) < f + 3:
         return True
-    selected = multi_krum_select(sim, f)
+    ids = list(client_ids) + [-(i + 1) for i in range(n_malicious)]
+    selected = multi_krum_select(sim, ids, f)
     return bool(set(range(len(benign_deltas), len(sim))) & set(selected))
 
 
-def oracle_opt_poison(benign_deltas, n_malicious, aggregator, omega_kind,
+def oracle_opt_poison(benign_deltas, client_ids, n_malicious, aggregator, omega_kind,
                       gamma_init, gamma_iters, f):
     """Final crafted delta and the crafted delta tried at each gamma step."""
-    base = np.mean([u.delta for u in benign_deltas], axis=0)
+    base = np.mean(benign_deltas, axis=0)
     if omega_kind is OmegaKind.NEG_UNIT:
         omega = -base / float(np.linalg.norm(base))
     else:
@@ -188,7 +195,7 @@ def oracle_opt_poison(benign_deltas, n_malicious, aggregator, omega_kind,
     gamma, step = gamma_init, gamma_init / 2.0
     for _ in range(gamma_iters):
         tried.append(base + gamma * omega)
-        if oracle_accepted(tried[-1], benign_deltas, n_malicious, aggregator, f):
+        if oracle_accepted(tried[-1], benign_deltas, client_ids, n_malicious, aggregator, f):
             gamma += step
         else:
             gamma -= step
@@ -199,13 +206,12 @@ def oracle_opt_poison(benign_deltas, n_malicious, aggregator, omega_kind,
 class TestOptPoisonMatchesOracle:
     """The incremental Krum distances give the stacked search's bytes."""
 
-    def _deltas(self, seed, n, dims, ids=None):
-        rows = derive(seed, []).normal(n * dims).reshape(n, dims) + 0.5
-        ids = range(10, 10 + n) if ids is None else ids
-        return [ModelUpdate(delta=r, client_id=i) for r, i in zip(rows, ids)]
+    def _deltas(self, seed, n, dims):
+        return list(derive(seed, []).normal(n * dims).reshape(n, dims) + 0.5)
 
     def _check(self, monkeypatch, benign, n_mal, f, omega=OmegaKind.NEG_UNIT,
-               gamma_init=3.0, gamma_iters=12, simulated=True):
+               gamma_init=3.0, gamma_iters=12, simulated=True, ids=None):
+        ids = list(range(10, 10 + len(benign))) if ids is None else ids
         matrices = []
 
         def spy(sq, client_ids, f_):
@@ -213,14 +219,14 @@ class TestOptPoisonMatchesOracle:
             return select_from_distances(sq, client_ids, f_)
 
         monkeypatch.setattr(adversary, "select_from_distances", spy)
-        out = craft_opt_poison(benign, n_mal, "multi_krum", omega, gamma_init,
+        out = craft_opt_poison(benign, ids, n_mal, "multi_krum", omega, gamma_init,
                                gamma_iters, f=f)
-        expected, tried = oracle_opt_poison(benign, n_mal, "multi_krum", omega,
+        expected, tried = oracle_opt_poison(benign, ids, n_mal, "multi_krum", omega,
                                             gamma_init, gamma_iters, f)
-        assert out.delta.tobytes() == expected.tobytes()
+        assert out.tobytes() == expected.tobytes()
         assert len(matrices) == (gamma_iters if simulated else 0)
         for sq, crafted in zip(matrices, tried):
-            stacked = np.stack([u.delta for u in benign] + [crafted] * n_mal)
+            stacked = np.stack(benign + [crafted] * n_mal)
             assert sq.tobytes() == squared_distances(stacked).tobytes()
         return out
 
@@ -240,9 +246,8 @@ class TestOptPoisonMatchesOracle:
         # Two benign rows duplicated under other ids: their scores tie, and
         # crafted copies tie with each other at every step.
         base = self._deltas(93, 3, 4)
-        benign = base + [ModelUpdate(delta=u.delta.copy(), client_id=u.client_id - 20)
-                         for u in base[:2]]
-        self._check(monkeypatch, benign, 3, 2)
+        benign = base + [u.copy() for u in base[:2]]
+        self._check(monkeypatch, benign, 3, 2, ids=[10, 11, 12, -10, -9])
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_inf_and_nan_crafted_rows(self, monkeypatch):
@@ -250,17 +255,51 @@ class TestOptPoisonMatchesOracle:
         # makes every distance to a crafted copy NaN.
         for bad in (np.inf, -np.inf, np.nan):
             benign = self._deltas(94, 5, 6)
-            benign[1].delta[3] = bad
+            benign[1][3] = bad
             self._check(monkeypatch, benign, 3, 2, omega=OmegaKind.NEG_SIGN)
 
     def test_too_few_rows_saturates_without_selection(self, monkeypatch):
         # 2 + 2 rows < f + 3 = 5: no simulation, the search saturates.
         benign = self._deltas(95, 2, 5)
         out = self._check(monkeypatch, benign, 2, 2, simulated=False)
-        base = np.mean([u.delta for u in benign], axis=0)
-        gamma = float(np.linalg.norm(out.delta - base))
+        base = np.mean(benign, axis=0)
+        gamma = float(np.linalg.norm(out - base))
         assert gamma == pytest.approx(3.0 * (2.0 - 2.0**-12), rel=1e-9)
 
     def test_unknown_aggregator_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregator 'median'"):
-            craft_opt_poison(self._deltas(96, 3, 2), 1, "median")
+            craft_opt_poison(self._deltas(96, 3, 2), [0, 1, 2], 1, "median")
+
+
+# SHA-256 of each crafted output's bytes, taken when the attacks still took
+# and returned update objects.
+CRAFT_PINS = {
+    "craft_scale_attack": "90f513c91780e23211a55a0bffe79d792460151f1ef988e9f4041cdb7038114e",
+    "craft_opt_poison_multi_krum": "a44b669ef7c4e7f7453081c57181516ab8f959c127a52c61b95783b2cc595517",
+    "craft_opt_poison_average": "f1e4c59b11005e98ae7fbd9f5c07e44e47eb4b840e023187bbe6d3ec631492ee",
+}
+
+
+@pytest.mark.parametrize("as_rows", [True, False], ids=["list", "array"])
+def test_crafted_outputs_pinned(monkeypatch, as_rows):
+    benign = derive(152, []).normal(5 * 40).reshape(5, 40) * 0.1 + 0.05
+    benign = list(benign) if as_rows else benign
+    ids = [4, 8, 1, 6, 2]
+    verdicts = []
+    accepts = adversary._krum_accepts
+
+    def spy(*args):
+        verdicts.append(accepts(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(adversary, "_krum_accepts", spy)
+    out = {
+        "craft_scale_attack": craft_scale_attack(benign[2], 1e3),
+        "craft_opt_poison_multi_krum": craft_opt_poison(benign, ids, 2, "multi_krum",
+                                                        OmegaKind.NEG_UNIT, 50.0, 20),
+        "craft_opt_poison_average": craft_opt_poison(benign, ids, 2, "average",
+                                                     OmegaKind.NEG_UNIT, 50.0, 20),
+    }
+    # The simulated Krum rejects some steps: the search does not saturate.
+    assert len(verdicts) == 20 and False in verdicts and True in verdicts
+    assert {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in out.items()} == CRAFT_PINS

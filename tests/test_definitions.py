@@ -1,13 +1,14 @@
 """Every definition in the package has a reader outside its own body, and
 every function parameter a reader inside it.
 
-A module-level function or class, or a method, that nothing but its own
-body and the tests name is dead code.  A reader is an identifier or
-attribute of that name in ``src/fedrank`` or ``bench/*.py``, or a name
-inside a ``bench/`` string (the tracer's ``module:Class.method`` targets
-are strings).  Strings in ``src/``, docstrings included, are no readers,
-and neither is a re-export from ``fedrank/__init__.py``: a name that only
-the package exports is read by nothing but the tests.
+A module-level function, class or assignment (a constant or a type
+alias), or a method, that nothing but its own body and the tests name is
+dead code.  A reader is an identifier or attribute of that name in
+``src/fedrank`` or ``bench/*.py``, or a name inside a ``bench/`` string
+(the tracer's ``module:Class.method`` targets are strings).  Strings in
+``src/``, docstrings included, are no readers, and neither is a re-export
+from ``fedrank/__init__.py``: a name that only the package exports is read
+by nothing but the tests.
 """
 
 import ast
@@ -24,10 +25,16 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 def definitions(tree: ast.Module):
     """(qualified name, name, first line, last line) of each module-level
-    function and class and each method that is not a dunder."""
+    function, class and name assigned, and each method, that is not a dunder."""
     for node in tree.body:
         if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
             yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not re.fullmatch(r"__\w+__", name.id):
+                        yield name.id, name.id, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, FUNCTIONS) and not re.fullmatch(r"__\w+__", item.name):
@@ -74,6 +81,11 @@ def test_finds_definitions_only_their_own_bodies_read():
     assert unread({"mod": source}, ['TARGET = "fedrank.mod:A.m"', "dead(3)"]) == []
     assert unread({"mod": source.replace("self.m()\n\n", "pass\n\n")},
                   ["A(); dead(1)"]) == ["mod.A.m"]
+    # A module-level constant or alias is read like a function; one that
+    # names only itself is dead.
+    names = ("LIMIT = 3\nUNUSED: int = LIMIT\nAlias = list[int]\nLOOP = [LOOP]\n"
+             "__version__ = '1'\n\ndef f(x: Alias):\n    return x\n")
+    assert unread({"mod": names}, ["f(1)"]) == ["mod.UNUSED", "mod.LOOP"]
     # A re-export is no reader.
     exports = "from .mod import dead, used\n"
     assert unread({"mod": source, "__init__": exports}, []) == ["mod.dead", "mod.A"]

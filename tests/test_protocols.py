@@ -7,7 +7,6 @@ import pytest
 
 import fedrank.protocols as protocols
 from fedrank.adversary import AttackConfig, AttackKind
-from fedrank.aggregation import signs_of
 from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                         dense_weight_grads, unflatten_params)
 from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
@@ -319,8 +318,8 @@ class TestFedavgClientUpdate:
         cfg, env = fsl_env
         theta = initial_state(tiny_config(algorithm=Algorithm.FEDAVG)).weights
         out = fedavg_client_update(theta, cfg.architecture, [env.train_batches[0]],
-                                   [1], SgdConfig(0.0, 0.0, 0.0, 8), [derive(1, [])], [0])[0]
-        assert np.all(out.delta == 0.0)
+                                   [1], SgdConfig(0.0, 0.0, 0.0, 8), [derive(1, [])])[0]
+        assert out.dtype == np.float64 and np.all(out == 0.0)
 
     def test_single_step_is_neg_lr_grad(self, fsl_env):
         cfg, env = fsl_env
@@ -328,22 +327,22 @@ class TestFedavgClientUpdate:
         theta = initial_state(fed).weights
         batch = env.train_batches[2][0]
         out = fedavg_client_update(theta, fed.architecture, [[batch]], [1],
-                                   SgdConfig(0.05, 0.0, 0.0, 8), [derive(1, [])], [2])[0]
+                                   SgdConfig(0.05, 0.0, 0.0, 8), [derive(1, [])])[0]
         grads = dense_weight_grads(unflatten_params(theta, fed.architecture),
                                    fed.architecture, batch)
         expected = np.concatenate([
             (w - (0.05 * g).astype(np.float32)).astype(np.float64).ravel() - w.astype(np.float64).ravel()
             for w, g in zip(unflatten_params(theta, fed.architecture), grads)])
-        assert np.allclose(out.delta, expected, atol=1e-7)
+        assert np.allclose(out, expected, atol=1e-7)
 
     def test_identical_clients_identical_deltas(self, fsl_env):
         cfg, env = fsl_env
         theta = initial_state(tiny_config(algorithm=Algorithm.FEDAVG)).weights
         a = fedavg_client_update(theta, cfg.architecture, [env.train_batches[1]],
-                                 [2], cfg.sgd, [derive(5, [])], [1])[0]
+                                 [2], cfg.sgd, [derive(5, [])])[0]
         b = fedavg_client_update(theta, cfg.architecture, [env.train_batches[1]],
-                                 [2], cfg.sgd, [derive(5, [])], [1])[0]
-        assert np.array_equal(a.delta, b.delta)
+                                 [2], cfg.sgd, [derive(5, [])])[0]
+        assert np.array_equal(a, b)
 
 
 class TestBaselineRound:
@@ -356,8 +355,8 @@ class TestBaselineRound:
         u = record.selected[0]
         expected = fedavg_client_update(state.weights, cfg.architecture,
                                         [env.train_batches[u]], [cfg.local_epochs],
-                                        cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u])], [u])[0]
-        assert np.allclose(new_state.weights, state.weights + expected.delta)
+                                        cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u])])[0]
+        assert np.allclose(new_state.weights, state.weights + expected)
 
     def test_topk_full_fraction_equals_fedavg(self):
         fed = tiny_config(algorithm=Algorithm.FEDAVG)
@@ -382,8 +381,8 @@ class TestBaselineRound:
         u = record.selected[0]
         delta = fedavg_client_update(state.weights, cfg.architecture,
                                      [env.train_batches[u]], [cfg.local_epochs],
-                                     cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u])], [u])[0]
-        expected = state.weights - 0.01 * signs_of(delta.delta).signs.astype(np.float64)
+                                     cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u])])[0]
+        expected = state.weights - 0.01 * np.where(delta < 0, -1.0, 1.0)
         assert np.allclose(new_state.weights, expected)
 
 
@@ -567,15 +566,14 @@ class TestCohortTrainer:
                                           architecture=self.SPECS)).weights
         sgd = SgdConfig(0.05, 0.9, 1e-4, 8)
         batches, rngs = self.shards(), self.streams()
-        ids = list(range(100, 100 + len(batches)))
         got = []
         for lo in range(0, len(batches), cohort):
             sl = slice(lo, lo + cohort)
             got += fedavg_client_update(theta, self.SPECS, batches[sl], self.EPOCHS[sl], sgd,
-                                        rngs[sl], ids[sl])
-        assert [u.client_id for u in got] == ids
+                                        rngs[sl])
+        assert len(got) == len(batches)
         for u, b, e, r in zip(got, batches, self.EPOCHS, self.streams()):
-            assert u.delta.tobytes() == _ref_fedavg_client(theta, self.SPECS, b, e, sgd, r).tobytes()
+            assert u.tobytes() == _ref_fedavg_client(theta, self.SPECS, b, e, sgd, r).tobytes()
 
     def test_non_finite_scores_raise_as_before(self):
         seed_net = SeedNetwork(33, self.SPECS)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from fedrank.analytics import ARCH_PRESETS, rank_payload_bits
 from fedrank.ranking import (_BLOCK, SparseLayerRanking, _check_permutation,
                              argsort_ranking, decode_entries, decode_layer_ranking,
                              decode_sparse_ranking, encode_entries, encode_layer_ranking,
-                             encode_sparse_ranking, keep_count, rank_bit_width,
+                             encode_sparse_ranking, floor_count, keep_count, rank_bit_width,
                              reorder_scores, reverse_ranking, sparse_vote,
                              stable_order, truncate_ranking, vote)
 from fedrank.rng import derive
@@ -397,12 +398,13 @@ class TestTopEdges:
     """The subnetwork at fraction k is the ranking's suffix of keep_count edges."""
 
     def test_keep_count_matches_exact_arithmetic(self):
-        from fractions import Fraction
-        for k10 in range(1, 10):
-            k = k10 / 10
-            for n in range(1, 300):
-                expected = n - (Fraction(10 - k10, 10) * n).__floor__()
-                assert keep_count(n, k) == expected, (k, n)
+        # In floating point ceil(0.55 * 100) is 56 and floor(0.29 * 100) is 28.
+        sizes = sorted({n for layers in ARCH_PRESETS.values() for n in layers})
+        for j in range(101):
+            k, exact = j / 100, Fraction(j, 100)
+            for n in [*range(1001), *sizes]:
+                assert keep_count(n, k) == n - ((1 - exact) * n).__floor__(), (j, n)
+                assert floor_count(n, k) == (exact * n).__floor__(), (j, n)
 
     def test_consistent_with_mask_support(self):
         from fedrank.nn import mask_layer

@@ -17,10 +17,15 @@ from the same parameters, so each layer's parameters and momentum are one
 whose batches have one size make one stacked forward and backward pass
 (``np.matmul`` runs the same BLAS call on every row as on one client's
 matrices), and one elementwise SGD step moves every client still training;
-masks come from one row-wise selection per layer.  Batches of other sizes
-get their own pass and are never padded: zero rows could change how BLAS
-blocks the k-sum, and so the bytes.  Each cohort's rankings come from one
-row-wise sort per layer.
+masks come from one row-wise selection per layer, and each step builds
+every live client's float64 effective weights once.  Batches of other
+sizes get their own pass and are never padded: zero rows could change how
+BLAS blocks the k-sum, and so the bytes.  Each cohort's rankings come from
+one row-wise sort per layer.
+
+Poisoned runs overflow to inf and NaN by design: the trainer sets numpy's
+error state once around its lockstep loop and :func:`evaluate` once around
+its forward pass, and the kernels they call set none of their own.
 """
 
 from __future__ import annotations
@@ -212,16 +217,19 @@ def mask_layer(scores: np.ndarray, k: float) -> np.ndarray:
     return kept.astype(np.float32).reshape(shape)
 
 
-def _layer_masks(scores: list[np.ndarray], k: float) -> list[np.ndarray]:
-    """The top-k mask of each layer's score matrix, or of each client's
-    matrix in a cohort's stack."""
-    return [mask_layer(s.reshape(s.shape[:-2] + (-1,)), k).reshape(s.shape) for s in scores]
+def _masked(weights: list[np.ndarray], scores: list[np.ndarray], k: float) -> list[np.ndarray]:
+    """Each layer's float32 ``weights`` times the top-k mask of its scores
+    (of each client's matrix in a cohort's stack), in float64.  The float32
+    product cast up beats ``np.multiply(..., dtype=np.float64)``, whose
+    buffered casts cost 1.5-1.8x at 20-40-10 and at 784-200-10 (timeit)."""
+    return [(w * mask_layer(s.reshape(s.shape[:-2] + (-1,)), k).reshape(s.shape))
+            .astype(np.float64) for w, s in zip(weights, scores)]
 
 
 def masked_weights(net: Supernetwork, k: float) -> list[np.ndarray]:
     """Each layer's weights times its top-k mask, in float64: the matrices
     the forward pass multiplies by (a stack of them for a cohort)."""
-    return [(w * m).astype(np.float64) for w, m in zip(net.weights, _layer_masks(net.scores, k))]
+    return _masked(net.weights, net.scores, k)
 
 
 @dataclass
@@ -238,15 +246,15 @@ def forward(specs: list[LayerSpec], weights: list[np.ndarray],
             batch: Minibatch) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass under the effective float64 ``weights``; returns the
     logits and the cache for :func:`backward`.  A cohort's pass takes
-    (G, b, fan_in) inputs and one (G, fan_out, fan_in) stack per layer."""
+    (G, b, fan_in) inputs and one (G, fan_out, fan_in) stack per layer.
+    The caller owns numpy's error state: poisoned weights overflow here."""
     x = np.asarray(batch.inputs, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != specs[0].fan_in:
         raise ValueError(f"input width {x.shape} does not match fan_in {specs[0].fan_in}")
     cache = ForwardCache(batch=batch, weights=weights)
     for spec, w in zip(specs, weights):
         cache.inputs.append(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pre = x @ np.swapaxes(w, -1, -2)
+        pre = x @ w.swapaxes(-1, -2)
         cache.pre_activations.append(pre)
         x = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
     return cache.pre_activations[-1], cache
@@ -254,14 +262,15 @@ def forward(specs: list[LayerSpec], weights: list[np.ndarray],
 
 def softmax_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """d(mean cross-entropy)/d(logits): (softmax - onehot) / batch, per
-    client for a cohort's (G, b, classes) logits."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=-1, keepdims=True)
+    client for a cohort's (G, b, classes) logits, in one new array.  The
+    caller owns numpy's error state."""
+    grad = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(grad, out=grad)
+    grad /= grad.sum(axis=-1, keepdims=True)
     # x - 0.0 is x, so only each label's entry changes, by exactly - 1.0.
-    grad = probs - (labels[..., None] == np.arange(probs.shape[-1]))
-    return grad / labels.shape[-1]
+    grad -= labels[..., None] == np.arange(grad.shape[-1])
+    grad /= labels.shape[-1]
+    return grad
 
 
 def backward(specs: list[LayerSpec], cache: ForwardCache) -> list[np.ndarray]:
@@ -271,11 +280,11 @@ def backward(specs: list[LayerSpec], cache: ForwardCache) -> list[np.ndarray]:
     dldi = softmax_cross_entropy_grad(cache.pre_activations[-1], labels)
     grads: list[np.ndarray] = [None] * len(specs)
     for i in range(len(specs) - 1, -1, -1):
-        grads[i] = np.swapaxes(dldi, -1, -2) @ cache.inputs[i]
+        grads[i] = dldi.swapaxes(-1, -2) @ cache.inputs[i]
         if i > 0:
             dz = dldi @ cache.weights[i]
             if specs[i - 1].activation == "relu":
-                dz = dz * (cache.pre_activations[i - 1] > 0)
+                dz *= cache.pre_activations[i - 1] > 0
             dldi = dz
     return grads
 
@@ -283,7 +292,8 @@ def backward(specs: list[LayerSpec], cache: ForwardCache) -> list[np.ndarray]:
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
              buffers: list[np.ndarray], sgd: SgdConfig) -> None:
     """One momentum/weight-decay SGD step, in place, float32 parameters;
-    elementwise, so a cohort's stacks step as each client's matrices do."""
+    elementwise, so a cohort's stacks step as each client's matrices do.
+    The caller owns numpy's error state: a poisoned step overflows float32."""
     for p, g, buf in zip(params, grads, buffers):
         # One float64 scratch array per layer; products and sums commute
         # exactly, so this is grad + wd * p and lr * buf bit for bit.
@@ -293,8 +303,9 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
         buf *= sgd.momentum
         buf += scratch
         np.multiply(buf, sgd.learning_rate, out=scratch)
-        with np.errstate(over="ignore"):
-            p -= scratch.astype(np.float32)
+        # The step is rounded to float32 first, then subtracted in float32,
+        # without a float32 copy of it.
+        np.subtract(p, scratch, out=p, dtype=np.float32, casting="same_kind")
 
 
 def _schedule(batches: list[Minibatch], epochs: int, rng: RngStream) -> list[Minibatch]:
@@ -304,7 +315,7 @@ def _schedule(batches: list[Minibatch], epochs: int, rng: RngStream) -> list[Min
         raise ValueError("epochs must be >= 1")
     if not batches:
         raise ValueError("training data is empty")
-    order = np.arange(len(batches))
+    order = list(range(len(batches)))
     steps = []
     for _ in range(epochs):
         rng.shuffle(order)
@@ -313,8 +324,8 @@ def _schedule(batches: list[Minibatch], epochs: int, rng: RngStream) -> list[Min
 
 
 def _stacked(batches: list[Minibatch]) -> Minibatch:
-    return Minibatch(inputs=np.stack([b.inputs for b in batches]),
-                     labels=np.stack([b.labels for b in batches]))
+    return Minibatch(inputs=np.array([b.inputs for b in batches]),
+                     labels=np.array([b.labels for b in batches]))
 
 
 def _grads_by_size(batches: list[Minibatch], stacks: list[np.ndarray], grads_of
@@ -344,17 +355,21 @@ def _train(start: list[np.ndarray], grads_of, batches: list[list[Minibatch]],
     ``rngs[c]`` shuffles.  Clients are stacked longest schedule first, so
     the ones still training at a step are a prefix of the stacks; at each
     step ``grads_of(their parameters, their batches)`` gives their
-    gradients and one :func:`sgd_step` moves them.  Returns each layer's
-    (G, fan_out, fan_in) stack, row c client c's.
+    gradients and one :func:`sgd_step` moves them, all under one numpy
+    error state.  Returns each layer's (G, fan_out, fan_in) stack, row c
+    client c's.
     """
     schedules = [_schedule(b, e, rng) for b, e, rng in zip(batches, epochs, rngs)]
     rows = sorted(range(len(schedules)), key=lambda c: -len(schedules[c]))
     params = [np.repeat(p[None], len(rows), axis=0) for p in start]
     buffers = [np.zeros(p.shape, dtype=np.float64) for p in params]
-    for t in range(len(schedules[rows[0]])):
-        steps = [schedules[c][t] for c in rows if t < len(schedules[c])]
-        live = [p[: len(steps)] for p in params]
-        sgd_step(live, grads_of(live, steps), [b[: len(steps)] for b in buffers], sgd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(len(schedules[rows[0]])):
+            steps = [schedules[c][t] for c in rows if t < len(schedules[c])]
+            live = [p[: len(steps)] for p in params]
+            sgd_step(live, grads_of(live, steps), [b[: len(steps)] for b in buffers], sgd)
+    if rows == sorted(rows):  # always so for one client
+        return params
     back = np.argsort(rows)
     return [p[back] for p in params]
 
@@ -366,7 +381,8 @@ def evaluate(specs: list[LayerSpec], weights: list[np.ndarray],
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) == 0:
         raise ValueError("dataset is empty")
-    logits, _ = forward(specs, weights, Minibatch(inputs=np.asarray(inputs), labels=labels))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = forward(specs, weights, Minibatch(inputs=np.asarray(inputs), labels=labels))
     preds = np.argmax(np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf), axis=1)
     return float(np.mean(preds == labels))
 
@@ -374,33 +390,35 @@ def evaluate(specs: list[LayerSpec], weights: list[np.ndarray],
 # --- Edge-popup: scores trained over the frozen weights ----------------------
 
 
-def ep_forward(net: Supernetwork, masks: list[np.ndarray],
+def ep_forward(net: Supernetwork, weights: list[np.ndarray],
                batch: Minibatch) -> tuple[np.ndarray, ForwardCache]:
-    """Masked forward pass of a cohort: ``masks`` holds one float32
-    (G, fan_out, fan_in) stack per layer, row c the top-k mask of client
-    c's scores, over ``net``'s shared weights.  Returns logits and the
-    cache for ep_backward."""
-    return forward(net.specs, [(w * m).astype(np.float64)
-                               for w, m in zip(net.weights, masks)], batch)
+    """Masked forward pass of a cohort: ``weights`` holds one float64
+    (G, fan_out, fan_in) stack per layer, row c ``net``'s shared weights
+    times the top-k mask of client c's scores (see :func:`masked_weights`).
+    Returns logits and the cache for ep_backward."""
+    return forward(net.specs, weights, batch)
 
 
 def ep_backward(net: Supernetwork, cache: ForwardCache) -> list[np.ndarray]:
-    """Score gradients per layer from :func:`ep_forward`'s cache: dL/dW_eff
-    times W, for every edge (the mask is treated as identity)."""
-    grads = backward(net.specs, cache)
-    for g, w in zip(grads, net.weights):
-        g *= w
-    return grads
+    """dL/dW_eff per layer from :func:`ep_forward`'s cache.  Times W, for
+    every edge, it is the score gradient (the mask is treated as identity);
+    edge_popup_train scales a whole step's gradients at once."""
+    return backward(net.specs, cache)
 
 
 def edge_popup_train(net: Supernetwork, batches: list[list[Minibatch]], epochs: list[int],
                      k: float, sgd: SgdConfig, rngs: list[RngStream]) -> list[np.ndarray]:
     """Train one copy of ``net``'s scores per client of a cohort (see
     :func:`_train`); weights are untouched.  ``net.scores`` become the
-    (G, fan_out, fan_in) stacks, which are returned."""
+    (G, fan_out, fan_in) stacks, which are returned.  Each step masks every
+    live client's weights and scales their assembled gradients by W once;
+    only the passes run per group of one batch size."""
     def grads_of(scores: list[np.ndarray], steps: list[Minibatch]) -> list[np.ndarray]:
-        return _grads_by_size(steps, _layer_masks(scores, k), lambda part, batch:
-                              ep_backward(net, ep_forward(net, part, batch)[1]))
+        grads = _grads_by_size(steps, _masked(net.weights, scores, k), lambda part, batch:
+                               ep_backward(net, ep_forward(net, part, batch)[1]))
+        for g, w in zip(grads, net.weights):
+            g *= w
+        return grads
 
     net.scores = _train(net.scores, grads_of, batches, epochs, sgd, rngs)
     return net.scores

@@ -254,18 +254,23 @@ def select_clients(cfg: ExperimentConfig, round_index: int) -> list[int]:
 
 def fsl_client_update(seed_net: SeedNetwork, global_ranking: NetworkRanking,
                       batches: list[list[Minibatch]], epochs: list[int], k: float,
-                      sgd: SgdConfig, rngs: list) -> list[NetworkRanking]:
+                      sgd: SgdConfig, rngs: list) -> list[np.ndarray]:
     """One cohort's round: rebuild from seed once, adopt the global rank
     order, train every client's scores locally (client c on ``batches[c]``
-    for ``epochs[c]`` epochs, shuffled by ``rngs[c]``), and return each
-    client's new layer-wise ranking."""
+    for ``epochs[c]`` epochs, shuffled by ``rngs[c]``), and return the
+    cohort's new rankings as one (G, n) block per layer, row c client c's
+    ranking, as :meth:`Supernetwork.score_rankings` made it.
+    :func:`ranking.vote_network` votes over such blocks as they are."""
     net = seed_net.rebuild(global_ranking)
     edge_popup_train(net, batches, epochs, k, sgd, rngs)
-    return [list(client) for client in zip(*net.score_rankings())]
+    return net.score_rankings()
 
 
 def _train_streams(cfg: ExperimentConfig, round_index: int, selected: list[int]) -> list:
-    return [derive(cfg.seed, [TAG_TRAIN, round_index, u]) for u in selected]
+    """Client u's stream is [TAG_TRAIN, round, u]; the round's prefix is
+    derived once."""
+    prefix = derive(cfg.seed, [TAG_TRAIN, round_index])
+    return [prefix.child(u) for u in selected]
 
 
 def _attackers_and_epochs(cfg: ExperimentConfig,
@@ -293,14 +298,12 @@ def _map_cohorts(executor: ThreadPoolExecutor | None, cfg: ExperimentConfig,
                  count: int, train) -> list:
     """``train(cohort)`` for consecutive slices of ``count`` sampled
     clients, one cohort_size each, on the pool when there is one and more
-    than one cohort; the per-client results in client order."""
+    than one cohort; each cohort's result, in client order."""
     size = cohort_size(cfg.architecture)
     cohorts = [slice(i, i + size) for i in range(0, count, size)]
     if executor is None or len(cohorts) == 1:
-        parts = [train(c) for c in cohorts]
-    else:
-        parts = [f.result() for f in [executor.submit(train, c) for c in cohorts]]
-    return [result for part in parts for result in part]
+        return [train(c) for c in cohorts]
+    return [f.result() for f in [executor.submit(train, c) for c in cohorts]]
 
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
@@ -343,19 +346,22 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     """One rank-vote round of fsl or sparse_fsl; returns the next state and
     its record.  Each submitted layer ranking is cut to its top s fraction
     (s = 1 for fsl, which ignores ``sparsity``) and the server votes per
-    layer over the cut rankings."""
+    layer over the cut rankings, one cohort block at a time.  Attackers'
+    rows of the blocks are overwritten with the crafted poison."""
     selected = select_clients(cfg, round_index)
     mal, epochs = _attackers_and_epochs(cfg, selected)
     rngs = _train_streams(cfg, round_index, selected)
-    submissions = _map_cohorts(executor, cfg, len(selected), lambda c: fsl_client_update(
+    blocks = _map_cohorts(executor, cfg, len(selected), lambda c: fsl_client_update(
         state.seed_net, state.ranking, [env.train_batches[u] for u in selected[c]],
         epochs[c], cfg.subnet_fraction, cfg.sgd, rngs[c]))
     if mal:
-        poison = adversary.craft_rank_poison([submissions[i] for i in mal])
+        rows = [[layer[g] for layer in part] for part in blocks for g in range(len(part[0]))]
+        poison = adversary.craft_rank_poison([rows[i] for i in mal])
         for i in mal:
-            submissions[i] = poison
+            for row, layer in zip(rows[i], poison):
+                row[:] = layer
     s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
-    new_state = ServerState(ranking=vote_network(submissions, s), seed_net=state.seed_net)
+    new_state = ServerState(ranking=vote_network(blocks, s), seed_net=state.seed_net)
     accs = _evaluate_ranking(cfg, env, new_state) if with_eval else None
     return new_state, _record(env, round_index, selected, bool(mal), accs)
 
@@ -392,9 +398,10 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     selected = select_clients(cfg, round_index)
     mal, epochs = _attackers_and_epochs(cfg, selected)
     rngs = _train_streams(cfg, round_index, selected)
-    updates = _map_cohorts(executor, cfg, len(selected), lambda c: fedavg_client_update(
+    parts = _map_cohorts(executor, cfg, len(selected), lambda c: fedavg_client_update(
         state.weights, cfg.architecture, [env.train_batches[u] for u in selected[c]],
         epochs[c], cfg.sgd, rngs[c]))
+    updates = [delta for part in parts for delta in part]
     if mal and cfg.attack.kind is AttackKind.SCALE:
         for i in mal:
             updates[i] = adversary.craft_scale_attack(updates[i], cfg.attack.scale_factor)

@@ -160,11 +160,23 @@ def _out_of_range(entries: np.ndarray, n: int) -> bool:
     return entries.size > 0 and bool(entries.min() < 0 or entries.max() >= n)
 
 
+def _scattered(rows: np.ndarray, n: int, values, dtype) -> np.ndarray:
+    """``values`` written at each row's entries in a zero (G, n) array, or
+    an (n,) one for a single row (a view, one plain fancy-index write); the
+    entries must already lie in [0, n)."""
+    if rows.ndim == 1 or len(rows) == 1:
+        out = np.zeros(n, dtype=dtype)
+        out[rows.reshape(-1)] = values
+    else:
+        out = np.zeros((len(rows), n), dtype=dtype)
+        out[np.arange(len(rows))[:, None], rows] = values
+    return out
+
+
 def _has_duplicate(entries: np.ndarray, n: int) -> bool:
-    """Whether an entry repeats; the entries must already lie in [0, n)."""
-    seen = np.zeros(n, dtype=bool)
-    seen[entries] = True
-    return np.count_nonzero(seen) != entries.size
+    """Whether an entry repeats within a row of ``entries`` (one row, or a
+    (G, s) block of rows); the entries must already lie in [0, n)."""
+    return np.count_nonzero(_scattered(entries, n, True, bool)) != entries.size
 
 
 def _check_permutation(perm: np.ndarray, n: int) -> np.ndarray:
@@ -175,24 +187,21 @@ def _check_permutation(perm: np.ndarray, n: int) -> np.ndarray:
     return perm
 
 
-def _reputations(top: np.ndarray, n: int) -> np.ndarray:
-    """Reputation vector of an s-long ranking suffix over a layer of n edges:
-    entry i is worth (n - s) + i, its reputation in the full ranking, and an
-    omitted edge 0.  At s = n this is the inverse permutation."""
-    rep = np.zeros(n, dtype=np.int64)
-    rep[top] = np.arange(n - len(top), n, dtype=np.int64)
-    return rep
+def _tally(blocks: list[np.ndarray], n: int) -> tuple[LayerRanking, np.ndarray]:
+    """Summed reputations of ranking suffixes, and their stable order.
 
-
-def _tally(suffixes: list[np.ndarray], n: int) -> tuple[LayerRanking, np.ndarray]:
-    """Summed reputations of ranking suffixes, and their stable order.  Each
-    reputation vector is added whole and freed at once: an in-place
-    fancy-index add (gather, add, scatter) is about a quarter slower at
-    s = n, and a vector kept into the next suffix adds one layer-sized array
-    to a round's peak memory."""
+    Each block holds checked s-long suffixes over n edges, one client's per
+    row; entry i of a row is worth (n - s) + i, its reputation in the full
+    ranking, and an omitted edge 0.  A block's reputations are scattered
+    into one (G, n) array and added whole, then freed: an in-place
+    fancy-index add is about a quarter slower at s = n, and an array kept
+    into the next block adds to a round's peak memory.  Integer sums are
+    exact, so the blocking never changes the tally.
+    """
     tally = np.zeros(n, dtype=np.int64)
-    for top in suffixes:
-        tally += _reputations(top, n)
+    for block in blocks:
+        rep = _scattered(block, n, np.arange(n - block.shape[-1], n, dtype=np.int64), np.int64)
+        tally += rep if rep.ndim == 1 else rep.sum(axis=0)
     return stable_order(tally), tally
 
 
@@ -207,7 +216,7 @@ def vote(rankings: list[LayerRanking]) -> tuple[LayerRanking, np.ndarray]:
     if not rankings:
         raise ValueError("vote requires at least one ranking")
     n = len(rankings[0])
-    return _tally([_check_permutation(r, n) for r in rankings], n)
+    return _tally([_check_permutation(r, n)[None] for r in rankings], n)
 
 
 def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndarray]:
@@ -218,14 +227,37 @@ def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndar
     n = sparse[0].n
     if any(sr.n != n for sr in sparse):
         raise ValueError("sparse rankings disagree on layer size")
-    return _tally([sr.top for sr in sparse], n)
+    return _tally([sr.top[None] for sr in sparse], n)
+
+
+def _checked_suffixes(block, n: int, keep: int) -> np.ndarray:
+    """The last ``keep`` entries of each row of a ranking block (an (n,)
+    ranking or a (G, n) block of them) as a (G, keep) view, once every row
+    is checked as SparseLayerRanking checks a suffix: integer entries in
+    [0, n), none repeated within a row."""
+    block = _integer_entries(block)
+    if block.ndim not in (1, 2) or block.shape[-1] != n:
+        raise ValueError("ranking blocks must be (n,) or (G, n) arrays of one layer size")
+    top = block.reshape(-1, n)[:, n - keep:]
+    if _out_of_range(top, n):
+        raise ValueError("edge index out of range")
+    if _has_duplicate(top, n):
+        raise ValueError("duplicate edge in sparse ranking")
+    return top
 
 
 def vote_network(rankings: list[NetworkRanking], s: float = 1.0) -> NetworkRanking:
     """Layer-wise vote over whole-network rankings, each layer ranking cut
-    to its top ``s`` fraction first; at s = 1 this is :func:`vote` per layer."""
-    return [sparse_vote([truncate_ranking(r, s) for r in layer])[0]
-            for layer in zip(*rankings)]
+    to its top ``s`` fraction first; at s = 1 this is :func:`vote` per layer.
+    Each entry of ``rankings`` holds one array per layer: one client's (n,)
+    ranking or a cohort's (G, n) block, row c client c's, whose rows are
+    checked and tallied together."""
+    voted = []
+    for layer in zip(*rankings):
+        n = np.shape(layer[0])[-1]
+        keep = keep_count(n, s)
+        voted.append(_tally([_checked_suffixes(block, n, keep) for block in layer], n)[0])
+    return voted
 
 
 def reverse_ranking(r: LayerRanking) -> LayerRanking:

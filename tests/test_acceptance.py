@@ -16,7 +16,7 @@ from fedrank.adversary import AttackConfig, AttackKind
 from fedrank.analytics import failure_upper_bound
 from fedrank.cli import main
 from fedrank.nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, ep_backward, ep_forward,
-                        mask_layer)
+                        masked_weights)
 from fedrank.protocols import (ROUND_FUNCTIONS, Aggregator, Algorithm, DatasetSpec,
                                ExperimentConfig, build_environment,
                                fsl_round, initial_state, run_experiment)
@@ -176,11 +176,11 @@ def test_criterion_4_gradient_oracle():
                 .reshape(batch_size, specs[0].fan_in)
             labels = np.array(rng.integers_below([specs[-1].fan_out] * batch_size))
             k = (0.3, 0.5, 0.8)[trial % 3]
-            # one-client cohort: the masks and the batch stacked once
-            masks = [mask_layer(s.reshape(1, -1), k).reshape((1,) + s.shape)
-                     for s in net.scores]
-            _, cache = ep_forward(net, masks, Minibatch(x[None], labels[None]))
-            got = [g[0] for g in ep_backward(net, cache)]
+            # one-client cohort: the masked weights and the batch stacked
+            # once; the score gradient is dL/dW_eff times W
+            weights = [w[None] for w in masked_weights(net, k)]
+            _, cache = ep_forward(net, weights, Minibatch(x[None], labels[None]))
+            got = [g[0] * w for g, w in zip(ep_backward(net, cache), net.weights)]
             want = oracle_backward(net.weights, net.scores,
                                    [sp.activation for sp in specs], k, x, labels)
             for g, w in zip(got, want):

@@ -51,8 +51,9 @@ class TestRankPoison:
     def test_single_client_is_reversed_own_ranking(self):
         seed_net = SeedNetwork(901, self.SPECS)
         batches = make_batches(derive(71, []), 1)
-        own = fsl_client_update(seed_net, seed_net.ranking, [batches[0]], [2], 0.5, self.SGD,
-                                [derive(901, [3, 1, 0])])[0]
+        own = [layer[0] for layer in fsl_client_update(
+            seed_net, seed_net.ranking, [batches[0]], [2], 0.5, self.SGD,
+            [derive(901, [3, 1, 0])])]
         poison = craft_rank_poison([own])
         for p, o in zip(poison, own):
             assert np.array_equal(p, reverse_ranking(o))
@@ -60,8 +61,8 @@ class TestRankPoison:
     def test_collusion_is_reverse_of_group_vote(self):
         seed_net = SeedNetwork(902, self.SPECS)
         batches = make_batches(derive(72, []), 3)
-        own = [fsl_client_update(seed_net, seed_net.ranking, [b], [1], 0.5, self.SGD,
-                                 [derive(902, [3, 1, u])])[0]
+        own = [[layer[0] for layer in fsl_client_update(
+            seed_net, seed_net.ranking, [b], [1], 0.5, self.SGD, [derive(902, [3, 1, u])])]
                for u, b in enumerate(batches)]
         poison = craft_rank_poison(own)
         expected = [reverse_ranking(layer) for layer in vote_network(own)]

@@ -11,14 +11,15 @@ baselines, and one full and one sparse vote at 784-200-10.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from fedrank import adversary
 from fedrank.cli import main
 from fedrank.config import build_config, parse_lines
 from fedrank.protocols import (RANK_ALGORITHMS, ROUND_FUNCTIONS, build_environment,
-                               initial_state)
-from fedrank.ranking import encode_layer_ranking
+                               fsl_round, initial_state)
+from fedrank.ranking import encode_layer_ranking, keep_count
 
 from test_acceptance import GOLDEN_CONFIG
 
@@ -141,3 +142,35 @@ def _final_state_sha256(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_final_state_matches_pinned_hash(name):
     assert _final_state_sha256(name) == STATE_SHA256[name]
+
+
+# The golden configs never tie at a mask threshold: their float32 scores are
+# all distinct.  Here the shared seed network's sorted scores are rounded to
+# multiples of 1/4, so every rebuild from a ranking (each round's start)
+# holds runs of equal scores, one of them across each layer's top-k
+# threshold, and the mask must drop the lowest-index ties of that run.
+TIED_STATE_SHA256 = "21acca187da884110f6548b27a75643d5bb0b1764ddb53dbe473559f172159a2"
+
+
+def _quantized_fsl_state():
+    cfg = build_config(parse_lines(GOLDEN["fsl"][0].splitlines()))
+    state = initial_state(cfg)
+    seed_net = state.seed_net
+    seed_net.sorted_scores = [np.round(v * 4) / 4 for v in seed_net.sorted_scores]
+    return cfg, state
+
+
+def test_quantized_scores_tie_at_the_mask_threshold():
+    cfg, state = _quantized_fsl_state()
+    for v in state.seed_net.sorted_scores:
+        drop = v.size - keep_count(v.size, cfg.subnet_fraction)
+        assert v[drop - 1] == v[drop]  # whatever the ranking, ties straddle the threshold
+
+
+def test_mask_tie_rule_pinned_through_rounds():
+    cfg, state = _quantized_fsl_state()
+    env = build_environment(cfg)
+    for t in range(1, cfg.rounds + 1):
+        state, _ = fsl_round(state, env, cfg, t, with_eval=False)
+    blob = b"".join(encode_layer_ranking(layer) for layer in state.ranking)
+    assert hashlib.sha256(blob).hexdigest() == TIED_STATE_SHA256

@@ -90,11 +90,12 @@ def oracle_backward(weights, scores, activations, k, x, labels):
 
 def ep_pass(net, k, batch):
     """One client's logits and score gradients through the cohort kernels,
-    as a one-client cohort: its top-k masks and its batch stacked once."""
-    masks = [mask_layer(s.reshape(1, -1), k).reshape((1,) + s.shape) for s in net.scores]
+    as a one-client cohort: its masked weights and its batch stacked once,
+    and dL/dW_eff times W."""
+    weights = [w[None] for w in masked_weights(net, k)]
     stacked = Minibatch(np.asarray(batch.inputs)[None], np.asarray(batch.labels)[None])
-    logits, cache = ep_forward(net, masks, stacked)
-    return logits[0], [g[0] for g in ep_backward(net, cache)]
+    logits, cache = ep_forward(net, weights, stacked)
+    return logits[0], [g[0] * w for g, w in zip(ep_backward(net, cache), net.weights)]
 
 
 def random_net(rng, specs):

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,6 +21,12 @@ from fedrank.rng import TAG_TRAIN, derive
 FIG_R1 = np.array([4, 0, 2, 3, 5, 1])
 FIG_R2 = np.array([2, 0, 1, 5, 4, 3])
 FIG_R3 = np.array([0, 2, 5, 3, 4, 1])
+
+
+def client_rankings(blocks):
+    """Per-client network rankings from fsl_client_update's per-layer
+    (G, n) blocks."""
+    return [list(client) for client in zip(*blocks)]
 
 
 def seed_network(cfg: ExperimentConfig) -> SeedNetwork:
@@ -122,9 +129,9 @@ class TestFslClientUpdate:
     def test_zero_lr_returns_global_ranking(self, fsl_env):
         cfg, env = fsl_env
         state = initial_state(cfg)
-        out = fsl_client_update(seed_network(cfg), state.ranking, [env.train_batches[0]],
-                                [1], 0.5, SgdConfig(0.0, 0.0, 0.0, 8),
-                                [derive(cfg.seed, [TAG_TRAIN, 1, 0])])[0]
+        out = client_rankings(fsl_client_update(
+            seed_network(cfg), state.ranking, [env.train_batches[0]], [1], 0.5,
+            SgdConfig(0.0, 0.0, 0.0, 8), [derive(cfg.seed, [TAG_TRAIN, 1, 0])]))[0]
         for got, want in zip(out, state.ranking):
             assert np.array_equal(got, want)
 
@@ -132,8 +139,8 @@ class TestFslClientUpdate:
         cfg, env = fsl_env
         state = initial_state(cfg)
         args = (seed_network(cfg), state.ranking, [env.train_batches[3]], [2], 0.5, cfg.sgd)
-        a = fsl_client_update(*args, [derive(9, [0])])[0]
-        b = fsl_client_update(*args, [derive(9, [0])])[0]
+        a = client_rankings(fsl_client_update(*args, [derive(9, [0])]))[0]
+        b = client_rankings(fsl_client_update(*args, [derive(9, [0])]))[0]
         for ra, rb in zip(a, b):
             assert np.array_equal(ra, rb)
 
@@ -153,8 +160,9 @@ class TestFslClientUpdate:
             batches = [Minibatch(feats[i : i + 8], labels[i : i + 8])
                        for i in range(0, 64, 8)]
             seed_net = SeedNetwork(seed, specs)
-            ranking = fsl_client_update(seed_net, seed_net.ranking, [batches], [3], 0.5, sgd,
-                                        [derive(seed, [TAG_TRAIN, 1, 0])])[0]
+            ranking = client_rankings(fsl_client_update(
+                seed_net, seed_net.ranking, [batches], [3], 0.5, sgd,
+                [derive(seed, [TAG_TRAIN, 1, 0])]))[0]
             bottom = set(ranking[0][:8].tolist())
             noise_edges = {i for i in range(16) if i % 2 == 1}
             hits += len(bottom & noise_edges)
@@ -169,9 +177,9 @@ class TestFslRound:
         state = initial_state(cfg1)
         new_state, record = fsl_round(state, env, cfg1, 1)
         u = record.selected[0]
-        expected = fsl_client_update(seed_network(cfg1), state.ranking, [env.train_batches[u]],
-                                     [cfg1.local_epochs], cfg1.subnet_fraction, cfg1.sgd,
-                                     [derive(cfg1.seed, [TAG_TRAIN, 1, u])])[0]
+        expected = client_rankings(fsl_client_update(
+            seed_network(cfg1), state.ranking, [env.train_batches[u]], [cfg1.local_epochs],
+            cfg1.subnet_fraction, cfg1.sgd, [derive(cfg1.seed, [TAG_TRAIN, 1, u])]))[0]
         for got, want in zip(new_state.ranking, expected):
             assert np.array_equal(got, want)
 
@@ -191,11 +199,11 @@ class TestFslRound:
         calls = []
 
         def fake_update(seed_net, ranking, batches, epochs, k, sgd, rngs):
-            out = []
+            rows = []
             for _ in batches:  # one ranking per client of the cohort
                 calls.append(None)
-                out.append([fixtures[(len(calls) - 1) % 3], fixtures[(len(calls) - 1) % 3]])
-            return out
+                rows.append(fixtures[(len(calls) - 1) % 3])
+            return [np.stack(rows), np.stack(rows)]  # one (G, n) block per layer
 
         monkeypatch.setattr(protocols, "fsl_client_update", fake_update)
         state = ServerState(ranking=[FIG_R1, FIG_R1])
@@ -270,8 +278,9 @@ class TestSharedSeedNetwork:
         before = [s.tobytes() for s in seed_net.rebuild(seed_net.ranking).scores]
 
         def client(net):
-            return fsl_client_update(net, seed_net.ranking, [env.train_batches[0]], [2], 0.5,
-                                     cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, 0])])[0]
+            return client_rankings(fsl_client_update(
+                net, seed_net.ranking, [env.train_batches[0]], [2], 0.5, cfg.sgd,
+                [derive(cfg.seed, [TAG_TRAIN, 1, 0])]))[0]
 
         trained = client(seed_net)
         assert any(not np.array_equal(a, b) for a, b in zip(trained, seed_net.ranking))
@@ -431,6 +440,32 @@ class TestRunExperiment:
             assert r.upload_bits == env_cost.upload_bits
             assert r.download_bits == env_cost.download_bits
 
+    @pytest.mark.parametrize("overrides", [
+        {"algorithm": Algorithm.FEDAVG, "aggregator": Aggregator.AVERAGE,
+         "attack": AttackConfig(0.5, AttackKind.SCALE, scale_factor=1e30)},
+        {},
+    ], ids=["fedavg_scale_1e30", "fsl"])
+    def test_no_floating_point_warning_escapes(self, overrides, monkeypatch):
+        # The trainer and evaluate own numpy's error state; the kernels they
+        # call set none.  A scale attack of 1e30 under the plain average
+        # overflows the global weights to inf and then NaN, which every
+        # training and evaluation pass then carries.
+        cfg = tiny_config(rounds=4, **overrides)
+        finite = []
+        update = protocols.fedavg_client_update
+
+        def spy(weights, *args):
+            finite.append(bool(np.isfinite(weights).all()))
+            return update(weights, *args)
+
+        monkeypatch.setattr(protocols, "fedavg_client_update", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = run_experiment(cfg)
+        assert repr(strict) == repr(run_experiment(cfg))
+        if overrides:
+            assert finite[0] and not finite[-1]
+
 
 # --- The cohort trainer against the per-client loop it replaced -------------
 #
@@ -552,8 +587,8 @@ class TestCohortTrainer:
         got = []
         for lo in range(0, len(batches), cohort):
             sl = slice(lo, lo + cohort)
-            got += fsl_client_update(seed_net, ranking, batches[sl], self.EPOCHS[sl], 0.5,
-                                     sgd, rngs[sl])
+            got += client_rankings(fsl_client_update(seed_net, ranking, batches[sl],
+                                                     self.EPOCHS[sl], 0.5, sgd, rngs[sl]))
         want = [_ref_fsl_client(seed_net, ranking, b, e, 0.5, sgd, r)
                 for b, e, r in zip(batches, self.EPOCHS, self.streams())]
         assert len(got) == len(want)

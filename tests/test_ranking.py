@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from fedrank.analytics import ARCH_PRESETS, rank_payload_bits
-from fedrank.ranking import (_BLOCK, SparseLayerRanking, _check_permutation,
+from fedrank.ranking import (_BLOCK, SparseLayerRanking, _check_permutation, _tally,
                              argsort_ranking, decode_entries, decode_layer_ranking,
                              decode_sparse_ranking, encode_entries, encode_layer_ranking,
                              encode_sparse_ranking, floor_count, keep_count, rank_bit_width,
                              reorder_scores, reverse_ranking, sparse_vote,
-                             stable_order, truncate_ranking, vote)
+                             stable_order, truncate_ranking, vote, vote_network)
 from fedrank.rng import derive
 
 # Worked single-round example: three client rankings over a 6-edge layer
@@ -375,6 +375,54 @@ class TestOneTally:
     def test_vote_rejects_non_permutation(self, bad):
         with pytest.raises(ValueError):
             vote([np.array([3, 2, 1, 0]), bad])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 129, 800])
+    def test_cohort_blocks_match_old_sparse_vote(self, n):
+        # A round's clients arrive as (G, n) cohort blocks, one row each;
+        # however the 25 rows are split into blocks (one lone (n,) ranking
+        # included), the tally and the order are the per-client ones.
+        gen = np.random.default_rng(300 + n)
+        perms = np.array([gen.permutation(n) for _ in range(25)])
+        for s in (1.0, 0.5, 0.1):
+            keep = keep_count(n, s)
+            want = _oracle_sparse_vote([SparseLayerRanking(top=r[n - keep:], n=n)
+                                        for r in perms])
+            for size in (1, 2, 7, 24, 25):
+                blocks = [perms[i:i + size] for i in range(0, 25, size)]
+                if size == 24:
+                    blocks[-1] = blocks[-1][0]  # the 25th client as a plain ranking
+                assert np.array_equal(vote_network([[b] for b in blocks], s)[0], want[0])
+                got = _tally([b.reshape(-1, n)[:, n - keep:] for b in blocks], n)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("bad, match", [
+        ("float", "integers"), ("above", "out of range"), ("negative", "out of range"),
+        ("duplicate", "duplicate"), ("duplicate_of_lowest", "duplicate"),
+        ("width", "layer size"), ("ndim", "layer size")])
+    def test_vote_network_checks_every_row_of_a_block(self, bad, match):
+        n = 6
+        block = np.array([np.roll(np.arange(n), c) for c in range(4)])
+        first = block[:1].copy()
+        vote_network([[first], [block]])  # the good blocks are voted
+        if bad == "float":
+            block = block.astype(np.float64)
+        elif bad == "above":
+            block[2, 3] = n
+        elif bad == "negative":
+            block[3, 0] = -1
+        elif bad == "duplicate":
+            block[2, 4] = block[2, 1]  # inside the third row of four
+        elif bad == "duplicate_of_lowest":
+            # At s = n the lowest-ranked edge's reputation is 0, so a count
+            # of nonzero reputations cannot see it repeated.
+            block[1, 5] = block[1, 0]
+        elif bad == "width":
+            block = block[:, 1:]
+        else:
+            block = block[None]
+        with pytest.raises(ValueError, match=match):
+            vote_network([[first], [block]])
 
 
 class TestReverse:

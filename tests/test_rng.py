@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedrank.rng import InitKind, RngStream, derive, init_scores, init_weights
+from fedrank.rng import _PYTHON_WORDS, InitKind, RngStream, derive, init_scores, init_weights
 
 
 class TestDerive:
@@ -157,23 +157,31 @@ class TestBlockDraws:
 
     def test_rejections_match_one_draws(self):
         # Near 2**63 + 1 about half of all words are rejected, so many steps
-        # reject their first word and some reject a whole slot of 8.
-        first_rejected = whole_slot_cases = 0
-        for case in range(300):
-            bounds = [2**63 + 1 + case % 7 if j % 3 else 2 + j for j in range(1 + case % 9)]
+        # reject their first word and some reject a whole slot of 8.  A
+        # block of more than _PYTHON_WORDS steps computes its first words
+        # with the vectorized finalizer, a shorter one word by word; a
+        # whole-slot rejection starts a new block with the steps left.  The
+        # short and the long lists meet both kinds of rejection on both sides.
+        first_rejected = {False: 0, True: 0}  # by whether the block was vectorized
+        whole_slot = {False: 0, True: 0}
+        for case in range(600):
+            steps = 1 + case % 9 if case < 300 else _PYTHON_WORDS + 4 + case % 25
+            bounds = [2**63 + 1 + case % 7 if j % 3 else 2 + j for j in range(steps)]
             want, got = RngStream(case), RngStream(case)
-            words = RngStream(case).next_u64(200).tolist()
-            expected, whole_slot = [], False
-            for b in bounds:
+            words = RngStream(case).next_u64(8 * steps + 200).tolist()
+            expected, block_start = [], 0
+            for j, b in enumerate(bounds):
+                vectorized = len(bounds) - block_start > _PYTHON_WORDS
                 at = want._counter
                 expected.append(one_draw(want, b))
-                first_rejected += words[at] >= (1 << 64) - (1 << 64) % b
-                whole_slot |= want._counter - at > 8
-            whole_slot_cases += whole_slot
+                first_rejected[vectorized] += words[at] >= (1 << 64) - (1 << 64) % b
+                if want._counter - at > 8:
+                    whole_slot[vectorized] += 1
+                    block_start = j
             assert got.integers_below(bounds) == expected
             assert_same_position(want, got)
-        assert first_rejected > 300
-        assert whole_slot_cases > 0
+        assert min(first_rejected.values()) > 300
+        assert min(whole_slot.values()) > 0
 
 
 class TestInitializers:

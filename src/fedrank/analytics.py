@@ -23,9 +23,13 @@ def failure_upper_bound(n: int, p: float, alpha: float) -> float:
     """Upper bound on the probability the edge vote drops a good edge.
 
     ``n`` clients per round, ``p`` the chance a benign client keeps the
-    edge in its top ranks, ``alpha`` the malicious fraction.  Returns 1
-    when the mean-margin term p + alpha*(1 - 2p) - 1/2 is not positive
-    (the bound is vacuous there), and is clamped to [0, 1] otherwise.
+    edge in its top ranks, ``alpha`` the malicious fraction.  The model:
+    (1 - alpha)n benign clients each keep the edge with probability p,
+    alpha*n attackers each with 1 - p, and the vote fails when at most n/2
+    keep it.  (Were every client to keep it with chance p + alpha(1 - 2p),
+    this would be no bound.)  Returns 1 when the mean-margin term
+    p + alpha*(1 - 2p) - 1/2 is not positive (the bound is vacuous there),
+    and is clamped to [0, 1] otherwise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -10,6 +10,11 @@ Every stable order here comes from :func:`stable_order`: one plain sort of
 unique uint64 words, an order-preserving key above the entry's index, which
 numpy runs as its SIMD sort.  float64 input, float32 with a NaN and integer
 ranges too wide to leave room for the index fall back to the stable argsort.
+
+Every ranking row taken in (an upload, a decoded download, a client's cut
+ranking) passes one rule, :func:`_rank_rows`: integer entries in [0, n),
+none repeated within the row, so a row of n is a permutation.
+SparseLayerRanking, both decoders, vote and vote_network all apply it.
 """
 
 from __future__ import annotations
@@ -36,14 +41,9 @@ class SparseLayerRanking:
     n: int
 
     def __post_init__(self):
-        top = _integer_entries(self.top).astype(np.int64, copy=False)
-        object.__setattr__(self, "top", top)
-        if top.ndim != 1 or len(top) > self.n:
-            raise ValueError("sparse ranking must be one row no longer than the layer")
-        if _out_of_range(top, self.n):
-            raise ValueError("edge index out of range")
-        if _has_duplicate(top, self.n):
-            raise ValueError("duplicate edge in sparse ranking")
+        if np.ndim(self.top) != 1:
+            raise ValueError("a sparse ranking must be one row within the layer size")
+        object.__setattr__(self, "top", _rank_rows(self.top, self.n)[0])
 
 
 def floor_count(n: int, k: float) -> int:
@@ -156,15 +156,11 @@ def _integer_entries(entries) -> np.ndarray:
     return entries
 
 
-def _out_of_range(entries: np.ndarray, n: int) -> bool:
-    return entries.size > 0 and bool(entries.min() < 0 or entries.max() >= n)
-
-
 def _scattered(rows: np.ndarray, n: int, values, dtype) -> np.ndarray:
     """``values`` written at each row's entries in a zero (G, n) array, or
     an (n,) one for a single row (a view, one plain fancy-index write); the
     entries must already lie in [0, n)."""
-    if rows.ndim == 1 or len(rows) == 1:
+    if len(rows) == 1:
         out = np.zeros(n, dtype=dtype)
         out[rows.reshape(-1)] = values
     else:
@@ -173,18 +169,20 @@ def _scattered(rows: np.ndarray, n: int, values, dtype) -> np.ndarray:
     return out
 
 
-def _has_duplicate(entries: np.ndarray, n: int) -> bool:
-    """Whether an entry repeats within a row of ``entries`` (one row, or a
-    (G, s) block of rows); the entries must already lie in [0, n)."""
-    return np.count_nonzero(_scattered(entries, n, True, bool)) != entries.size
-
-
-def _check_permutation(perm: np.ndarray, n: int) -> np.ndarray:
-    """``perm`` as int64 if it is a permutation of [0, n); linear time."""
-    perm = _integer_entries(perm).astype(np.int64, copy=False)
-    if perm.shape != (n,) or _out_of_range(perm, n) or _has_duplicate(perm, n):
-        raise ValueError("ranking is not a permutation of [0, n)")
-    return perm
+def _rank_rows(entries, n: int) -> np.ndarray:
+    """``entries``, one row or a (G, m) block of rows, as an int64 (G, m)
+    array once every row passes the ranking row rule: integer entries in
+    [0, n), none repeated within the row (so m <= n).  The repeat check
+    counts scattered flags, not reputations: at m = n the row's first entry
+    has reputation 0, and a repeat of it must still be seen."""
+    rows = np.array(_integer_entries(entries), dtype=np.int64, ndmin=2, copy=None)
+    if rows.ndim != 2 or rows.shape[1] > n:
+        raise ValueError(f"ranking rows must form a (G, m) block, m within the layer size {n}")
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError("edge index out of range")
+    if np.count_nonzero(_scattered(rows, n, True, bool)) != rows.size:
+        raise ValueError("duplicate edge in ranking")
+    return rows
 
 
 def _tally(blocks: list[np.ndarray], n: int) -> tuple[LayerRanking, np.ndarray]:
@@ -205,18 +203,28 @@ def _tally(blocks: list[np.ndarray], n: int) -> tuple[LayerRanking, np.ndarray]:
     return stable_order(tally), tally
 
 
+def _vote_layer(blocks: list, s: float) -> tuple[LayerRanking, np.ndarray]:
+    """One layer's vote over ranking blocks, each one client's (n,) ranking
+    or a cohort's (G, n) block of them: every row is cut to its top
+    keep_count(n, s) entries, checked by :func:`_rank_rows`, and tallied."""
+    if not blocks:
+        raise ValueError("vote requires at least one ranking")
+    n = np.shape(blocks[0])[-1]
+    if any(np.shape(block)[-1] != n for block in blocks):
+        raise ValueError("rankings disagree on layer size")
+    keep = keep_count(n, s)
+    return _tally([_rank_rows(np.asarray(block)[..., n - keep:], n) for block in blocks], n)
+
+
 def vote(rankings: list[LayerRanking]) -> tuple[LayerRanking, np.ndarray]:
     """Reputation vote over full layer rankings.
 
     Each ranking awards edge e a reputation equal to e's position in it;
     reputations are summed and the tally argsorted (ties to the lower edge
-    index) to give the aggregate ranking.  This is :func:`sparse_vote` with
-    every suffix the whole ranking.
+    index) to give the aggregate ranking.  This is :func:`vote_network`'s
+    layer vote at s = 1, so an entry may also be a (G, n) block of rankings.
     """
-    if not rankings:
-        raise ValueError("vote requires at least one ranking")
-    n = len(rankings[0])
-    return _tally([_check_permutation(r, n)[None] for r in rankings], n)
+    return _vote_layer(rankings, 1.0)
 
 
 def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndarray]:
@@ -230,39 +238,20 @@ def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndar
     return _tally([sr.top[None] for sr in sparse], n)
 
 
-def _checked_suffixes(block, n: int, keep: int) -> np.ndarray:
-    """The last ``keep`` entries of each row of a ranking block (an (n,)
-    ranking or a (G, n) block of them) as a (G, keep) view, once every row
-    is checked as SparseLayerRanking checks a suffix: integer entries in
-    [0, n), none repeated within a row."""
-    block = _integer_entries(block)
-    if block.ndim not in (1, 2) or block.shape[-1] != n:
-        raise ValueError("ranking blocks must be (n,) or (G, n) arrays of one layer size")
-    top = block.reshape(-1, n)[:, n - keep:]
-    if _out_of_range(top, n):
-        raise ValueError("edge index out of range")
-    if _has_duplicate(top, n):
-        raise ValueError("duplicate edge in sparse ranking")
-    return top
-
-
 def vote_network(rankings: list[NetworkRanking], s: float = 1.0) -> NetworkRanking:
     """Layer-wise vote over whole-network rankings, each layer ranking cut
     to its top ``s`` fraction first; at s = 1 this is :func:`vote` per layer.
     Each entry of ``rankings`` holds one array per layer: one client's (n,)
     ranking or a cohort's (G, n) block, row c client c's, whose rows are
-    checked and tallied together."""
-    voted = []
-    for layer in zip(*rankings):
-        n = np.shape(layer[0])[-1]
-        keep = keep_count(n, s)
-        voted.append(_tally([_checked_suffixes(block, n, keep) for block in layer], n)[0])
-    return voted
+    checked and tallied together.  Every entry must hold every layer."""
+    if not rankings:
+        raise ValueError("vote requires at least one ranking")
+    return [_vote_layer(layer, s)[0] for layer in zip(*rankings, strict=True)]
 
 
 def reverse_ranking(r: LayerRanking) -> LayerRanking:
     """Flip a ranking end for end; an edge at reputation j moves to n-1-j."""
-    return np.asarray(r, dtype=np.int64)[::-1].copy()
+    return _integer_entries(r)[::-1].astype(np.int64)
 
 
 def truncate_ranking(r: LayerRanking, s: float) -> SparseLayerRanking:
@@ -271,7 +260,7 @@ def truncate_ranking(r: LayerRanking, s: float) -> SparseLayerRanking:
     ``top`` is a view of the suffix and shares memory with ``r``: a round
     truncates every client's ranking, and a copy would hold each twice.
     """
-    r = np.asarray(r, dtype=np.int64)
+    r = _integer_entries(r).astype(np.int64, copy=False)
     keep = keep_count(len(r), s)
     return SparseLayerRanking(top=r[len(r) - keep :], n=len(r))
 
@@ -377,7 +366,7 @@ def encode_layer_ranking(r: LayerRanking) -> bytes:
 
 
 def decode_layer_ranking(data: bytes, n: int) -> LayerRanking:
-    return _check_permutation(decode_entries(data, n, n), n)
+    return _rank_rows(decode_entries(data, n, n), n)[0]
 
 
 def encode_sparse_ranking(sr: SparseLayerRanking) -> bytes:

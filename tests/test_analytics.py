@@ -48,6 +48,27 @@ class TestFailureBound:
             with pytest.raises(ValueError):
                 failure_upper_bound(25, p, 0.1)
 
+    def test_bounds_the_exact_two_group_failure(self):
+        # (1 - alpha) n benign clients each keep the edge with probability p
+        # and alpha n attackers each with 1 - p; the vote fails when at most
+        # n / 2 keep it.  The grid: alpha = 0, 0.1, ..., 0.4 wherever alpha n
+        # is an integer, p = 0.51, ..., 0.99 (1274 points).
+        def pmf(m, q):
+            return [math.comb(m, k) * q**k * (1 - q)**(m - k) for k in range(m + 1)]
+
+        points = 0
+        for n in (5, 10, 20, 25, 50, 100):
+            for attackers in sorted({tenths * n // 10 for tenths in range(5)
+                                     if tenths * n % 10 == 0}):
+                for hundredths in range(51, 100):
+                    p = hundredths / 100
+                    exact = sum(b * a for i, b in enumerate(pmf(n - attackers, p))
+                                for j, a in enumerate(pmf(attackers, 1 - p))
+                                if 2 * (i + j) <= n)
+                    assert exact <= failure_upper_bound(n, p, attackers / n), (n, p, attackers)
+                    points += 1
+        assert points == 1274
+
     def test_sweep_shape_and_values(self):
         rows = sweep_bound(25, [0.6, 0.9], [0.0, 0.1])
         assert len(rows) == 4

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedrank.analytics import ARCH_PRESETS, rank_payload_bits
-from fedrank.ranking import (_BLOCK, SparseLayerRanking, _check_permutation, _tally,
+from fedrank.ranking import (_BLOCK, SparseLayerRanking, _tally,
                              argsort_ranking, decode_entries, decode_layer_ranking,
                              decode_sparse_ranking, encode_entries, encode_layer_ranking,
                              encode_sparse_ranking, floor_count, keep_count, rank_bit_width,
@@ -309,6 +309,11 @@ class TestSparseVote:
         for top in (np.array([0.7, 2.2]), np.array([True, False]), [0.0, 1.0]):
             with pytest.raises(ValueError, match="integers"):
                 SparseLayerRanking(top=top, n=6)
+        # a float ranking is not cast to int64 before it is cut or reversed
+        for ranking in (np.array([0.9, 1.7, 2.2, 3.4]), np.array([True, False])):
+            for cut_or_flip in (lambda r: truncate_ranking(r, 1.0), reverse_ranking):
+                with pytest.raises(ValueError, match="integers"):
+                    cut_or_flip(ranking)
         empty = SparseLayerRanking(top=np.zeros(0), n=6)
         assert empty.top.dtype == np.int64 and empty.top.size == 0
 
@@ -331,7 +336,7 @@ def _oracle_vote(rankings):
     n = len(rankings[0])
     tally = np.zeros(n, dtype=np.int64)
     for r in rankings:
-        r = _check_permutation(r, n)
+        r = np.asarray(r, dtype=np.int64)
         inv = np.empty(len(r), dtype=np.int64)
         inv[r] = np.arange(len(r), dtype=np.int64)
         tally += inv
@@ -397,16 +402,24 @@ class TestOneTally:
                     assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("bad, match", [
-        ("float", "integers"), ("above", "out of range"), ("negative", "out of range"),
-        ("duplicate", "duplicate"), ("duplicate_of_lowest", "duplicate"),
-        ("width", "layer size"), ("ndim", "layer size")])
+        ("float", "integers"), ("bool", "integers"), ("above", "out of range"),
+        ("negative", "out of range"), ("duplicate", "duplicate"),
+        ("duplicate_of_lowest", "duplicate"), ("width", "layer size"),
+        ("long", "layer size"), ("ndim", "layer size")])
     def test_vote_network_checks_every_row_of_a_block(self, bad, match):
+        """One table of bad rows against every entry that takes ranking rows
+        from outside: both votes, given the rows one by one and as a block;
+        SparseLayerRanking; and both decoders where the bytes can carry the
+        fault (at n = 6 a 3-bit field holds 6 and 7, so the bad rows are
+        packed as if n were 8)."""
         n = 6
         block = np.array([np.roll(np.arange(n), c) for c in range(4)])
         first = block[:1].copy()
         vote_network([[first], [block]])  # the good blocks are voted
         if bad == "float":
             block = block.astype(np.float64)
+        elif bad == "bool":
+            block = block < n // 2
         elif bad == "above":
             block[2, 3] = n
         elif bad == "negative":
@@ -419,10 +432,37 @@ class TestOneTally:
             block[1, 5] = block[1, 0]
         elif bad == "width":
             block = block[:, 1:]
+        elif bad == "long":
+            block = np.concatenate([block, block[:, :1]], axis=1)
         else:
             block = block[None]
-        with pytest.raises(ValueError, match=match):
-            vote_network([[first], [block]])
+        rows = list(block) if block.ndim == 2 else [block]
+        entries = [lambda: vote_network([[first], [block]]),
+                   lambda: vote_network([[first[0]]] + [[row] for row in rows]),
+                   lambda: vote([first[0], block]),
+                   lambda: vote([first[0], *rows])]
+        if bad != "width":  # a row shorter than the layer is a valid suffix
+            entries.append(lambda: [SparseLayerRanking(top=row, n=n) for row in rows])
+        if bad in ("above", "duplicate", "duplicate_of_lowest", "long"):
+            packed = [(encode_entries(row, 8), len(row)) for row in rows]
+            entries.append(lambda: [decode_sparse_ranking(d, c, n) for d, c in packed])
+            if bad != "long":  # a full ranking's byte count fixes its length
+                entries.append(lambda: [decode_layer_ranking(d, n) for d, _ in packed])
+        for entry in entries:
+            with pytest.raises(ValueError, match=match):
+                entry()
+
+    def test_vote_network_rejects_ragged_submissions(self):
+        # zip would drop the layer the second submission leaves out
+        a, b = np.arange(6), np.arange(4)
+        with pytest.raises(ValueError):
+            vote_network([[a, b], [a]])
+        with pytest.raises(ValueError):
+            vote_network([[a], [a, b]])
+
+    def test_vote_network_rejects_no_submissions(self):
+        with pytest.raises(ValueError, match="at least one"):
+            vote_network([])
 
 
 class TestReverse:
@@ -582,12 +622,13 @@ class TestWireEncoding:
         rng = derive(65, [])
         n = 7
         perm = rng.sample_without_replacement(n, n)
-        bad = [perm[:-1], np.append(perm, 0), perm.reshape(1, n),
+        bad = [perm[:-1], np.append(perm, 0), perm.reshape(1, 1, n),
                np.where(perm == 0, n, perm), np.where(perm == 0, -1, perm),
                np.where(perm == 0, 1, perm)]
         bad += [np.array(rng.integers_below([n + 2] * n)) - 1 for _ in range(200)]
         for p in [perm] + bad:
-            assert sorted_is_permutation(p, n) == self._accepts(_check_permutation, p, n), p
+            assert sorted_is_permutation(p, n) == self._accepts(
+                lambda q, m: vote([np.arange(m), q]), p, n), p
         tops = [perm[:3], np.append(perm, 0), np.array([0, n]), np.array([-1, 2]),
                 np.array([2, 2]), np.zeros(0, np.int64)]
         tops += [np.array(rng.integers_below([n + 2] * (1 + i % n))) - 1 for i in range(200)]

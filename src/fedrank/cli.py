@@ -105,7 +105,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         return _fail(exc)
 
-    records = run_experiment(cfg, workers=args.workers, env=env)
+    def finish(**fields) -> None:
+        manifest.update(fields, finished=_now())
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+    try:
+        records = run_experiment(cfg, workers=args.workers, env=env)
+    except BaseException as exc:  # the manifest says how the run ended
+        finish(error=f"{type(exc).__name__}: {exc}")
+        if isinstance(exc, ValueError):  # a value training cannot go on from
+            return _fail(exc)
+        raise
 
     with open(records_path, "w") as f:
         for r in records:
@@ -115,8 +125,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f.write(json.dumps(row) + "\n")
     summary_path.write_text(records_to_csv(records))
 
-    manifest["finished"] = _now()
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    finish()
     print(f"wrote {summary_path} ({len(records)} eval points)")
     return 0
 

@@ -5,11 +5,13 @@ One rank round serves both rank algorithms.  Clients upload the top s
 fraction of each layer ranking, s = ``sparsity`` for ``sparse_fsl`` and
 s = 1 for ``fsl``, so the full vote is the sparse vote over whole rankings.
 
-Every round trains each sampled client once, attackers included; attackers
-then turn their own results into what they submit.  The sampled clients
-train in cohorts of consecutive clients, each layer one stacked array that
-``nn`` trains in lockstep.  :func:`cohort_size` fits as many clients as
-COHORT_BYTES holds at 8 bytes per edge, at least one: all 25 of a
+A round only advances the server state: it samples its clients, trains
+each once (attackers too, who then turn their own results into what they
+submit) and votes or aggregates the next state.  :func:`run_experiment`
+is the one loop, and alone evaluates and records.  The sampled clients
+train in cohorts of consecutive clients, each layer one stacked array
+that ``nn`` trains in lockstep.  :func:`cohort_size` fits as many clients
+as COHORT_BYTES holds at 8 bytes per edge, at least one: all 25 of a
 1,200-edge desk round, one at 784-200-10, whose layers already run inside
 numpy.  A rank cohort starts from one rebuild of the seed network (drawn
 once per run by ``initial_state``, carried in the ``ServerState``), since
@@ -25,6 +27,7 @@ and across worker counts.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -266,25 +269,6 @@ def fsl_client_update(seed_net: SeedNetwork, global_ranking: NetworkRanking,
     return net.score_rankings()
 
 
-def _train_streams(cfg: ExperimentConfig, round_index: int, selected: list[int]) -> list:
-    """Client u's stream is [TAG_TRAIN, round, u]; the round's prefix is
-    derived once."""
-    prefix = derive(cfg.seed, [TAG_TRAIN, round_index])
-    return [prefix.child(u) for u in selected]
-
-
-def _attackers_and_epochs(cfg: ExperimentConfig,
-                          selected: list[int]) -> tuple[list[int], list[int]]:
-    """Positions in ``selected`` of the malicious clients, and each selected
-    client's local epochs: every client trains, attackers for
-    ``attack_epochs``.  ``validate`` ties each attack kind to one protocol
-    family, so a round only ever sees attackers of its own family."""
-    n_mal = cfg.attack.malicious_count(cfg.num_clients)
-    mal = [i for i, u in enumerate(selected) if u < n_mal]
-    return mal, [cfg.attack_epochs if i in mal else cfg.local_epochs
-                 for i in range(len(selected))]
-
-
 COHORT_BYTES = 256 * 1024
 
 
@@ -294,16 +278,31 @@ def cohort_size(specs: list[LayerSpec]) -> int:
     return max(1, COHORT_BYTES // (8 * sum(sp.n_edges for sp in specs)))
 
 
-def _map_cohorts(executor: ThreadPoolExecutor | None, cfg: ExperimentConfig,
-                 count: int, train) -> list:
-    """``train(cohort)`` for consecutive slices of ``count`` sampled
-    clients, one cohort_size each, on the pool when there is one and more
-    than one cohort; each cohort's result, in client order."""
+def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
+                   executor: ThreadPoolExecutor | None,
+                   train) -> tuple[list[int], list[int], list]:
+    """Sample the round's clients; return them, the positions among them of
+    the malicious ones, and ``train(batches, epochs, rngs)`` of each cohort
+    of cohort_size consecutive clients, in client order, on the pool when
+    there is one and more than one cohort.  Client u trains on its stream
+    [TAG_TRAIN, round, u], attackers for ``attack_epochs``; ``validate``
+    ties each attack kind to one protocol family."""
+    selected = select_clients(cfg, round_index)
+    n_mal = cfg.attack.malicious_count(cfg.num_clients)
+    mal = [i for i, u in enumerate(selected) if u < n_mal]
+    epochs = [cfg.attack_epochs if u < n_mal else cfg.local_epochs for u in selected]
+    prefix = derive(cfg.seed, [TAG_TRAIN, round_index])
+    rngs = [prefix.child(u) for u in selected]
+    batches = [env.train_batches[u] for u in selected]
     size = cohort_size(cfg.architecture)
-    cohorts = [slice(i, i + size) for i in range(0, count, size)]
+    cohorts = [slice(i, i + size) for i in range(0, len(selected), size)]
+
+    def cohort(c: slice):
+        return train(batches[c], epochs[c], rngs[c])
+
     if executor is None or len(cohorts) == 1:
-        return [train(c) for c in cohorts]
-    return [f.result() for f in [executor.submit(train, c) for c in cohorts]]
+        return selected, mal, [cohort(c) for c in cohorts]
+    return selected, mal, [f.result() for f in [executor.submit(cohort, c) for c in cohorts]]
 
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
@@ -320,16 +319,16 @@ def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
 
 
 def _evaluate_weights(cfg: ExperimentConfig, env: Environment,
-                      weights: np.ndarray) -> np.ndarray:
-    mats = [m.astype(np.float64) for m in unflatten_params(weights, cfg.architecture)]
+                      state: ServerState) -> np.ndarray:
+    mats = [m.astype(np.float64) for m in unflatten_params(state.weights, cfg.architecture)]
     accs = [dense_evaluate(mats, cfg.architecture, feats, labels)
             for feats, labels in env.test_sets if len(labels)]
     return np.asarray(accs)
 
 
 def _record(env: Environment, round_index: int, selected: list[int],
-            attack_active: bool, accs: np.ndarray | None) -> RoundRecord:
-    if accs is None or len(accs) == 0:
+            attack_active: bool, accs: np.ndarray) -> RoundRecord:
+    if len(accs) == 0:
         stats = (math.nan,) * 4
     else:
         stats = (float(accs.mean()), float(accs.std()), float(accs.min()), float(accs.max()))
@@ -341,19 +340,17 @@ def _record(env: Environment, round_index: int, selected: list[int],
 
 
 def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
-              round_index: int, executor: ThreadPoolExecutor | None = None,
-              with_eval: bool = True) -> tuple[ServerState, RoundRecord]:
-    """One rank-vote round of fsl or sparse_fsl; returns the next state and
-    its record.  Each submitted layer ranking is cut to its top s fraction
-    (s = 1 for fsl, which ignores ``sparsity``) and the server votes per
-    layer over the cut rankings, one cohort block at a time.  Attackers'
-    rows of the blocks are overwritten with the crafted poison."""
-    selected = select_clients(cfg, round_index)
-    mal, epochs = _attackers_and_epochs(cfg, selected)
-    rngs = _train_streams(cfg, round_index, selected)
-    blocks = _map_cohorts(executor, cfg, len(selected), lambda c: fsl_client_update(
-        state.seed_net, state.ranking, [env.train_batches[u] for u in selected[c]],
-        epochs[c], cfg.subnet_fraction, cfg.sgd, rngs[c]))
+              round_index: int, executor: ThreadPoolExecutor | None = None
+              ) -> tuple[ServerState, list[int], bool]:
+    """One rank-vote round of fsl or sparse_fsl; returns the next state, the
+    sampled clients and whether any of them attacked.  Each submitted layer
+    ranking is cut to its top s fraction (s = 1 for fsl, which ignores
+    ``sparsity``) and the server votes per layer over the cut rankings, one
+    cohort block at a time.  Attackers' rows of the blocks are overwritten
+    with the crafted poison."""
+    selected, mal, blocks = _train_clients(
+        cfg, env, round_index, executor, lambda batches, epochs, rngs: fsl_client_update(
+            state.seed_net, state.ranking, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
     if mal:
         rows = [[layer[g] for layer in part] for part in blocks for g in range(len(part[0]))]
         poison = adversary.craft_rank_poison([rows[i] for i in mal])
@@ -361,9 +358,8 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
             for row, layer in zip(rows[i], poison):
                 row[:] = layer
     s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
-    new_state = ServerState(ranking=vote_network(blocks, s), seed_net=state.seed_net)
-    accs = _evaluate_ranking(cfg, env, new_state) if with_eval else None
-    return new_state, _record(env, round_index, selected, bool(mal), accs)
+    return (ServerState(ranking=vote_network(blocks, s), seed_net=state.seed_net),
+            selected, bool(mal))
 
 
 def fedavg_client_update(weights: np.ndarray, specs: list[LayerSpec],
@@ -392,15 +388,13 @@ def _topk_sparsify(delta: np.ndarray, specs: list[LayerSpec], fraction: float) -
 
 
 def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
-                   round_index: int, executor: ThreadPoolExecutor | None = None,
-                   with_eval: bool = True) -> tuple[ServerState, RoundRecord]:
-    """One round of a weight-based protocol (fedavg, signsgd or topk)."""
-    selected = select_clients(cfg, round_index)
-    mal, epochs = _attackers_and_epochs(cfg, selected)
-    rngs = _train_streams(cfg, round_index, selected)
-    parts = _map_cohorts(executor, cfg, len(selected), lambda c: fedavg_client_update(
-        state.weights, cfg.architecture, [env.train_batches[u] for u in selected[c]],
-        epochs[c], cfg.sgd, rngs[c]))
+                   round_index: int, executor: ThreadPoolExecutor | None = None
+                   ) -> tuple[ServerState, list[int], bool]:
+    """One round of a weight-based protocol (fedavg, signsgd or topk);
+    returns what :func:`fsl_round` does."""
+    selected, mal, parts = _train_clients(
+        cfg, env, round_index, executor, lambda batches, epochs, rngs: fedavg_client_update(
+            state.weights, cfg.architecture, batches, epochs, cfg.sgd, rngs))
     updates = [delta for part in parts for delta in part]
     if mal and cfg.attack.kind is AttackKind.SCALE:
         for i in mal:
@@ -427,37 +421,26 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
             agg = multi_krum(updates, selected, f)
         new_weights = state.weights + agg
 
-    new_state = ServerState(weights=new_weights)
-    accs = _evaluate_weights(cfg, env, new_weights) if with_eval else None
-    return new_state, _record(env, round_index, selected, bool(mal), accs)
-
-
-ROUND_FUNCTIONS = {
-    Algorithm.FSL: fsl_round,
-    Algorithm.SPARSE_FSL: fsl_round,
-    Algorithm.FEDAVG: baseline_round,
-    Algorithm.SIGNSGD: baseline_round,
-    Algorithm.TOPK: baseline_round,
-}
+    return ServerState(weights=new_weights), selected, bool(mal)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    env: Environment | None = None) -> list[RoundRecord]:
-    """Run all rounds; records are kept at eval points (and the last round)."""
+    """Run all rounds; the state is evaluated and recorded at eval points
+    (and the last round)."""
     cfg.validate()
     if env is None:
         env = build_environment(cfg)
     state = initial_state(cfg)
-    round_fn = ROUND_FUNCTIONS[cfg.algorithm]
+    # Read from the module on each call, so wrappers set on its attributes see them.
+    round_fn, evaluate_fn = ((fsl_round, _evaluate_ranking) if cfg.algorithm in RANK_ALGORITHMS
+                             else (baseline_round, _evaluate_weights))
     records: list[RoundRecord] = []
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool as executor:
         for t in range(1, cfg.rounds + 1):
-            do_eval = t % cfg.eval_every == 0 or t == cfg.rounds
-            state, rec = round_fn(state, env, cfg, t, executor, with_eval=do_eval)
-            if do_eval:
-                records.append(rec)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            state, selected, attack_active = round_fn(state, env, cfg, t, executor)
+            if t % cfg.eval_every == 0 or t == cfg.rounds:
+                records.append(_record(env, t, selected, attack_active,
+                                       evaluate_fn(cfg, env, state)))
     return records

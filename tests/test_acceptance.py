@@ -17,9 +17,8 @@ from fedrank.analytics import failure_upper_bound
 from fedrank.cli import main
 from fedrank.nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, ep_backward, ep_forward,
                         masked_weights)
-from fedrank.protocols import (ROUND_FUNCTIONS, Aggregator, Algorithm, DatasetSpec,
-                               ExperimentConfig, build_environment,
-                               fsl_round, initial_state, run_experiment)
+from fedrank.protocols import (Aggregator, Algorithm, DatasetSpec, ExperimentConfig,
+                               build_environment, fsl_round, initial_state, run_experiment)
 from fedrank.ranking import truncate_ranking, vote
 from fedrank.rng import InitKind, derive
 
@@ -226,9 +225,8 @@ def test_criterion_6_sparse_degeneracy():
         env = build_environment(cfg)
         state = initial_state(cfg)
         for t in range(1, 21):
-            full_state, _ = fsl_round(state, env, cfg, t, with_eval=False)
-            sparse_state, _ = ROUND_FUNCTIONS[sparse_cfg.algorithm](
-                state, env, sparse_cfg, t, with_eval=False)
+            full_state, _, _ = fsl_round(state, env, cfg, t)
+            sparse_state, _, _ = fsl_round(state, env, sparse_cfg, t)
             for a, b in zip(full_state.ranking, sparse_state.ranking):
                 assert a.tobytes() == b.tobytes()
             state = full_state

@@ -178,6 +178,14 @@ class TestMultiKrum:
             assert select_from_distances(squared_distances(rows), ids, f) == expected
             assert multi_krum_select(u, ids, f) == expected
 
+    @pytest.mark.parametrize("ids, kept", [([10, 11, 13, 12], 3), ([10, 11, 12, 13], 2)])
+    def test_score_tie_keeps_the_lower_id_row(self, ids, kept):
+        # With f = 1 one row goes.  Each row's score is its squared distance
+        # to the nearest peer: 1, 1, 4 and 4, so rows [3] and [-2] tie for
+        # last and only the one with the lower client id is averaged.
+        u = updates_from([[0.0], [1.0], [3.0], [-2.0]])
+        assert multi_krum(u, ids, 1).tobytes() == average([u[0], u[1], u[kept]]).tobytes()
+
     def test_f_zero_m_n_is_average(self):
         rng = derive(65, [])
         rows = rng.uniform(5 * 2).reshape(5, 2)

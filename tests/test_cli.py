@@ -198,12 +198,35 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     def test_training_failure_propagates(self, tmp_path, monkeypatch):
+        # Anything but a ValueError is a fault of the program: it raises, once
+        # the manifest says how the run ended.
         def fail(*args, **kwargs):
-            raise ValueError("training failed")
+            raise RuntimeError("training failed")
 
         monkeypatch.setattr(cli, "run_experiment", fail)
-        with pytest.raises(ValueError, match="training failed"):
+        with pytest.raises(RuntimeError, match="training failed"):
             main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")])
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"] == "RuntimeError: training failed"
+        assert manifest["finished"] is not None
+        assert not (tmp_path / "o" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ("learning_rate = 1e38\n", "values must be finite"),
+        ("algorithm = fedavg\naggregator = multi_krum\nattack = opt_poison\n"
+         "malicious_fraction = 0.2\nlearning_rate = 0.0\n",
+         "benign mean has zero norm; neg_unit direction undefined"),
+    ], ids=["fsl_overflow", "krum_zero_lr"])
+    def test_value_error_mid_training_is_one_line_error(self, tmp_path, capsys, changes,
+                                                        message):
+        text = SMALL_RUN.replace("algorithm = fsl\n", "") + changes
+        rc = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"] == f"ValueError: {message}"
+        assert manifest["finished"] is not None
+        assert not (tmp_path / "o" / "summary.csv").exists()
 
     def test_out_dir_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDRANK_OUT_DIR", str(tmp_path / "envout"))

@@ -17,7 +17,7 @@ import pytest
 from fedrank import adversary
 from fedrank.cli import main
 from fedrank.config import build_config, parse_lines
-from fedrank.protocols import (RANK_ALGORITHMS, ROUND_FUNCTIONS, build_environment,
+from fedrank.protocols import (RANK_ALGORITHMS, baseline_round, build_environment,
                                fsl_round, initial_state)
 from fedrank.ranking import encode_layer_ranking, keep_count
 
@@ -129,10 +129,10 @@ def _final_state_sha256(name: str) -> str:
     cfg = build_config(parse_lines(GOLDEN[name][0].splitlines()))
     env = build_environment(cfg)
     state = initial_state(cfg)
-    round_fn = ROUND_FUNCTIONS[cfg.algorithm]
+    rank = cfg.algorithm in RANK_ALGORITHMS
     for t in range(1, cfg.rounds + 1):
-        state, _ = round_fn(state, env, cfg, t, with_eval=False)
-    if cfg.algorithm in RANK_ALGORITHMS:
+        state, _, _ = (fsl_round if rank else baseline_round)(state, env, cfg, t)
+    if rank:
         blob = b"".join(encode_layer_ranking(layer) for layer in state.ranking)
     else:
         blob = state.weights.tobytes()
@@ -171,6 +171,6 @@ def test_mask_tie_rule_pinned_through_rounds():
     cfg, state = _quantized_fsl_state()
     env = build_environment(cfg)
     for t in range(1, cfg.rounds + 1):
-        state, _ = fsl_round(state, env, cfg, t, with_eval=False)
+        state, _, _ = fsl_round(state, env, cfg, t)
     blob = b"".join(encode_layer_ranking(layer) for layer in state.ranking)
     assert hashlib.sha256(blob).hexdigest() == TIED_STATE_SHA256

@@ -175,8 +175,8 @@ class TestFslRound:
         cfg, env = fsl_env
         cfg1 = tiny_config(clients_per_round=1)
         state = initial_state(cfg1)
-        new_state, record = fsl_round(state, env, cfg1, 1)
-        u = record.selected[0]
+        new_state, selected, _ = fsl_round(state, env, cfg1, 1)
+        u = selected[0]
         expected = client_rankings(fsl_client_update(
             seed_network(cfg1), state.ranking, [env.train_batches[u]], [cfg1.local_epochs],
             cfg1.subnet_fraction, cfg1.sgd, [derive(cfg1.seed, [TAG_TRAIN, 1, u])]))[0]
@@ -188,7 +188,7 @@ class TestFslRound:
         frozen = tiny_config()
         frozen.sgd = SgdConfig(0.0, 0.0, 0.0, 8)  # nobody moves a score
         state = initial_state(frozen)
-        new_state, _ = fsl_round(state, env, frozen, 1)
+        new_state, _, _ = fsl_round(state, env, frozen, 1)
         for got, want in zip(new_state.ranking, state.ranking):
             assert np.array_equal(got, want)
 
@@ -207,14 +207,14 @@ class TestFslRound:
 
         monkeypatch.setattr(protocols, "fsl_client_update", fake_update)
         state = ServerState(ranking=[FIG_R1, FIG_R1])
-        new_state, _ = fsl_round(state, env, cfg3, 1, with_eval=False)
+        new_state, _, _ = fsl_round(state, env, cfg3, 1)
         assert new_state.ranking[0].tolist() == [0, 2, 4, 5, 3, 1]
 
     def test_state_is_permutation_family(self, fsl_env):
         cfg, env = fsl_env
         state = initial_state(cfg)
         for t in range(1, 4):
-            state, _ = fsl_round(state, env, cfg, t, with_eval=False)
+            state, _, _ = fsl_round(state, env, cfg, t)
             for layer, spec in zip(state.ranking, cfg.architecture):
                 assert sorted(layer.tolist()) == list(range(spec.n_edges))
 
@@ -239,8 +239,8 @@ class TestSharedSeedNetwork:
         sys.setswitchinterval(1e-6)
         try:
             for t in range(1, 4):
-                serial_state, serial_rec = fsl_round(serial_state, env, cfg, t)
-                pooled_state, pooled_rec = fsl_round(pooled_state, env, cfg, t, pool)
+                serial_state, *serial_rec = fsl_round(serial_state, env, cfg, t)
+                pooled_state, *pooled_rec = fsl_round(pooled_state, env, cfg, t, pool)
                 assert serial_rec == pooled_rec
                 assert pooled_state.seed_net is seed_net
                 for a, b in zip(serial_state.ranking, pooled_state.ranking):
@@ -267,9 +267,9 @@ class TestSharedSeedNetwork:
         monkeypatch.setattr(Supernetwork, "from_seed", classmethod(spy))
         state = initial_state(cfg)
         for t, round_cfg in ((1, cfg), (2, attacked), (3, cfg)):
-            state, rec = fsl_round(state, env, round_cfg, t, with_eval=True)
-            assert rec.attack_active == (round_cfg is attacked)
-            assert not np.isnan(rec.mean_acc)
+            state, _, attack_active = fsl_round(state, env, round_cfg, t)
+            assert attack_active == (round_cfg is attacked)
+            assert not np.isnan(protocols._evaluate_ranking(round_cfg, env, state).mean())
         assert len(draws) == 1
 
     def test_client_training_leaves_next_rebuild_unchanged(self, fsl_env):
@@ -295,8 +295,8 @@ class TestSparseFslRound:
         sparse_cfg = tiny_config(algorithm=Algorithm.SPARSE_FSL, sparsity=1.0)
         state = initial_state(cfg)
         for t in range(1, 6):
-            full_state, _ = fsl_round(state, env, cfg, t, with_eval=False)
-            sparse_state, _ = fsl_round(state, env, sparse_cfg, t, with_eval=False)
+            full_state, _, _ = fsl_round(state, env, cfg, t)
+            sparse_state, _, _ = fsl_round(state, env, sparse_cfg, t)
             for a, b in zip(full_state.ranking, sparse_state.ranking):
                 assert a.tobytes() == b.tobytes()
             state = full_state
@@ -306,9 +306,9 @@ class TestSparseFslRound:
         cut = tiny_config(sparsity=0.3)
         sparse_cfg = tiny_config(algorithm=Algorithm.SPARSE_FSL, sparsity=0.3)
         state = initial_state(cfg)
-        full_state, _ = fsl_round(state, env, cfg, 1, with_eval=False)
-        cut_state, _ = fsl_round(state, env, cut, 1, with_eval=False)
-        sparse_state, _ = fsl_round(state, env, sparse_cfg, 1, with_eval=False)
+        full_state, _, _ = fsl_round(state, env, cfg, 1)
+        cut_state, _, _ = fsl_round(state, env, cut, 1)
+        sparse_state, _, _ = fsl_round(state, env, sparse_cfg, 1)
         assert [a.tobytes() for a in full_state.ranking] == \
             [a.tobytes() for a in cut_state.ranking]
         assert [a.tobytes() for a in full_state.ranking] != \
@@ -360,8 +360,8 @@ class TestBaselineRound:
         cfg.sgd = SgdConfig(0.05, 0.9, 0.0, 8)
         env = build_environment(cfg)
         state = initial_state(cfg)
-        new_state, record = baseline_round(state, env, cfg, 1, with_eval=False)
-        u = record.selected[0]
+        new_state, selected, _ = baseline_round(state, env, cfg, 1)
+        u = selected[0]
         expected = fedavg_client_update(state.weights, cfg.architecture,
                                         [env.train_batches[u]], [cfg.local_epochs],
                                         cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u])])[0]
@@ -371,8 +371,8 @@ class TestBaselineRound:
         fed = tiny_config(algorithm=Algorithm.FEDAVG)
         top = tiny_config(algorithm=Algorithm.TOPK, sparsity=1.0)
         env = build_environment(fed)
-        s_fed, _ = baseline_round(initial_state(fed), env, fed, 1, with_eval=False)
-        s_top, _ = baseline_round(initial_state(top), env, top, 1, with_eval=False)
+        s_fed, _, _ = baseline_round(initial_state(fed), env, fed, 1)
+        s_top, _, _ = baseline_round(initial_state(top), env, top, 1)
         assert np.array_equal(s_fed.weights, s_top.weights)
 
     def test_topk_sparsify_keeps_layerwise_largest(self):
@@ -386,8 +386,8 @@ class TestBaselineRound:
                           server_lr=0.01)
         env = build_environment(cfg)
         state = initial_state(cfg)
-        new_state, record = baseline_round(state, env, cfg, 1, with_eval=False)
-        u = record.selected[0]
+        new_state, selected, _ = baseline_round(state, env, cfg, 1)
+        u = selected[0]
         delta = fedavg_client_update(state.weights, cfg.architecture,
                                      [env.train_batches[u]], [cfg.local_epochs],
                                      cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u])])[0]
@@ -421,6 +421,24 @@ class TestRunExperiment:
     def test_eval_cadence(self):
         recs = run_experiment(tiny_config(rounds=5, eval_every=2))
         assert [r.round for r in recs] == [2, 4, 5]
+
+    @pytest.mark.parametrize("algorithm, used, unused", [
+        (Algorithm.FSL, "_evaluate_ranking", "_evaluate_weights"),
+        (Algorithm.FEDAVG, "_evaluate_weights", "_evaluate_ranking"),
+    ])
+    def test_evaluates_through_module_attribute_once_per_eval_point(
+            self, algorithm, used, unused, monkeypatch):
+        # Tracing wraps the module attributes, so run_experiment must call
+        # them as they are at call time, once per eval point.
+        calls = {used: [], unused: []}
+        for name in calls:
+            def counted(cfg, env, state, name=name, fn=getattr(protocols, name)):
+                calls[name].append(state)
+                return fn(cfg, env, state)
+            monkeypatch.setattr(protocols, name, counted)
+        recs = run_experiment(tiny_config(algorithm=algorithm, rounds=5, eval_every=2))
+        assert [r.round for r in recs] == [2, 4, 5]
+        assert len(calls[used]) == 3 and calls[unused] == []
 
     def test_zero_fraction_attack_is_noop(self):
         benign = run_experiment(tiny_config(rounds=3))
@@ -633,18 +651,18 @@ class TestCohortTrainer:
         cfg = tiny_config(clients_per_round=8, **overrides)
         assert protocols.cohort_size(cfg.architecture) >= cfg.clients_per_round
         env = build_environment(cfg)
-        round_fn = protocols.ROUND_FUNCTIONS[cfg.algorithm]
+        round_fn = fsl_round if cfg.algorithm is Algorithm.FSL else baseline_round
 
         def run(pool):
             state, out = initial_state(cfg), []
             for t in range(1, 4):
-                state, rec = round_fn(state, env, cfg, t, pool)
+                state, selected, attack_active = round_fn(state, env, cfg, t, pool)
                 final = state.ranking if state.weights is None else [state.weights]
-                out.append((rec, [a.tobytes() for a in final]))
+                out.append((selected, attack_active, [a.tobytes() for a in final]))
             return out
 
         whole = run(None)
-        assert any(rec.attack_active for rec, _ in whole)
+        assert any(attack_active for _, attack_active, _ in whole)
         monkeypatch.setattr(protocols, "cohort_size", lambda specs: 1)
         with ThreadPoolExecutor(max_workers=3) as pool:
             assert run(pool) == whole

@@ -76,8 +76,6 @@ def _parsed(key: str, conv, items: list[str]) -> list:
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         cfg = parse_config(args.config)
         if args.seed_override is not None:
             cfg.seed = args.seed_override
@@ -91,7 +89,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         manifest = {
             "config": config_to_flat_dict(cfg),
             "version": __version__,
-            "workers": args.workers,
             # The partition's gammas come from numpy's log and cos.
             "shards": {"undersized": env.shards.undersized, "min": min(sizes),
                        "median": statistics.median(sizes), "max": max(sizes),
@@ -110,7 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
     try:
-        records = run_experiment(cfg, workers=args.workers, env=env)
+        records = run_experiment(cfg, env=env)
     except BaseException as exc:  # the manifest says how the run ended
         finish(error=f"{type(exc).__name__}: {exc}")
         if isinstance(exc, ValueError):  # a value training cannot go on from
@@ -193,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to the key=value config")
     run.add_argument("--out", default=None,
                      help=f"output directory (default: ${OUT_DIR_ENV} or .)")
-    run.add_argument("--workers", type=int, default=1,
-                     help="threads that train a round's client cohorts in parallel")
     run.add_argument("--seed-override", type=int, default=None)
     run.set_defaults(func=cmd_run)
 

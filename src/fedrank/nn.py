@@ -166,9 +166,9 @@ class SeedNetwork:
     """The network every party builds from the shared seed, built once.
 
     Holds the frozen weights, the initial ranking and each layer's initial
-    scores sorted ascending (stable sort), all read-only, so the client
-    threads of a round can share one.  :meth:`rebuild` gives each caller
-    its own trainable scores.
+    scores sorted ascending (stable sort), all read-only, so every cohort
+    of every round can share one.  :meth:`rebuild` gives each caller its
+    own trainable scores.
     """
 
     def __init__(self, seed: int, specs: list[LayerSpec],

@@ -15,21 +15,19 @@ as COHORT_BYTES holds at 8 bytes per edge, at least one: all 25 of a
 1,200-edge desk round, one at 784-200-10, whose layers already run inside
 numpy.  A rank cohort starts from one rebuild of the seed network (drawn
 once per run by ``initial_state``, carried in the ``ServerState``), since
-its clients all adopt the global ranking.  The cohorts of a round map onto
-the worker pool when there is one.
+its clients all adopt the global ranking.  A round trains its cohorts in
+order.
 
 Determinism contract: every random choice comes from a stream derived from
 the experiment seed and purpose tags (sampling uses [TAG_SAMPLING, round],
 client training [TAG_TRAIN, round, client_id]), and each client's result is
-the same whatever cohort it trains in, so results are identical across runs
-and across worker counts.
+the same whatever cohort it trains in, so results are identical across
+runs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -279,14 +277,12 @@ def cohort_size(specs: list[LayerSpec]) -> int:
 
 
 def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
-                   executor: ThreadPoolExecutor | None,
                    train) -> tuple[list[int], list[int], list]:
     """Sample the round's clients; return them, the positions among them of
     the malicious ones, and ``train(batches, epochs, rngs)`` of each cohort
-    of cohort_size consecutive clients, in client order, on the pool when
-    there is one and more than one cohort.  Client u trains on its stream
-    [TAG_TRAIN, round, u], attackers for ``attack_epochs``; ``validate``
-    ties each attack kind to one protocol family."""
+    of cohort_size consecutive clients, in client order.  Client u trains
+    on its stream [TAG_TRAIN, round, u], attackers for ``attack_epochs``;
+    ``validate`` ties each attack kind to one protocol family."""
     selected = select_clients(cfg, round_index)
     n_mal = cfg.attack.malicious_count(cfg.num_clients)
     mal = [i for i, u in enumerate(selected) if u < n_mal]
@@ -295,14 +291,8 @@ def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
     rngs = [prefix.child(u) for u in selected]
     batches = [env.train_batches[u] for u in selected]
     size = cohort_size(cfg.architecture)
-    cohorts = [slice(i, i + size) for i in range(0, len(selected), size)]
-
-    def cohort(c: slice):
-        return train(batches[c], epochs[c], rngs[c])
-
-    if executor is None or len(cohorts) == 1:
-        return selected, mal, [cohort(c) for c in cohorts]
-    return selected, mal, [f.result() for f in [executor.submit(cohort, c) for c in cohorts]]
+    return selected, mal, [train(batches[i:i + size], epochs[i:i + size], rngs[i:i + size])
+                           for i in range(0, len(selected), size)]
 
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
@@ -340,8 +330,7 @@ def _record(env: Environment, round_index: int, selected: list[int],
 
 
 def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
-              round_index: int, executor: ThreadPoolExecutor | None = None
-              ) -> tuple[ServerState, list[int], bool]:
+              round_index: int) -> tuple[ServerState, list[int], bool]:
     """One rank-vote round of fsl or sparse_fsl; returns the next state, the
     sampled clients and whether any of them attacked.  Each submitted layer
     ranking is cut to its top s fraction (s = 1 for fsl, which ignores
@@ -349,7 +338,7 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     cohort block at a time.  Attackers' rows of the blocks are overwritten
     with the crafted poison."""
     selected, mal, blocks = _train_clients(
-        cfg, env, round_index, executor, lambda batches, epochs, rngs: fsl_client_update(
+        cfg, env, round_index, lambda batches, epochs, rngs: fsl_client_update(
             state.seed_net, state.ranking, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
     if mal:
         rows = [[layer[g] for layer in part] for part in blocks for g in range(len(part[0]))]
@@ -388,12 +377,11 @@ def _topk_sparsify(delta: np.ndarray, specs: list[LayerSpec], fraction: float) -
 
 
 def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
-                   round_index: int, executor: ThreadPoolExecutor | None = None
-                   ) -> tuple[ServerState, list[int], bool]:
+                   round_index: int) -> tuple[ServerState, list[int], bool]:
     """One round of a weight-based protocol (fedavg, signsgd or topk);
     returns what :func:`fsl_round` does."""
     selected, mal, parts = _train_clients(
-        cfg, env, round_index, executor, lambda batches, epochs, rngs: fedavg_client_update(
+        cfg, env, round_index, lambda batches, epochs, rngs: fedavg_client_update(
             state.weights, cfg.architecture, batches, epochs, cfg.sgd, rngs))
     updates = [delta for part in parts for delta in part]
     if mal and cfg.attack.kind is AttackKind.SCALE:
@@ -427,7 +415,12 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
 def run_experiment(cfg: ExperimentConfig, workers: int = 1,
                    env: Environment | None = None) -> list[RoundRecord]:
     """Run all rounds; the state is evaluated and recorded at eval points
-    (and the last round)."""
+    (and the last round).  A ValueError from a round or its evaluation is
+    re-raised naming the round.  ``workers`` must be 1: rounds train their
+    cohorts in order, and the parameter stays only while
+    ``bench/workloads.py`` passes it."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     cfg.validate()
     if env is None:
         env = build_environment(cfg)
@@ -436,11 +429,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     round_fn, evaluate_fn = ((fsl_round, _evaluate_ranking) if cfg.algorithm in RANK_ALGORITHMS
                              else (baseline_round, _evaluate_weights))
     records: list[RoundRecord] = []
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-    with pool as executor:
-        for t in range(1, cfg.rounds + 1):
-            state, selected, attack_active = round_fn(state, env, cfg, t, executor)
+    for t in range(1, cfg.rounds + 1):
+        try:
+            state, selected, attack_active = round_fn(state, env, cfg, t)
             if t % cfg.eval_every == 0 or t == cfg.rounds:
                 records.append(_record(env, t, selected, attack_active,
                                        evaluate_fn(cfg, env, state)))
+        except ValueError as exc:
+            raise ValueError(f"round {t}: {exc}") from exc
     return records

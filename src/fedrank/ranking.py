@@ -203,10 +203,16 @@ def _tally(blocks: list[np.ndarray], n: int) -> tuple[LayerRanking, np.ndarray]:
     return stable_order(tally), tally
 
 
-def _vote_layer(blocks: list, s: float) -> tuple[LayerRanking, np.ndarray]:
-    """One layer's vote over ranking blocks, each one client's (n,) ranking
-    or a cohort's (G, n) block of them: every row is cut to its top
-    keep_count(n, s) entries, checked by :func:`_rank_rows`, and tallied."""
+def vote(blocks: list, s: float = 1.0) -> tuple[LayerRanking, np.ndarray]:
+    """One layer's reputation vote, and its tally.
+
+    Each entry of ``blocks`` is one client's (n,) ranking or a cohort's
+    (G, n) block of them.  Every row is cut to its top keep_count(n, s)
+    entries and checked by :func:`_rank_rows`; each ranking awards edge e a
+    reputation equal to e's position in it (0 if cut), reputations are
+    summed and the tally argsorted (ties to the lower edge index) to give
+    the aggregate ranking.
+    """
     if not blocks:
         raise ValueError("vote requires at least one ranking")
     n = np.shape(blocks[0])[-1]
@@ -214,17 +220,6 @@ def _vote_layer(blocks: list, s: float) -> tuple[LayerRanking, np.ndarray]:
         raise ValueError("rankings disagree on layer size")
     keep = keep_count(n, s)
     return _tally([_rank_rows(np.asarray(block)[..., n - keep:], n) for block in blocks], n)
-
-
-def vote(rankings: list[LayerRanking]) -> tuple[LayerRanking, np.ndarray]:
-    """Reputation vote over full layer rankings.
-
-    Each ranking awards edge e a reputation equal to e's position in it;
-    reputations are summed and the tally argsorted (ties to the lower edge
-    index) to give the aggregate ranking.  This is :func:`vote_network`'s
-    layer vote at s = 1, so an entry may also be a (G, n) block of rankings.
-    """
-    return _vote_layer(rankings, 1.0)
 
 
 def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndarray]:
@@ -239,14 +234,14 @@ def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndar
 
 
 def vote_network(rankings: list[NetworkRanking], s: float = 1.0) -> NetworkRanking:
-    """Layer-wise vote over whole-network rankings, each layer ranking cut
-    to its top ``s`` fraction first; at s = 1 this is :func:`vote` per layer.
-    Each entry of ``rankings`` holds one array per layer: one client's (n,)
-    ranking or a cohort's (G, n) block, row c client c's, whose rows are
-    checked and tallied together.  Every entry must hold every layer."""
+    """Layer-wise vote over whole-network rankings: :func:`vote` of each
+    layer at ``s``.  Each entry of ``rankings`` holds one array per layer:
+    one client's (n,) ranking or a cohort's (G, n) block, row c client c's,
+    whose rows are checked and tallied together.  Every entry must hold
+    every layer."""
     if not rankings:
         raise ValueError("vote requires at least one ranking")
-    return [_vote_layer(layer, s)[0] for layer in zip(*rankings, strict=True)]
+    return [vote(layer, s)[0] for layer in zip(*rankings, strict=True)]
 
 
 def reverse_ranking(r: LayerRanking) -> LayerRanking:

@@ -97,8 +97,7 @@ def _fold(key: int, tag: int) -> int:
 class RngStream:
     """Single-owner deterministic stream of 64-bit words.
 
-    Two streams built from the same key produce identical sequences.  Safe
-    to move between threads, not to share concurrently.
+    Two streams built from the same key produce identical sequences.
     """
 
     def __init__(self, key: int):

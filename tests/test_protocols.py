@@ -1,7 +1,5 @@
 import math
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -220,35 +218,24 @@ class TestFslRound:
 
 
 class TestSharedSeedNetwork:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_shared_network_unchanged_by_training(self, fsl_env, workers, monkeypatch):
-        # Up to more threads than a small host has cores, switching often:
-        # clients, attackers included, sharing one seed network on a pool
-        # must vote exactly as clients trained one after another on a
+    def test_shared_network_unchanged_by_training(self, fsl_env, monkeypatch):
+        # Clients, attackers included, rebuilding from the state's seed
+        # network in one-client cohorts must vote exactly as rounds over a
         # network drawn apart, and leave the shared arrays untouched.
-        # One-client cohorts, so the pool has eight to run at once.
         monkeypatch.setattr(protocols, "cohort_size", lambda specs: 1)
         _, env = fsl_env
         cfg = tiny_config(clients_per_round=8,
                           attack=AttackConfig(0.25, AttackKind.RANK_REVERSAL))
-        serial_state, pooled_state = initial_state(cfg), initial_state(cfg)
-        seed_net = pooled_state.seed_net
+        apart_state, shared_state = initial_state(cfg), initial_state(cfg)
+        seed_net = shared_state.seed_net
         frozen = [a.tobytes() for a in seed_net.weights + seed_net.sorted_scores]
-        pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in range(1, 4):
-                serial_state, *serial_rec = fsl_round(serial_state, env, cfg, t)
-                pooled_state, *pooled_rec = fsl_round(pooled_state, env, cfg, t, pool)
-                assert serial_rec == pooled_rec
-                assert pooled_state.seed_net is seed_net
-                for a, b in zip(serial_state.ranking, pooled_state.ranking):
-                    assert a.tobytes() == b.tobytes()
-        finally:
-            sys.setswitchinterval(switch)
-            if pool is not None:
-                pool.shutdown()
+        for t in range(1, 4):
+            apart_state, *apart_rec = fsl_round(apart_state, env, cfg, t)
+            shared_state, *shared_rec = fsl_round(shared_state, env, cfg, t)
+            assert apart_rec == shared_rec
+            assert shared_state.seed_net is seed_net
+            for a, b in zip(apart_state.ranking, shared_state.ranking):
+                assert a.tobytes() == b.tobytes()
         assert frozen == [a.tobytes() for a in seed_net.weights + seed_net.sorted_scores]
 
     def test_one_seed_network_draw_per_run(self, fsl_env, monkeypatch):
@@ -404,19 +391,25 @@ class TestRunExperiment:
         b = run_experiment(tiny_config(rounds=3))
         assert a == b
 
-    @pytest.mark.parametrize("overrides", [
-        {},
-        {"attack": AttackConfig(0.5, AttackKind.RANK_REVERSAL)},
-        {"algorithm": Algorithm.FEDAVG, "aggregator": Aggregator.TRIMMED_MEAN,
-         "attack": AttackConfig(0.25, AttackKind.SCALE)},
-        {"algorithm": Algorithm.FEDAVG, "aggregator": Aggregator.MULTI_KRUM,
-         "attack": AttackConfig(0.25, AttackKind.OPT_POISON)},
-    ], ids=["fsl", "rank_reversal", "trimmed_mean_scale", "multi_krum_opt_poison"])
-    def test_worker_count_does_not_change_results(self, overrides):
-        serial = run_experiment(tiny_config(rounds=3, **overrides))
-        parallel = run_experiment(tiny_config(rounds=3, **overrides), workers=4)
-        assert serial == parallel
-        assert any(r.attack_active for r in serial) == ("attack" in overrides)
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_other_than_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be 1, got {workers}"):
+            run_experiment(tiny_config(rounds=1), workers=workers)
+
+    @pytest.mark.parametrize("exc_type", [ValueError, RuntimeError])
+    def test_only_a_value_error_is_renamed_with_its_round(self, exc_type, monkeypatch):
+        # Round 2 is the first eval point; its evaluation fails.
+        def fail(cfg, env, state):
+            raise exc_type("bad state")
+
+        monkeypatch.setattr(protocols, "_evaluate_ranking", fail)
+        with pytest.raises(exc_type) as info:
+            run_experiment(tiny_config(rounds=5, eval_every=2))
+        if exc_type is ValueError:
+            assert str(info.value) == "round 2: bad state"
+            assert str(info.value.__cause__) == "bad state"
+        else:
+            assert str(info.value) == "bad state" and info.value.__cause__ is None
 
     def test_eval_cadence(self):
         recs = run_experiment(tiny_config(rounds=5, eval_every=2))
@@ -646,23 +639,22 @@ class TestCohortTrainer:
          "attack": AttackConfig(0.25, AttackKind.SCALE, epochs=3)},
     ], ids=["fsl_rank_reversal", "fedavg_scale"])
     def test_rounds_do_not_depend_on_cohort_size(self, overrides, monkeypatch):
-        # One cohort of every client, serially, against one-client cohorts
-        # on a pool: the pool maps cohorts, and neither changes a byte.
+        # One cohort of every client against one-client cohorts: neither
+        # changes a byte.
         cfg = tiny_config(clients_per_round=8, **overrides)
         assert protocols.cohort_size(cfg.architecture) >= cfg.clients_per_round
         env = build_environment(cfg)
         round_fn = fsl_round if cfg.algorithm is Algorithm.FSL else baseline_round
 
-        def run(pool):
+        def run():
             state, out = initial_state(cfg), []
             for t in range(1, 4):
-                state, selected, attack_active = round_fn(state, env, cfg, t, pool)
+                state, selected, attack_active = round_fn(state, env, cfg, t)
                 final = state.ranking if state.weights is None else [state.weights]
                 out.append((selected, attack_active, [a.tobytes() for a in final]))
             return out
 
-        whole = run(None)
+        whole = run()
         assert any(attack_active for _, attack_active, _ in whole)
         monkeypatch.setattr(protocols, "cohort_size", lambda specs: 1)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            assert run(pool) == whole
+        assert run() == whole

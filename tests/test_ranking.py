@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fedrank.ranking as ranking
 from fedrank.analytics import ARCH_PRESETS, rank_payload_bits
 from fedrank.ranking import (_BLOCK, SparseLayerRanking, _tally,
                              argsort_ranking, decode_entries, decode_layer_ranking,
@@ -463,6 +464,24 @@ class TestOneTally:
     def test_vote_network_rejects_no_submissions(self):
         with pytest.raises(ValueError, match="at least one"):
             vote_network([])
+
+    def test_vote_network_votes_each_layer_through_vote(self, monkeypatch):
+        # vote is the one per-layer vote, looked up on the module at call
+        # time, so a wrapper on ranking.vote sees every layer's vote.
+        calls = []
+
+        def counting(blocks, s=1.0):
+            calls.append(([np.shape(b) for b in blocks], s))
+            return vote(blocks, s)
+
+        monkeypatch.setattr(ranking, "vote", counting)
+        gen = np.random.default_rng(7)
+        cohort = [np.array([gen.permutation(n) for _ in range(3)]) for n in (12, 5)]
+        lone = [gen.permutation(12), gen.permutation(5)]
+        got = vote_network([cohort, lone], 0.5)
+        assert calls == [([(3, 12), (12,)], 0.5), ([(3, 5), (5,)], 0.5)]
+        for layer, result in enumerate(got):
+            assert np.array_equal(result, vote([cohort[layer], lone[layer]], 0.5)[0])
 
 
 class TestReverse:

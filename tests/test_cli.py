@@ -171,14 +171,23 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o" / "manifest.json").exists()
 
-    def test_workers_flag_rejected(self, tmp_path, capsys):
+    @staticmethod
+    def _assert_workers_unknown(tmp_path, capsys, workers):
         # Rounds train in order; there is no pool for --workers to size.
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o"),
-                  "--workers", "2"])
+                  "--workers", workers])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_workers_flag_rejected(self, tmp_path, capsys):
+        self._assert_workers_unknown(tmp_path, capsys, "2")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        # Once a range error of its own, now an unknown argument like any value.
+        self._assert_workers_unknown(tmp_path, capsys, workers)
 
     def test_seed_override(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -218,11 +218,12 @@ class TestFslRound:
 
 
 class TestSharedSeedNetwork:
-    def test_shared_network_unchanged_by_training(self, fsl_env, monkeypatch):
+    @pytest.mark.parametrize("cohort", [1, 2, 4])
+    def test_shared_network_unchanged_by_training(self, fsl_env, cohort, monkeypatch):
         # Clients, attackers included, rebuilding from the state's seed
-        # network in one-client cohorts must vote exactly as rounds over a
-        # network drawn apart, and leave the shared arrays untouched.
-        monkeypatch.setattr(protocols, "cohort_size", lambda specs: 1)
+        # network in cohorts of every size must vote exactly as rounds over
+        # a network drawn apart, and leave the shared arrays untouched.
+        monkeypatch.setattr(protocols, "cohort_size", lambda specs: cohort)
         _, env = fsl_env
         cfg = tiny_config(clients_per_round=8,
                           attack=AttackConfig(0.25, AttackKind.RANK_REVERSAL))

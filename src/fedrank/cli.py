@@ -99,6 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         }
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        records_file = open(records_path, "w", buffering=1)  # a line is flushed as it ends
     except (ValueError, OSError) as exc:
         return _fail(exc)
 
@@ -106,20 +107,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         manifest.update(fields, finished=_now())
         manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
 
+    def write_record(*point) -> None:  # on_eval(record, state)
+        row = asdict(point[0])
+        for key in ("mean_acc", "std_acc", "min_acc", "max_acc"):
+            row[key] = _json_safe(row[key])
+        records_file.write(json.dumps(row) + "\n")
+
     try:
-        records = run_experiment(cfg, env=env)
+        with records_file:
+            records = run_experiment(cfg, env=env, on_eval=write_record)
     except BaseException as exc:  # the manifest says how the run ended
         finish(error=f"{type(exc).__name__}: {exc}")
         if isinstance(exc, ValueError):  # a value training cannot go on from
             return _fail(exc)
         raise
 
-    with open(records_path, "w") as f:
-        for r in records:
-            row = asdict(r)
-            for key in ("mean_acc", "std_acc", "min_acc", "max_acc"):
-                row[key] = _json_safe(row[key])
-            f.write(json.dumps(row) + "\n")
     summary_path.write_text(records_to_csv(records))
 
     finish()

@@ -19,9 +19,9 @@ whose batches have one size make one stacked forward and backward pass
 matrices), and one elementwise SGD step moves every client still training;
 masks come from one row-wise selection per layer, and each step builds
 every live client's float64 effective weights once.  Batches of other
-sizes get their own pass and are never padded: zero rows could change how
-BLAS blocks the k-sum, and so the bytes.  Each cohort's rankings come from
-one row-wise sort per layer.
+sizes get their own pass and are never padded: a padded row count in
+``x @ Wᵀ`` or the backward ``dz`` can take another BLAS kernel and change
+the bytes.  Each cohort's rankings come from one row-wise sort per layer.
 
 Poisoned runs overflow to inf and NaN by design: the trainer sets numpy's
 error state once around its lockstep loop and :func:`evaluate` once around

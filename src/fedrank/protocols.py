@@ -16,7 +16,7 @@ as COHORT_BYTES holds at 8 bytes per edge, at least one: all 25 of a
 numpy.  A rank cohort starts from one rebuild of the seed network (drawn
 once per run by ``initial_state``, carried in the ``ServerState``), since
 its clients all adopt the global ranking.  A round trains its cohorts in
-order.
+order; a rank round tallies each cohort's rankings before the next trains.
 
 Determinism contract: every random choice comes from a stream derived from
 the experiment seed and purpose tags (sampling uses [TAG_SAMPLING, round],
@@ -28,6 +28,7 @@ runs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,7 +43,7 @@ from .nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                  dense_evaluate, dense_train, edge_popup_train, evaluate,
                  flatten_params, masked_weights, require_finite,
                  unflatten_params, validate_architecture)
-from .ranking import NetworkRanking, floor_count, keep_count, vote_network
+from .ranking import LayerTally, NetworkRanking, floor_count, keep_count
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
 
 
@@ -261,7 +262,7 @@ def fsl_client_update(seed_net: SeedNetwork, global_ranking: NetworkRanking,
     for ``epochs[c]`` epochs, shuffled by ``rngs[c]``), and return the
     cohort's new rankings as one (G, n) block per layer, row c client c's
     ranking, as :meth:`Supernetwork.score_rankings` made it.
-    :func:`ranking.vote_network` votes over such blocks as they are."""
+    :meth:`ranking.LayerTally.add` takes such a block as it is."""
     net = seed_net.rebuild(global_ranking)
     edge_popup_train(net, batches, epochs, k, sgd, rngs)
     return net.score_rankings()
@@ -277,12 +278,12 @@ def cohort_size(specs: list[LayerSpec]) -> int:
 
 
 def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
-                   train) -> tuple[list[int], list[int], list]:
+                   train) -> tuple[list[int], list[int], Iterator]:
     """Sample the round's clients; return them, the positions among them of
-    the malicious ones, and ``train(batches, epochs, rngs)`` of each cohort
-    of cohort_size consecutive clients, in client order.  Client u trains
-    on its stream [TAG_TRAIN, round, u], attackers for ``attack_epochs``;
-    ``validate`` ties each attack kind to one protocol family."""
+    the malicious ones, and, lazily, ``train(batches, epochs, rngs)`` of
+    each cohort of cohort_size consecutive clients, in client order.  Client
+    u trains on its stream [TAG_TRAIN, round, u], attackers for
+    ``attack_epochs``; ``validate`` ties each attack kind to one family."""
     selected = select_clients(cfg, round_index)
     n_mal = cfg.attack.malicious_count(cfg.num_clients)
     mal = [i for i, u in enumerate(selected) if u < n_mal]
@@ -291,8 +292,8 @@ def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
     rngs = [prefix.child(u) for u in selected]
     batches = [env.train_batches[u] for u in selected]
     size = cohort_size(cfg.architecture)
-    return selected, mal, [train(batches[i:i + size], epochs[i:i + size], rngs[i:i + size])
-                           for i in range(0, len(selected), size)]
+    return selected, mal, (train(batches[i:i + size], epochs[i:i + size], rngs[i:i + size])
+                           for i in range(0, len(selected), size))
 
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
@@ -332,22 +333,28 @@ def _record(env: Environment, round_index: int, selected: list[int],
 def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
               round_index: int) -> tuple[ServerState, list[int], bool]:
     """One rank-vote round of fsl or sparse_fsl; returns the next state, the
-    sampled clients and whether any of them attacked.  Each submitted layer
-    ranking is cut to its top s fraction (s = 1 for fsl, which ignores
-    ``sparsity``) and the server votes per layer over the cut rankings, one
-    cohort block at a time.  Attackers' rows of the blocks are overwritten
-    with the crafted poison."""
-    selected, mal, blocks = _train_clients(
+    sampled clients and whether any of them attacked.  Each layer ranking,
+    cut to its top s fraction (s = 1 for fsl, which ignores ``sparsity``),
+    goes into its layer's tally as its cohort returns.  Attackers' own
+    rankings wait, copied, for the crafted poison, which reverses their
+    joint vote and is added once per attacker."""
+    s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
+    tallies = [LayerTally(len(layer), s) for layer in state.ranking]
+    selected, mal, cohorts = _train_clients(
         cfg, env, round_index, lambda batches, epochs, rngs: fsl_client_update(
             state.seed_net, state.ranking, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
-    if mal:
-        rows = [[layer[g] for layer in part] for part in blocks for g in range(len(part[0]))]
-        poison = adversary.craft_rank_poison([rows[i] for i in mal])
-        for i in mal:
-            for row, layer in zip(rows[i], poison):
-                row[:] = layer
-    s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
-    return (ServerState(ranking=vote_network(blocks, s), seed_net=state.seed_net),
+    own, first = [], 0
+    for blocks in cohorts:
+        bad = [i - first for i in mal if 0 <= i - first < len(blocks[0])]
+        own += [[block[g].copy() for block in blocks] for g in bad]
+        for tally, block in zip(tallies, blocks, strict=True):
+            tally.add(np.delete(block, bad, axis=0) if bad else block)
+        first += len(blocks[0])
+        del blocks, block  # not held while the next cohort trains
+    if own:
+        for tally, layer in zip(tallies, adversary.craft_rank_poison(own)):
+            tally.add(np.broadcast_to(layer, (len(own), len(layer))))
+    return (ServerState(ranking=[tally.order() for tally in tallies], seed_net=state.seed_net),
             selected, bool(mal))
 
 
@@ -412,12 +419,13 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     return ServerState(weights=new_weights), selected, bool(mal)
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1,
-                   env: Environment | None = None) -> list[RoundRecord]:
+def run_experiment(cfg: ExperimentConfig, workers: int = 1, env: Environment | None = None,
+                   on_eval=None) -> list[RoundRecord]:
     """Run all rounds; the state is evaluated and recorded at eval points
-    (and the last round).  A ValueError from a round or its evaluation is
-    re-raised naming the round.  ``workers`` must be 1: rounds train their
-    cohorts in order, and the parameter stays only while
+    (and the last round), each record passed to ``on_eval(record, state)``,
+    if given, as it is made.  A ValueError from a round, its evaluation or
+    ``on_eval`` is re-raised naming the round.  ``workers`` must be 1:
+    rounds train their cohorts in order, and the parameter stays only while
     ``bench/workloads.py`` passes it."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
@@ -435,6 +443,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
             if t % cfg.eval_every == 0 or t == cfg.rounds:
                 records.append(_record(env, t, selected, attack_active,
                                        evaluate_fn(cfg, env, state)))
+                if on_eval is not None:
+                    on_eval(records[-1], state)
         except ValueError as exc:
             raise ValueError(f"round {t}: {exc}") from exc
     return records

@@ -14,7 +14,8 @@ ranges too wide to leave room for the index fall back to the stable argsort.
 Every ranking row taken in (an upload, a decoded download, a client's cut
 ranking) passes one rule, :func:`_rank_rows`: integer entries in [0, n),
 none repeated within the row, so a row of n is a permutation.
-SparseLayerRanking, both decoders, vote and vote_network all apply it.
+SparseLayerRanking, both decoders and LayerTally (so vote and
+vote_network) all apply it.
 """
 
 from __future__ import annotations
@@ -156,19 +157,6 @@ def _integer_entries(entries) -> np.ndarray:
     return entries
 
 
-def _scattered(rows: np.ndarray, n: int, values, dtype) -> np.ndarray:
-    """``values`` written at each row's entries in a zero (G, n) array, or
-    an (n,) one for a single row (a view, one plain fancy-index write); the
-    entries must already lie in [0, n)."""
-    if len(rows) == 1:
-        out = np.zeros(n, dtype=dtype)
-        out[rows.reshape(-1)] = values
-    else:
-        out = np.zeros((len(rows), n), dtype=dtype)
-        out[np.arange(len(rows))[:, None], rows] = values
-    return out
-
-
 def _rank_rows(entries, n: int) -> np.ndarray:
     """``entries``, one row or a (G, m) block of rows, as an int64 (G, m)
     array once every row passes the ranking row rule: integer entries in
@@ -180,46 +168,56 @@ def _rank_rows(entries, n: int) -> np.ndarray:
         raise ValueError(f"ranking rows must form a (G, m) block, m within the layer size {n}")
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         raise ValueError("edge index out of range")
-    if np.count_nonzero(_scattered(rows, n, True, bool)) != rows.size:
+    seen = np.zeros((len(rows), n), dtype=bool)
+    for flags, row in zip(seen, rows):  # 1.3-2.5x faster than one 2-D write
+        flags[row] = True
+    if np.count_nonzero(seen) != rows.size:
         raise ValueError("duplicate edge in ranking")
     return rows
 
 
-def _tally(blocks: list[np.ndarray], n: int) -> tuple[LayerRanking, np.ndarray]:
-    """Summed reputations of ranking suffixes, and their stable order.
+class LayerTally:
+    """One layer's vote, fed rankings as they arrive: ``sums`` adds up their
+    reputations, each cut to its top keep_count(n, s) entries, entry i of
+    an m-long suffix worth (n - m) + i and an omitted edge 0, and
+    :meth:`order` sorts them.  Integer sums are exact, so the order and
+    grouping of rows never change them.  One ``np.add.at`` over the
+    flattened rows adds a block faster than a (G, n) scatter and sum
+    (1.1-1.6x for one row, 2.4-2.8x for 25); given a (G, m) index and (m,)
+    values, numpy 2.4.6's ``add.at`` sums garbage."""
 
-    Each block holds checked s-long suffixes over n edges, one client's per
-    row; entry i of a row is worth (n - s) + i, its reputation in the full
-    ranking, and an omitted edge 0.  A block's reputations are scattered
-    into one (G, n) array and added whole, then freed: an in-place
-    fancy-index add is about a quarter slower at s = n, and an array kept
-    into the next block adds to a round's peak memory.  Integer sums are
-    exact, so the blocking never changes the tally.
-    """
-    tally = np.zeros(n, dtype=np.int64)
-    for block in blocks:
-        rep = _scattered(block, n, np.arange(n - block.shape[-1], n, dtype=np.int64), np.int64)
-        tally += rep if rep.ndim == 1 else rep.sum(axis=0)
-    return stable_order(tally), tally
+    def __init__(self, n: int, s: float = 1.0):
+        self.sums = np.zeros(n, dtype=np.int64)
+        self.cut = n - keep_count(n, s)
+
+    def add(self, rankings) -> None:
+        """Add one (n,) ranking or a (G, n) block of them, row c one
+        client's, each cut and then checked by :func:`_rank_rows`."""
+        rankings = np.asarray(rankings)
+        if rankings.shape[-1:] != self.sums.shape:
+            raise ValueError("rankings disagree on layer size")
+        self.add_suffixes(_rank_rows(rankings[..., self.cut:], len(self.sums)))
+
+    def add_suffixes(self, rows: np.ndarray) -> None:
+        """Add checked suffixes, uncut: one row or a (G, m) block."""
+        n = len(self.sums)
+        reps = np.arange(n - rows.shape[-1], n, dtype=np.int64)
+        np.add.at(self.sums, rows.ravel(), np.broadcast_to(reps, rows.shape).ravel())
+
+    def order(self) -> LayerRanking:
+        return stable_order(self.sums)  # ties to the lower edge index
 
 
 def vote(blocks: list, s: float = 1.0) -> tuple[LayerRanking, np.ndarray]:
-    """One layer's reputation vote, and its tally.
-
-    Each entry of ``blocks`` is one client's (n,) ranking or a cohort's
-    (G, n) block of them.  Every row is cut to its top keep_count(n, s)
-    entries and checked by :func:`_rank_rows`; each ranking awards edge e a
-    reputation equal to e's position in it (0 if cut), reputations are
-    summed and the tally argsorted (ties to the lower edge index) to give
-    the aggregate ranking.
-    """
+    """One layer's reputation vote, and its tally: each entry of ``blocks``
+    is one client's (n,) ranking or a cohort's (G, n) block of them, added
+    to one :class:`LayerTally` at ``s``."""
     if not blocks:
         raise ValueError("vote requires at least one ranking")
-    n = np.shape(blocks[0])[-1]
-    if any(np.shape(block)[-1] != n for block in blocks):
-        raise ValueError("rankings disagree on layer size")
-    keep = keep_count(n, s)
-    return _tally([_rank_rows(np.asarray(block)[..., n - keep:], n) for block in blocks], n)
+    tally = LayerTally(np.shape(blocks[0])[-1], s)
+    for block in blocks:
+        tally.add(block)
+    return tally.order(), tally.sums
 
 
 def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndarray]:
@@ -230,15 +228,16 @@ def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndar
     n = sparse[0].n
     if any(sr.n != n for sr in sparse):
         raise ValueError("sparse rankings disagree on layer size")
-    return _tally([sr.top[None] for sr in sparse], n)
+    tally = LayerTally(n)
+    for sr in sparse:
+        tally.add_suffixes(sr.top)
+    return tally.order(), tally.sums
 
 
 def vote_network(rankings: list[NetworkRanking], s: float = 1.0) -> NetworkRanking:
     """Layer-wise vote over whole-network rankings: :func:`vote` of each
-    layer at ``s``.  Each entry of ``rankings`` holds one array per layer:
-    one client's (n,) ranking or a cohort's (G, n) block, row c client c's,
-    whose rows are checked and tallied together.  Every entry must hold
-    every layer."""
+    layer at ``s``.  Each entry of ``rankings`` holds every layer, as one
+    client's (n,) ranking or a cohort's (G, n) block, row c client c's."""
     if not rankings:
         raise ValueError("vote requires at least one ranking")
     return [vote(layer, s)[0] for layer in zip(*rankings, strict=True)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedrank.protocols as protocols
 from fedrank import cli
 from fedrank.cli import main
 
@@ -235,6 +236,31 @@ class TestRun:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["error"] == f"ValueError: {message}"
         assert manifest["finished"] is not None
+        assert not (tmp_path / "o" / "summary.csv").exists()
+
+    def test_records_before_a_failing_round_are_kept(self, tmp_path, capsys, monkeypatch):
+        # records.jsonl is written and flushed as the run goes: a ValueError
+        # in round 3 leaves the lines of rounds 1 and 2 that a whole run
+        # writes, and they are on disk before round 3 starts.
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("eval_every = 2", "eval_every = 1"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+        whole = (tmp_path / "whole" / "records.jsonl").read_text().splitlines(keepends=True)
+        fsl_round, on_disk = protocols.fsl_round, []
+
+        def fail_in_round_3(state, env, cfg, round_index):
+            if round_index == 3:
+                on_disk.append((tmp_path / "o" / "records.jsonl").read_text())
+                raise ValueError("bad round")
+            return fsl_round(state, env, cfg, round_index)
+
+        monkeypatch.setattr(protocols, "fsl_round", fail_in_round_3)
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: round 3: bad round\n"
+        assert on_disk == ["".join(whole[:2])]
+        assert (tmp_path / "o" / "records.jsonl").read_text() == "".join(whole[:2])
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"] == "ValueError: round 3: bad round"
         assert not (tmp_path / "o" / "summary.csv").exists()
 
     def test_out_dir_from_env(self, tmp_path, monkeypatch):

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedrank.nn as nn
 from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                         dense_evaluate, dense_weight_grads, edge_popup_train,
                         ep_backward, ep_forward, evaluate, forward, mask_layer,
                         masked_weights, sgd_step)
 from fedrank.analytics import ARCH_PRESETS
+from fedrank.protocols import ExperimentConfig, run_experiment
 from fedrank.ranking import argsort_ranking
 from fedrank.rng import InitKind, derive
 
@@ -204,6 +206,28 @@ print(bad)
         out = subprocess.run([sys.executable, "-c", self.MATMUL_SCRIPT], env=env,
                              capture_output=True, text=True, timeout=120, check=True)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("algorithm", ["fsl", "fedavg"])
+    def test_mixed_size_steps_give_each_client_its_own_gradients(self, algorithm,
+                                                                 monkeypatch):
+        # Every lockstep step of a desk round whose batches differ in size
+        # must give each client the float64 gradient bytes of its own
+        # one-client pass.  The float32 step can round a difference away,
+        # so the pins on scores, rankings and summaries may not see it.
+        grads_by_size, mixed = nn._grads_by_size, []
+
+        def checked(batches, stacks, grads_of):
+            grads = grads_by_size(batches, stacks, grads_of)
+            if len({len(b.labels) for b in batches}) > 1:
+                mixed.append(len(batches))
+                for c, batch in enumerate(batches):
+                    own = grads_of([s[c:c + 1].copy() for s in stacks], nn._stacked([batch]))
+                    assert [g[c].tobytes() for g in grads] == [g[0].tobytes() for g in own]
+            return grads
+
+        monkeypatch.setattr(nn, "_grads_by_size", checked)
+        run_experiment(ExperimentConfig(algorithm=algorithm, rounds=3, eval_every=3))
+        assert len(mixed) >= 10 and max(mixed) == 25  # the desk cohort is all 25 clients
 
     def test_stacked_mask_matches_mask_layer_per_row(self):
         # Rows 1, 3 and 4 hold few distinct values, so their threshold at

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import fedrank.protocols as protocols
-from fedrank.adversary import AttackConfig, AttackKind
+from fedrank.adversary import AttackConfig, AttackKind, craft_rank_poison
 from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                         dense_weight_grads, unflatten_params)
 from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
@@ -13,7 +14,7 @@ from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
                                build_environment, fedavg_client_update,
                                fsl_client_update, fsl_round, initial_state,
                                run_experiment, select_clients)
-from fedrank.ranking import argsort_ranking
+from fedrank.ranking import argsort_ranking, vote_network
 from fedrank.rng import TAG_TRAIN, derive
 
 FIG_R1 = np.array([4, 0, 2, 3, 5, 1])
@@ -416,6 +417,16 @@ class TestRunExperiment:
         recs = run_experiment(tiny_config(rounds=5, eval_every=2))
         assert [r.round for r in recs] == [2, 4, 5]
 
+    def test_on_eval_sees_each_record_and_its_state(self, fsl_env):
+        # The hook gets each record as it is made, with the state it rates.
+        _, env = fsl_env
+        cfg = tiny_config(rounds=5, eval_every=2)
+        seen = []
+        recs = run_experiment(cfg, env=env, on_eval=lambda record, state: seen.append(
+            (record, protocols._evaluate_ranking(cfg, env, state).mean())))
+        assert [r for r, _ in seen] == recs
+        assert [acc for _, acc in seen] == [r.mean_acc for r in recs]
+
     @pytest.mark.parametrize("algorithm, used, unused", [
         (Algorithm.FSL, "_evaluate_ranking", "_evaluate_weights"),
         (Algorithm.FEDAVG, "_evaluate_weights", "_evaluate_ranking"),
@@ -659,3 +670,92 @@ class TestCohortTrainer:
         assert any(attack_active for _, attack_active, _ in whole)
         monkeypatch.setattr(protocols, "cohort_size", lambda specs: 1)
         assert run() == whole
+
+
+def _list_vote_round(state, env, cfg, round_index):
+    """The rank round as a list vote, the oracle of the streamed tally:
+    every cohort's blocks are kept, the attackers' rows overwritten with
+    the poison, and one vote_network runs over the whole list."""
+    selected, mal, cohorts = protocols._train_clients(
+        cfg, env, round_index, lambda batches, epochs, rngs: fsl_client_update(
+            state.seed_net, state.ranking, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
+    blocks = list(cohorts)
+    rows = [[layer[g] for layer in part] for part in blocks for g in range(len(part[0]))]
+    if mal:
+        poison = craft_rank_poison([rows[i] for i in mal])
+        for i in mal:
+            for row, layer in zip(rows[i], poison):
+                row[:] = layer
+    s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
+    return ServerState(ranking=vote_network(blocks, s), seed_net=state.seed_net), selected, mal
+
+
+class TestStreamedVote:
+    CASES = [(Algorithm.FSL, 1.0), (Algorithm.SPARSE_FSL, 0.1), (Algorithm.SPARSE_FSL, 0.5)]
+
+    @pytest.mark.parametrize("cohort", [1, 3, 8])
+    @pytest.mark.parametrize("algorithm, s", CASES)
+    def test_matches_list_vote_with_attackers(self, fsl_env, algorithm, s, cohort,
+                                              monkeypatch):
+        # Three of 12 clients reverse ranks; with 8 sampled per round they
+        # sit in multi-row blocks beside benign rows (cohorts of 3 and 8)
+        # and in blocks apart (cohorts of 1 and 3).
+        monkeypatch.setattr(protocols, "cohort_size", lambda specs: cohort)
+        _, env = fsl_env
+        cfg = tiny_config(algorithm=algorithm, sparsity=s, clients_per_round=8,
+                          attack=AttackConfig(0.25, AttackKind.RANK_REVERSAL))
+        streamed = oracle = initial_state(cfg)
+        attackers = []
+        for t in range(1, 4):
+            streamed, selected, attack_active = fsl_round(streamed, env, cfg, t)
+            oracle, want_selected, mal = _list_vote_round(oracle, env, cfg, t)
+            assert (selected, attack_active) == (want_selected, bool(mal))
+            assert [a.tobytes() for a in streamed.ranking] == \
+                [a.tobytes() for a in oracle.ranking]
+            attackers.append(mal)
+        assert max(map(len, attackers)) >= 2
+        if cohort == 3:
+            assert any(len({i // 3 for i in mal}) > 1 for mal in attackers)
+
+    def test_malformed_row_fails_when_its_cohort_returns(self, fsl_env, monkeypatch):
+        # A repeated edge in the second cohort of four fails the round as
+        # that cohort is tallied, before the third trains.
+        _, env = fsl_env
+        cfg = tiny_config(clients_per_round=8)
+        update, calls = protocols.fsl_client_update, []
+
+        def malformed_second(*args):
+            blocks = update(*args)
+            calls.append(len(blocks[0]))
+            if len(calls) == 2:
+                blocks[1][-1, 3] = blocks[1][-1, 0]
+            return blocks
+
+        monkeypatch.setattr(protocols, "cohort_size", lambda specs: 2)
+        monkeypatch.setattr(protocols, "fsl_client_update", malformed_second)
+        with pytest.raises(ValueError, match=r"^round 1: duplicate edge in ranking$"):
+            run_experiment(cfg, env=env)
+        assert calls == [2, 2]
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.FSL, Algorithm.SPARSE_FSL])
+    def test_round_memory_does_not_grow_with_clients(self, algorithm):
+        # At 784-200-10 a cohort is one client, whose rankings are one
+        # int64 row per layer (1.21 MiB).  A round that kept every client's
+        # rows to the end would peak one such row higher per extra client.
+        def peak(per_round):
+            cfg = ExperimentConfig(
+                algorithm=algorithm, rounds=1, num_clients=8, clients_per_round=per_round,
+                local_epochs=1, sparsity=0.1, seed=5,
+                architecture=[LayerSpec(784, 200, "relu"), LayerSpec(200, 10, "identity")],
+                dataset=DatasetSpec(kind="blobs", blob_classes=10, blob_dims=784,
+                                    blob_samples_per_class=8, blob_cluster_std=2.0))
+            env, state = build_environment(cfg), initial_state(cfg)
+            tracemalloc.start()
+            try:
+                fsl_round(state, env, cfg, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ranking_bytes = 8 * (784 * 200 + 200 * 10)
+        assert peak(8) - peak(2) < ranking_bytes / 4

@@ -7,7 +7,7 @@ import pytest
 
 import fedrank.ranking as ranking
 from fedrank.analytics import ARCH_PRESETS, rank_payload_bits
-from fedrank.ranking import (_BLOCK, SparseLayerRanking, _tally,
+from fedrank.ranking import (_BLOCK, LayerTally, SparseLayerRanking,
                              argsort_ranking, decode_entries, decode_layer_ranking,
                              decode_sparse_ranking, encode_entries, encode_layer_ranking,
                              encode_sparse_ranking, floor_count, keep_count, rank_bit_width,
@@ -398,9 +398,13 @@ class TestOneTally:
                 if size == 24:
                     blocks[-1] = blocks[-1][0]  # the 25th client as a plain ranking
                 assert np.array_equal(vote_network([[b] for b in blocks], s)[0], want[0])
-                got = _tally([b.reshape(-1, n)[:, n - keep:] for b in blocks], n)
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w)
+                cut, uncut = LayerTally(n, s), LayerTally(n)
+                for b in blocks:
+                    cut.add(b)
+                    uncut.add_suffixes(b.reshape(-1, n)[:, n - keep:])
+                for got in ((cut.order(), cut.sums), (uncut.order(), uncut.sums)):
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("bad, match", [
         ("float", "integers"), ("bool", "integers"), ("above", "out of range"),
@@ -409,8 +413,8 @@ class TestOneTally:
         ("long", "layer size"), ("ndim", "layer size")])
     def test_vote_network_checks_every_row_of_a_block(self, bad, match):
         """One table of bad rows against every entry that takes ranking rows
-        from outside: both votes, given the rows one by one and as a block;
-        SparseLayerRanking; and both decoders where the bytes can carry the
+        from outside: both votes and the layer tally, given the rows one by
+        one and as a block; SparseLayerRanking; and both decoders where the bytes can carry the
         fault (at n = 6 a 3-bit field holds 6 and 7, so the bad rows are
         packed as if n were 8)."""
         n = 6
@@ -441,7 +445,9 @@ class TestOneTally:
         entries = [lambda: vote_network([[first], [block]]),
                    lambda: vote_network([[first[0]]] + [[row] for row in rows]),
                    lambda: vote([first[0], block]),
-                   lambda: vote([first[0], *rows])]
+                   lambda: vote([first[0], *rows]),
+                   lambda: LayerTally(n).add(block),
+                   lambda: [LayerTally(n).add(row) for row in rows]]
         if bad != "width":  # a row shorter than the layer is a valid suffix
             entries.append(lambda: [SparseLayerRanking(top=row, n=n) for row in rows])
         if bad in ("above", "duplicate", "duplicate_of_lowest", "long"):

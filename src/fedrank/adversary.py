@@ -18,7 +18,7 @@ import numpy as np
 # tracer wraps this module's alias of it, so the name stays importable.
 from .aggregation import multi_krum_select, select_from_distances, squared_distances  # noqa: F401
 from .nn import require_finite
-from .ranking import NetworkRanking, floor_count, reverse_ranking, vote_network
+from .ranking import LayerTally, NetworkRanking, floor_count, reverse_ranking
 
 
 class AttackKind(str, Enum):
@@ -65,16 +65,10 @@ class AttackConfig:
         return floor_count(num_clients, self.malicious_fraction)
 
 
-def craft_rank_poison(own_rankings: list[NetworkRanking]) -> NetworkRanking:
-    """Shared malicious submission: reverse of the colluders' own vote.
-
-    ``own_rankings`` are the rankings the malicious clients trained on
-    their own data, as every sampled client does; the group votes over
-    them, and the reversed result is what each of them submits.
-    """
-    if not own_rankings:
-        raise ValueError("rank poisoning needs at least one malicious client")
-    return [reverse_ranking(layer) for layer in vote_network(own_rankings)]
+def craft_rank_poison(own: list[LayerTally]) -> NetworkRanking:
+    """Shared malicious submission: the reverse of the colluders' own vote,
+    ``own`` holding one uncut tally per layer of the rankings they trained."""
+    return [reverse_ranking(tally.order()) for tally in own]
 
 
 def craft_scale_attack(benign_delta: np.ndarray, scale_factor: float) -> np.ndarray:
@@ -121,6 +115,9 @@ def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
     The halving search takes ``gamma_iters`` steps from ``gamma_init``
     toward the largest value the aggregator's selection still accepts (for
     aggregators without a selection step it saturates near 2 * gamma_init).
+    As ``protocols.baseline_round`` calls it, the Krum search saturates too:
+    the rows are the attackers' own k deltas and f = n_malicious = k, so a
+    finite crafted copy has k - 1 zero distances, scores 0 and wins its tie.
 
     ``f`` is the number of Byzantine clients the simulated Krum tolerates;
     it defaults to ``n_malicious``, the attackers sampled this round.  The

@@ -66,13 +66,16 @@ def gen_blobs(num_classes: int, dims: int, samples_per_class: int,
         raise ValueError("num_classes, dims and samples_per_class must be positive")
     if cluster_std < 0:
         raise ValueError("cluster_std must be >= 0")
-    if separation is None:
-        separation = 4.0 * cluster_std
-    centers = separation * class_centers(num_classes, dims)
     n = num_classes * samples_per_class
-    noise = cluster_std * rng.normal(n * dims).reshape(n, dims)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
-    features = centers[labels] + noise
+    try:  # only a cluster_std above ~1e291 can overflow, whatever the separation
+        with np.errstate(over="raise", invalid="raise"):
+            sep = 4.0 * np.float64(cluster_std) if separation is None else separation
+            centers = sep * class_centers(num_classes, dims)
+            noise = cluster_std * rng.normal(n * dims).reshape(n, dims)
+            features = centers[labels] + noise
+    except FloatingPointError:
+        raise ValueError(f"blob_cluster_std = {cluster_std} overflows the blob features") from None
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 

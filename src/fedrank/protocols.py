@@ -280,8 +280,9 @@ def cohort_size(specs: list[LayerSpec]) -> int:
 def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
                    train) -> tuple[list[int], list[int], Iterator]:
     """Sample the round's clients; return them, the positions among them of
-    the malicious ones, and, lazily, ``train(batches, epochs, rngs)`` of
-    each cohort of cohort_size consecutive clients, in client order.  Client
+    the malicious ones, and, lazily, each cohort of cohort_size consecutive
+    clients, in client order, as the position of its first client and
+    ``train(batches, epochs, rngs)`` of the cohort.  Client
     u trains on its stream [TAG_TRAIN, round, u], attackers for
     ``attack_epochs``; ``validate`` ties each attack kind to one family."""
     selected = select_clients(cfg, round_index)
@@ -292,7 +293,7 @@ def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
     rngs = [prefix.child(u) for u in selected]
     batches = [env.train_batches[u] for u in selected]
     size = cohort_size(cfg.architecture)
-    return selected, mal, (train(batches[i:i + size], epochs[i:i + size], rngs[i:i + size])
+    return selected, mal, ((i, train(batches[i:i + size], epochs[i:i + size], rngs[i:i + size]))
                            for i in range(0, len(selected), size))
 
 
@@ -335,25 +336,26 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     """One rank-vote round of fsl or sparse_fsl; returns the next state, the
     sampled clients and whether any of them attacked.  Each layer ranking,
     cut to its top s fraction (s = 1 for fsl, which ignores ``sparsity``),
-    goes into its layer's tally as its cohort returns.  Attackers' own
-    rankings wait, copied, for the crafted poison, which reverses their
-    joint vote and is added once per attacker."""
+    goes into its layer's tally as its cohort returns.  Attackers' rows go
+    instead, uncut, into one colluders' tally per layer, whose reversed
+    order (:func:`adversary.craft_rank_poison`) is added once per attacker."""
     s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
     tallies = [LayerTally(len(layer), s) for layer in state.ranking]
     selected, mal, cohorts = _train_clients(
         cfg, env, round_index, lambda batches, epochs, rngs: fsl_client_update(
             state.seed_net, state.ranking, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
-    own, first = [], 0
-    for blocks in cohorts:
+    own = [LayerTally(len(layer)) for layer in state.ranking] if mal else []
+    for first, blocks in cohorts:
         bad = [i - first for i in mal if 0 <= i - first < len(blocks[0])]
-        own += [[block[g].copy() for block in blocks] for g in bad]
-        for tally, block in zip(tallies, blocks, strict=True):
+        for li, (tally, block) in enumerate(zip(tallies, blocks, strict=True)):
             tally.add(np.delete(block, bad, axis=0) if bad else block)
-        first += len(blocks[0])
+            for g in bad:
+                own[li].add(block[g])
         del blocks, block  # not held while the next cohort trains
-    if own:
+    if mal:
         for tally, layer in zip(tallies, adversary.craft_rank_poison(own)):
-            tally.add(np.broadcast_to(layer, (len(own), len(layer))))
+            for _ in mal:
+                tally.add(layer)
     return (ServerState(ranking=[tally.order() for tally in tallies], seed_net=state.seed_net),
             selected, bool(mal))
 
@@ -390,7 +392,7 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     selected, mal, parts = _train_clients(
         cfg, env, round_index, lambda batches, epochs, rngs: fedavg_client_update(
             state.weights, cfg.architecture, batches, epochs, cfg.sgd, rngs))
-    updates = [delta for part in parts for delta in part]
+    updates = [delta for _, part in parts for delta in part]
     if mal and cfg.attack.kind is AttackKind.SCALE:
         for i in mal:
             updates[i] = adversary.craft_scale_attack(updates[i], cfg.attack.scale_factor)

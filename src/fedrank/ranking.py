@@ -208,13 +208,12 @@ class LayerTally:
         return stable_order(self.sums)  # ties to the lower edge index
 
 
-def vote(blocks: list, s: float = 1.0) -> tuple[LayerRanking, np.ndarray]:
-    """One layer's reputation vote, and its tally: each entry of ``blocks``
-    is one client's (n,) ranking or a cohort's (G, n) block of them, added
-    to one :class:`LayerTally` at ``s``."""
+def vote(blocks: list) -> tuple[LayerRanking, np.ndarray]:
+    """One layer's uncut vote, and its tally, over (n,) rankings and (G, n)
+    blocks of them: one :class:`LayerTally` fed each entry of ``blocks``."""
     if not blocks:
         raise ValueError("vote requires at least one ranking")
-    tally = LayerTally(np.shape(blocks[0])[-1], s)
+    tally = LayerTally(np.shape(blocks[0])[-1])
     for block in blocks:
         tally.add(block)
     return tally.order(), tally.sums
@@ -234,13 +233,12 @@ def sparse_vote(sparse: list[SparseLayerRanking]) -> tuple[LayerRanking, np.ndar
     return tally.order(), tally.sums
 
 
-def vote_network(rankings: list[NetworkRanking], s: float = 1.0) -> NetworkRanking:
-    """Layer-wise vote over whole-network rankings: :func:`vote` of each
-    layer at ``s``.  Each entry of ``rankings`` holds every layer, as one
-    client's (n,) ranking or a cohort's (G, n) block, row c client c's."""
+def vote_network(rankings: list[NetworkRanking]) -> NetworkRanking:
+    """:func:`vote` of each layer; each entry of ``rankings`` holds every
+    layer, as one client's (n,) ranking or a cohort's (G, n) block."""
     if not rankings:
         raise ValueError("vote requires at least one ranking")
-    return [vote(layer, s)[0] for layer in zip(*rankings, strict=True)]
+    return [vote(layer)[0] for layer in zip(*rankings, strict=True)]
 
 
 def reverse_ranking(r: LayerRanking) -> LayerRanking:

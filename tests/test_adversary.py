@@ -11,7 +11,7 @@ from fedrank.aggregation import multi_krum_select, select_from_distances, square
 from fedrank.data import gen_blobs
 from fedrank.nn import LayerSpec, Minibatch, SeedNetwork, SgdConfig
 from fedrank.protocols import fsl_client_update
-from fedrank.ranking import argsort_ranking, reverse_ranking, vote_network
+from fedrank.ranking import LayerTally, argsort_ranking, reverse_ranking, vote_network
 from fedrank.rng import derive
 
 
@@ -44,6 +44,16 @@ def make_batches(rng, n_clients, dims=6, classes=3):
     return out
 
 
+def colluders_tallies(own):
+    """One uncut tally per layer, fed each colluder's rankings, as
+    ``fsl_round`` feeds them."""
+    tallies = [LayerTally(len(layer)) for layer in own[0]]
+    for rankings in own:
+        for tally, layer in zip(tallies, rankings, strict=True):
+            tally.add(layer)
+    return tallies
+
+
 class TestRankPoison:
     SPECS = [LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "identity")]
     SGD = SgdConfig(0.4, 0.9, 1e-4, 8)
@@ -54,7 +64,7 @@ class TestRankPoison:
         own = [layer[0] for layer in fsl_client_update(
             seed_net, seed_net.ranking, [batches[0]], [2], 0.5, self.SGD,
             [derive(901, [3, 1, 0])])]
-        poison = craft_rank_poison([own])
+        poison = craft_rank_poison(colluders_tallies([own]))
         for p, o in zip(poison, own):
             assert np.array_equal(p, reverse_ranking(o))
 
@@ -64,7 +74,7 @@ class TestRankPoison:
         own = [[layer[0] for layer in fsl_client_update(
             seed_net, seed_net.ranking, [b], [1], 0.5, self.SGD, [derive(902, [3, 1, u])])]
                for u, b in enumerate(batches)]
-        poison = craft_rank_poison(own)
+        poison = craft_rank_poison(colluders_tallies(own))
         expected = [reverse_ranking(layer) for layer in vote_network(own)]
         for p, e in zip(poison, expected):
             assert np.array_equal(p, e)
@@ -72,7 +82,7 @@ class TestRankPoison:
     def test_output_is_permutation_family(self):
         own = [[argsort_ranking(derive(903, [u, li]).uniform(spec.n_edges))
                 for li, spec in enumerate(self.SPECS)] for u in range(2)]
-        poison = craft_rank_poison(own)
+        poison = craft_rank_poison(colluders_tallies(own))
         for layer, spec in zip(poison, self.SPECS):
             assert sorted(layer.tolist()) == list(range(spec.n_edges))
 
@@ -81,12 +91,8 @@ class TestRankPoison:
         # of that example's vote result; nothing is trained
         fixtures = [np.array([4, 0, 2, 3, 5, 1]), np.array([2, 0, 1, 5, 4, 3]),
                     np.array([0, 2, 5, 3, 4, 1])]
-        poison = craft_rank_poison([[f] for f in fixtures])
+        poison = craft_rank_poison(colluders_tallies([[f] for f in fixtures]))
         assert poison[0].tolist() == [1, 3, 5, 4, 2, 0]
-
-    def test_no_colluders_rejected(self):
-        with pytest.raises(ValueError, match="at least one malicious client"):
-            craft_rank_poison([])
 
 
 class TestScaleAttack:
@@ -121,6 +127,17 @@ class TestOptPoison:
         gamma = float(np.linalg.norm(out - base))
         # always accepted: gamma climbs to gamma_init * (2 - 2^-iters)
         assert gamma == pytest.approx(50.0 * (2.0 - 2.0**-20), rel=1e-9)
+        # As baseline_round calls it (k own deltas, n_malicious = f = k), the
+        # Krum search saturates too: each finite copy has k - 1 zero
+        # distances, scores 0 and wins its tie on a negative id.
+        for k in range(1, 9):
+            for seed in range(20):
+                own = self._benign_cloud(500 + seed, n=k, dims=5)
+                ids = [3 * i + seed for i in range(k)]
+                for omega in OmegaKind:
+                    crafts = [craft_opt_poison(own, ids, k, aggregator, omega).tobytes()
+                              for aggregator in ("multi_krum", "average")]
+                    assert crafts[0] == crafts[1]
 
     def test_neg_sign_formula(self):
         u = np.array([2.0, -3.0])

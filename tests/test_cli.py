@@ -145,7 +145,10 @@ class TestRun:
         ({"dirichlet_alpha": "0"}, "dirichlet_alpha must be > 0"),
         ({"blob_samples_per_class": "2"},
          "client 0 gets no training samples (20 samples over 40 clients)"),
+        ({"blob_cluster_std": "1e308"},
+         "blob_cluster_std = 1e+308 overflows the blob features"),
     ])
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings included
     def test_demo_config_value_that_would_fail_mid_run_rejected(
             self, tmp_path, capsys, changes, message):
         rc = main(["run", "--config", demo_cfg(tmp_path, changes), "--out", str(tmp_path / "o")])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fedrank.protocols as protocols
-from fedrank.adversary import AttackConfig, AttackKind, craft_rank_poison
+from fedrank.adversary import AttackConfig, AttackKind
 from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                         dense_weight_grads, unflatten_params)
 from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
@@ -14,7 +14,7 @@ from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
                                build_environment, fedavg_client_update,
                                fsl_client_update, fsl_round, initial_state,
                                run_experiment, select_clients)
-from fedrank.ranking import argsort_ranking, vote_network
+from fedrank.ranking import LayerTally, argsort_ranking, reverse_ranking, vote_network
 from fedrank.rng import TAG_TRAIN, derive
 
 FIG_R1 = np.array([4, 0, 2, 3, 5, 1])
@@ -675,19 +675,25 @@ class TestCohortTrainer:
 def _list_vote_round(state, env, cfg, round_index):
     """The rank round as a list vote, the oracle of the streamed tally:
     every cohort's blocks are kept, the attackers' rows overwritten with
-    the poison, and one vote_network runs over the whole list."""
+    the reverse of their vote_network, and each layer's blocks are cut and
+    voted by one LayerTally(n, s)."""
     selected, mal, cohorts = protocols._train_clients(
         cfg, env, round_index, lambda batches, epochs, rngs: fsl_client_update(
             state.seed_net, state.ranking, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
-    blocks = list(cohorts)
+    blocks = [part for _, part in cohorts]
     rows = [[layer[g] for layer in part] for part in blocks for g in range(len(part[0]))]
     if mal:
-        poison = craft_rank_poison([rows[i] for i in mal])
+        poison = [reverse_ranking(layer) for layer in vote_network([rows[i] for i in mal])]
         for i in mal:
             for row, layer in zip(rows[i], poison):
                 row[:] = layer
     s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
-    return ServerState(ranking=vote_network(blocks, s), seed_net=state.seed_net), selected, mal
+    tallies = [LayerTally(len(layer), s) for layer in state.ranking]
+    for part in blocks:
+        for tally, block in zip(tallies, part, strict=True):
+            tally.add(block)
+    ranking = [tally.order() for tally in tallies]
+    return ServerState(ranking=ranking, seed_net=state.seed_net), selected, mal
 
 
 class TestStreamedVote:
@@ -741,21 +747,25 @@ class TestStreamedVote:
     def test_round_memory_does_not_grow_with_clients(self, algorithm):
         # At 784-200-10 a cohort is one client, whose rankings are one
         # int64 row per layer (1.21 MiB).  A round that kept every client's
-        # rows to the end would peak one such row higher per extra client.
-        def peak(per_round):
+        # rows to the end, or every attacker's for the colluders' vote,
+        # would peak one such row higher per extra client or attacker.
+        def peak(per_round, attackers=0):
             cfg = ExperimentConfig(
                 algorithm=algorithm, rounds=1, num_clients=8, clients_per_round=per_round,
                 local_epochs=1, sparsity=0.1, seed=5,
+                attack=AttackConfig(attackers / 8, AttackKind.RANK_REVERSAL),
                 architecture=[LayerSpec(784, 200, "relu"), LayerSpec(200, 10, "identity")],
                 dataset=DatasetSpec(kind="blobs", blob_classes=10, blob_dims=784,
                                     blob_samples_per_class=8, blob_cluster_std=2.0))
             env, state = build_environment(cfg), initial_state(cfg)
             tracemalloc.start()
             try:
-                fsl_round(state, env, cfg, 1)
+                _, _, attack_active = fsl_round(state, env, cfg, 1)
+                assert attack_active == bool(attackers)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         ranking_bytes = 8 * (784 * 200 + 200 * 10)
         assert peak(8) - peak(2) < ranking_bytes / 4
+        assert peak(8, attackers=6) - peak(8, attackers=1) < ranking_bytes / 4

@@ -16,7 +16,8 @@ import numpy as np
 # multi_krum_select is unused here since the gamma search selects from
 # distances it builds itself; bench/test_bench.py still checks that the
 # tracer wraps this module's alias of it, so the name stays importable.
-from .aggregation import multi_krum_select, select_from_distances, squared_distances  # noqa: F401
+from .aggregation import (average, multi_krum_select, pair_sums,  # noqa: F401
+                          select_from_distances, squared_distances)
 from .nn import require_finite
 from .ranking import LayerTally, NetworkRanking, floor_count, reverse_ranking
 
@@ -76,25 +77,22 @@ def craft_scale_attack(benign_delta: np.ndarray, scale_factor: float) -> np.ndar
     return scale_factor * (-benign_delta)
 
 
-def _krum_accepts(crafted: np.ndarray, benign: np.ndarray, benign_sq: np.ndarray,
+def _krum_accepts(crafted: np.ndarray, own: list[np.ndarray], own_sq: np.ndarray,
                   ids: list[int], f: int) -> bool:
-    """Whether Krum keeps a copy of ``crafted`` among the benign rows and its copies.
+    """Whether Krum keeps a copy of ``crafted`` among the attackers' own rows and its copies.
 
-    ``ids`` holds the benign rows' client ids, then one id per copy.  Only
-    the copies change between gamma steps, so ``benign_sq``
-    (``squared_distances(benign)``) is computed once per craft and each
-    step adds one sum per benign row plus one crafted-vs-crafted sum.  Every entry is the same np.sum over the
-    same row difference as in ``squared_distances`` of the stacked rows, so
-    the bytes match it.  The crafted-vs-crafted sum is not assumed to be
-    0.0: inf - inf makes it NaN when crafted holds an inf.
-    """
-    nb, n = len(benign), len(ids)
-    cross = np.array([np.sum((benign[i] - crafted) ** 2) for i in range(nb)])
-    sq = np.empty((n, n), dtype=benign.dtype)
-    sq[:nb, :nb] = benign_sq
-    sq[:nb, nb:] = cross[:, None]
-    sq[nb:, :nb] = cross
-    sq[nb:, nb:] = np.sum((crafted - crafted) ** 2)
+    ``ids`` holds the own rows' client ids, then one id per copy.  Only the
+    copies change between gamma steps, so ``own_sq`` (``squared_distances(own)``)
+    is computed once per craft; each step takes :func:`pair_sums` of crafted
+    against each own row and against a second copy of itself, which is NaN,
+    not 0.0, when crafted holds an inf (inf - inf)."""
+    nb, n = len(own), len(ids)
+    sums = pair_sums([*own, crafted, crafted], [nb + 1])
+    sq = np.empty((n, n))
+    sq[:nb, :nb] = own_sq
+    sq[:nb, nb:] = sums[:nb, None]
+    sq[nb:, :nb] = sums[:nb]
+    sq[nb:, nb:] = sums[nb]
     np.fill_diagonal(sq, 0.0)
     return max(select_from_distances(sq, ids, f)) >= nb
 
@@ -125,8 +123,6 @@ def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
     instead, so the two can differ.  The mismatch is deliberate: aligning
     them changes the bytes of every opt_poison run, pinned hashes included.
     """
-    if len(benign_deltas) == 0:
-        raise ValueError("opt poisoning needs at least one benign delta")
     if len(client_ids) != len(benign_deltas):
         raise ValueError(f"{len(client_ids)} client ids for {len(benign_deltas)} updates")
     if n_malicious < 1:
@@ -136,8 +132,7 @@ def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
         f = n_malicious
     if aggregator not in ("average", "trimmed_mean", "multi_krum"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
-    benign = np.stack(benign_deltas)
-    base = np.mean(benign, axis=0)
+    base = average(benign_deltas)
     if omega_kind is OmegaKind.NEG_UNIT:
         norm = float(np.linalg.norm(base))
         if norm == 0.0:
@@ -148,15 +143,15 @@ def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
     # Average and trimmed mean have no selection step that rejects an
     # update, and Krum cannot be simulated against fewer than f + 3 peers:
     # in those cases every gamma is accepted and the search saturates.
-    simulate = aggregator == "multi_krum" and len(benign) + n_malicious >= f + 3
+    simulate = aggregator == "multi_krum" and len(benign_deltas) + n_malicious >= f + 3
     if simulate:
-        benign_sq = squared_distances(benign)
+        own_sq = squared_distances(benign_deltas)
         # Ids below any real client id so score ties favor the adversary.
         ids = list(client_ids) + [-(i + 1) for i in range(n_malicious)]
     gamma = gamma_init
     step = gamma_init / 2.0
     for _ in range(gamma_iters):
-        if not simulate or _krum_accepts(base + gamma * omega, benign, benign_sq, ids, f):
+        if not simulate or _krum_accepts(base + gamma * omega, benign_deltas, own_sq, ids, f):
             gamma += step
         else:
             gamma -= step

@@ -2,23 +2,39 @@
 
 An update is one client's flat float64 parameter delta.  Each rule takes
 the round's updates as a list of rows (a 2-D array works the same) and
-returns an array.  Client ids exist only for Krum's score tie-break.
+returns an array.  Client ids exist only for Krum's score tie-break.  Only
+the trimmed mean, which sorts each dimension, stacks the rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Most columns per leaf of pair_sums; at least numpy's 128-entry block.
+LEAF = 8192
 
-def _stack(updates: list[np.ndarray]) -> np.ndarray:
+
+def _shape(updates: list[np.ndarray]) -> tuple[int, ...]:
+    """The rows' one shape; a ValueError where ``np.stack`` raises one."""
     if len(updates) == 0:
         raise ValueError("no updates to aggregate")
+    if any(np.shape(u) != np.shape(updates[0]) for u in updates):
+        raise ValueError("all input arrays must have the same shape")
+    return np.shape(updates[0])
+
+
+def _stack(updates: list[np.ndarray]) -> np.ndarray:
     return np.stack(updates)
 
 
 def average(updates: list[np.ndarray]) -> np.ndarray:
-    """Unweighted dimension-wise mean."""
-    return _stack(updates).mean(axis=0)
+    """Unweighted dimension-wise mean: the stacked mean's bytes, -0.0
+    included, as the rows are added in order to 0.0 (numpy sums a lone
+    column pairwise, so one-entry rows may differ in the last bit)."""
+    acc = np.zeros(_shape(updates))
+    for u in updates:
+        acc += u
+    return np.divide(acc, len(updates), out=acc)
 
 
 def trimmed_mean(updates: list[np.ndarray], f: int) -> np.ndarray:
@@ -32,20 +48,48 @@ def trimmed_mean(updates: list[np.ndarray], f: int) -> np.ndarray:
     return mat.mean(axis=0)
 
 
-def squared_distances(mat: np.ndarray) -> np.ndarray:
-    """n x n squared Euclidean distances between the rows of ``mat``.
+def _tree_sum(leaf, lo: int, m: int) -> np.ndarray:
+    """``leaf(lo, m)`` summed over numpy's pairwise split of columns lo..lo+m."""
+    if m <= LEAF:
+        return leaf(lo, m)
+    half = m // 2 - (m // 2) % 8
+    return _tree_sum(leaf, lo, half) + _tree_sum(leaf, lo + half, m - half)
 
-    Built one pair at a time, so every temporary is one row long and the
-    cost does not hinge on whether the allocator returns fresh pages for an
-    n x d temporary (32 MB at 784-200-10 with n = 25).  Each distance is the
-    same pairwise sum of one contiguous row as in the broadcast form, so the
-    bytes match it, and (a - b)**2 == (b - a)**2 fills the lower triangle.
-    """
-    n = len(mat)
-    sq = np.zeros((n, n), dtype=mat.dtype)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sq[i, j] = sq[j, i] = np.sum((mat[i] - mat[j]) ** 2)
+
+def pair_sums(rows: list[np.ndarray], anchors: list[int]) -> np.ndarray:
+    """``np.sum((rows[i] - rows[k]) ** 2)`` to the byte for each k of ``anchors``
+    and each i < k, in that order, with no temporary wider than LEAF columns.
+    numpy sums a contiguous row pairwise, from a 0.0 that changes no sum of
+    squares: up to 128 entries with eight accumulators, more as sum(left) +
+    sum(right) split at n // 2 - (n // 2) % 8.  So the columns are cut by that
+    rule into leaves, each leaf's squared differences are summed in one
+    buffer, and the leaf sums are added back up in tree order."""
+    d = _shape(rows)[0]
+    diffs = np.empty(max(anchors, default=0) * min(d, LEAF))
+
+    def leaf(lo: int, m: int) -> np.ndarray:
+        cols = [row[lo : lo + m] for row in rows]
+        sums, pos = np.empty(sum(anchors)), 0
+        for k in anchors:
+            diff = diffs[: k * m].reshape(k, m)
+            for i in range(k):
+                np.subtract(cols[i], cols[k], out=diff[i])
+            np.square(diff, out=diff)
+            np.add.reduce(diff, axis=1, out=sums[pos : pos + k])
+            pos += k
+        return sums
+
+    return _tree_sum(leaf, 0, d)
+
+
+def squared_distances(rows: list[np.ndarray]) -> np.ndarray:
+    """n x n squared Euclidean distances between ``rows`` (a list of rows or
+    a 2-D array): [i, k] and [k, i] are :func:`pair_sums`' sum for i < k,
+    as (a - b)**2 == (b - a)**2, and the diagonal is 0.0."""
+    n = len(rows)
+    sq = np.zeros((n, n))
+    below = np.tril_indices(n, -1)
+    sq[below] = sq.T[below] = pair_sums(rows, list(range(1, n)))
     return sq
 
 
@@ -71,7 +115,7 @@ def multi_krum_select(updates: list[np.ndarray], client_ids: list[int], f: int) 
     ``client_ids[i]`` is the id of ``updates[i]``."""
     if len(client_ids) != len(updates):
         raise ValueError(f"{len(client_ids)} client ids for {len(updates)} updates")
-    return select_from_distances(squared_distances(_stack(updates)), client_ids, f)
+    return select_from_distances(squared_distances(updates), client_ids, f)
 
 
 def multi_krum(updates: list[np.ndarray], client_ids: list[int], f: int) -> np.ndarray:
@@ -82,5 +126,7 @@ def multi_krum(updates: list[np.ndarray], client_ids: list[int], f: int) -> np.n
 def sign_majority(updates: list[np.ndarray]) -> np.ndarray:
     """Per-dimension majority of the updates' signs as int8 -1 or +1; a zero
     entry counts as +1, and exact ties resolve to +1."""
-    total = np.where(_stack(updates) < 0, -1, 1).sum(axis=0)
+    total = np.zeros(_shape(updates), dtype=np.int64)
+    for u in updates:
+        total += np.where(u < 0, -1, 1)
     return np.where(total < 0, -1, 1).astype(np.int8)

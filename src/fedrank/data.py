@@ -72,8 +72,9 @@ def gen_blobs(num_classes: int, dims: int, samples_per_class: int,
         with np.errstate(over="raise", invalid="raise"):
             sep = 4.0 * np.float64(cluster_std) if separation is None else separation
             centers = sep * class_centers(num_classes, dims)
-            noise = cluster_std * rng.normal(n * dims).reshape(n, dims)
-            features = centers[labels] + noise
+            features = rng.normal(n * dims).reshape(n, dims)
+            features *= cluster_std
+            features += centers[labels]
     except FloatingPointError:
         raise ValueError(f"blob_cluster_std = {cluster_std} overflows the blob features") from None
     return Dataset(features=features, labels=labels, num_classes=num_classes)

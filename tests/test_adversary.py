@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from fedrank import adversary
 from fedrank.adversary import (AttackConfig, AttackKind, OmegaKind,
                                craft_opt_poison, craft_rank_poison,
                                craft_scale_attack)
-from fedrank.aggregation import multi_krum_select, select_from_distances, squared_distances
+from fedrank.aggregation import (LEAF, multi_krum_select, select_from_distances,
+                                 squared_distances)
 from fedrank.data import gen_blobs
 from fedrank.nn import LayerSpec, Minibatch, SeedNetwork, SgdConfig
 from fedrank.protocols import fsl_client_update
@@ -256,8 +258,10 @@ class TestOptPoisonMatchesOracle:
         (20, 5, 5),
     ])
     def test_matches_stacked_search(self, monkeypatch, n_benign, n_mal, f):
-        for seed, omega in ((91, OmegaKind.NEG_UNIT), (92, OmegaKind.NEG_SIGN)):
-            self._check(monkeypatch, self._deltas(seed + n_benign, n_benign, 7), n_mal, f,
+        # rows wider than one leaf take the leaf-blocked sums' tree
+        for seed, omega, dims in ((91, OmegaKind.NEG_UNIT, 7), (92, OmegaKind.NEG_SIGN, 7),
+                                  (97, OmegaKind.NEG_UNIT, 2 * LEAF + 9)):
+            self._check(monkeypatch, self._deltas(seed + n_benign, n_benign, dims), n_mal, f,
                         omega=omega)
 
     def test_score_ties_broken_by_ids(self, monkeypatch):
@@ -287,6 +291,28 @@ class TestOptPoisonMatchesOracle:
     def test_unknown_aggregator_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregator 'median'"):
             craft_opt_poison(self._deltas(96, 3, 2), [0, 1, 2], 1, "median")
+
+    @pytest.mark.parametrize("aggregator", ["average", "multi_krum"])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_ragged_rows_rejected(self, aggregator, width):
+        rows = self._deltas(98, 4, 3)
+        rows[2] = np.ones(width)
+        with pytest.raises(ValueError, match="same shape"):
+            craft_opt_poison(rows, [0, 1, 2, 3], 2, aggregator)
+
+    def test_search_holds_no_stack(self):
+        # Five attackers at the mid-size MLP's 159,010 parameters.  Beside
+        # their own rows the search holds the mean, omega and one crafted
+        # copy at a time; a stack of the own rows would add five.
+        own = self._deltas(99, 5, 159010)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            craft_opt_poison(own, [1, 2, 3, 4, 5], 5, "multi_krum", gamma_iters=20)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * own[0].nbytes
 
 
 # SHA-256 of each crafted output's bytes, taken when the attacks still took

@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fedrank import aggregation
-from fedrank.aggregation import (average, multi_krum, multi_krum_select,
+from fedrank.aggregation import (LEAF, average, multi_krum, multi_krum_select,
                                  select_from_distances, sign_majority,
                                  squared_distances, trimmed_mean)
 from fedrank.rng import derive
@@ -54,6 +55,76 @@ def oracle_multi_krum_select(updates, ids, f):
         scores[i] = np.sort(others)[:closest].sum()
     order = np.lexsort((np.asarray(ids), scores))
     return sorted(int(i) for i in order[: n - f])
+
+
+def oracle_squared_distances(rows):
+    """The n x n matrix one np.sum per pair, as multi-krum once built it."""
+    n = len(rows)
+    sq = np.zeros((n, n))
+    for i in range(n):
+        for k in range(i + 1, n):
+            sq[i, k] = sq[k, i] = np.sum((rows[i] - rows[k]) ** 2)
+    return sq
+
+
+# The exact rules copy numpy's summation order; a numpy that changes it
+# fails these checks under its own version number.
+NUMPY = f"numpy {np.__version__}"
+
+
+class TestExactSums:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 7, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 20001, 159010])
+    def test_squared_distances_match_per_pair_sums(self, d):
+        rng = derive(71, [d])
+        for n in (1, 2, 3, 25):
+            rows = rng.normal(n * d).reshape(n, d)
+            rows[0, 0] = -0.0
+            if n == 25:
+                rows[1, d // 2] = rows[2, d // 2] = np.inf  # inf - inf is NaN
+                rows[3, d - 1] = np.nan
+                rows[4, 0] = -np.inf
+            for scale in 10.0 ** np.arange(-3, 4):
+                scaled = rows * scale
+                want = oracle_squared_distances(scaled).tobytes()
+                for form in (list(scaled), scaled):
+                    assert squared_distances(form).tobytes() == want, \
+                        f"d={d} n={n} scale={scale} {type(form).__name__}, {NUMPY}"
+
+    def test_average_matches_stacked_mean(self):
+        rng = derive(72, [])
+        for n in (1, 2, 3, 8, 25):
+            for d in (2, 3, 129, 20001):
+                rows = rng.normal(n * d).reshape(n, d) * 10.0 ** (rng.integers_below([7])[0] - 3)
+                rows[:, 0] = -0.0  # the stacked mean of -0.0s is 0.0
+                rows[n // 2, 1] = np.inf
+                want = np.stack(rows).mean(axis=0).tobytes()
+                for form in (list(rows), rows):
+                    assert average(form).tobytes() == want, f"n={n} d={d}, {NUMPY}"
+
+
+def test_multi_krum_holds_no_stack():
+    # The mid-size 784-200-10 MLP's 159,010 parameters, 25 clients a round:
+    # an n x d stack alone would be 25 rows.
+    rows = list(derive(73, []).normal(25 * 159010).reshape(25, 159010))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        multi_krum(rows, ids_for(rows), 5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows[0].nbytes
+
+
+@pytest.mark.parametrize("widths", [(3, 3, 1, 3), (3, 3, 4, 3)], ids=["short", "long"])
+def test_ragged_rows_rejected(widths):
+    # a one-entry row would broadcast and a longer one slice without the check
+    u = [np.arange(w, dtype=float) for w in widths]
+    for rule in (lambda: multi_krum_select(u, ids_for(u), 1), lambda: multi_krum(u, ids_for(u), 1),
+                 lambda: average(u), lambda: sign_majority(u), lambda: trimmed_mean(u, 1)):
+        with pytest.raises(ValueError, match="same shape"):
+            rule()
 
 
 class TestAverage:

@@ -13,9 +13,12 @@ train in cohorts of consecutive clients, each layer one stacked array
 that ``nn`` trains in lockstep.  :func:`cohort_size` fits as many clients
 as COHORT_BYTES holds at 8 bytes per edge, at least one: all 25 of a
 1,200-edge desk round, one at 784-200-10, whose layers already run inside
-numpy.  A rank cohort starts from one rebuild of the seed network (drawn
-once per run by ``initial_state``, carried in the ``ServerState``), since
-its clients all adopt the global ranking.  A round trains its cohorts in
+numpy.  The seed network is drawn once per run by ``initial_state`` and
+carried in the ``ServerState``, with read-only scores for the state's
+ranking: the seed draw's own for the initial state, and one rebuild of the
+voted ranking per rank round after it.  Every cohort of the next round
+starts from those scores, since its clients all adopt the global ranking,
+and the evaluation masks them as they are.  A round trains its cohorts in
 order; a rank round tallies each cohort's rankings before the next trains.
 
 Determinism contract: every random choice comes from a stream derived from
@@ -171,14 +174,17 @@ class ExperimentConfig:
 class ServerState:
     """What the server carries between rounds.
 
-    Ranking protocols hold a permutation family and the network every
-    party rebuilds from the seed, drawn once per run; weight protocols
-    hold the flat global parameter vector.
+    Ranking protocols hold a permutation family, the network every party
+    rebuilds from the seed, drawn once per run, and each layer's read-only
+    float32 scores for the ranking, built once when the state is made
+    (``seed_net.rebuild(ranking)``); weight protocols hold the flat global
+    parameter vector.
     """
 
     ranking: NetworkRanking | None = None
     weights: np.ndarray | None = None
     seed_net: SeedNetwork | None = None
+    scores: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -243,7 +249,7 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
 def initial_state(cfg: ExperimentConfig) -> ServerState:
     if cfg.algorithm in RANK_ALGORITHMS:
         seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
-        return ServerState(ranking=seed_net.ranking, seed_net=seed_net)
+        return ServerState(ranking=seed_net.ranking, seed_net=seed_net, scores=seed_net.scores)
     net = Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
     return ServerState(weights=flatten_params(net.weights))
 
@@ -254,16 +260,17 @@ def select_clients(cfg: ExperimentConfig, round_index: int) -> list[int]:
     return [int(u) for u in picked]
 
 
-def fsl_client_update(seed_net: SeedNetwork, global_ranking: NetworkRanking,
+def fsl_client_update(seed_net: SeedNetwork, scores: list[np.ndarray],
                       batches: list[list[Minibatch]], epochs: list[int], k: float,
                       sgd: SgdConfig, rngs: list) -> list[np.ndarray]:
-    """One cohort's round: rebuild from seed once, adopt the global rank
-    order, train every client's scores locally (client c on ``batches[c]``
-    for ``epochs[c]`` epochs, shuffled by ``rngs[c]``), and return the
-    cohort's new rankings as one (G, n) block per layer, row c client c's
-    ranking, as :meth:`Supernetwork.score_rankings` made it.
+    """One cohort's round: start from the global ranking's read-only
+    ``scores`` (a ``ServerState``'s), train every client's scores locally
+    (client c on ``batches[c]`` for ``epochs[c]`` epochs, shuffled by
+    ``rngs[c]``), and return the cohort's new rankings as one (G, n) block
+    per layer, row c client c's ranking, as
+    :meth:`Supernetwork.score_rankings` made it.
     :meth:`ranking.LayerTally.add` takes such a block as it is."""
-    net = seed_net.rebuild(global_ranking)
+    net = Supernetwork(seed_net.specs, seed_net.weights, scores)
     edge_popup_train(net, batches, epochs, k, sgd, rngs)
     return net.score_rankings()
 
@@ -299,12 +306,14 @@ def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
                       state: ServerState) -> np.ndarray:
-    """Per-client test accuracy of the state's global subnetwork, masked once.
+    """Per-client test accuracy of the state's global subnetwork: its
+    scores, masked once in place.
 
     Each test set keeps its own forward pass: one matmul over all of them
     could take another BLAS kernel and change the bytes.
     """
-    weights = masked_weights(state.seed_net.rebuild(state.ranking), cfg.subnet_fraction)
+    net = Supernetwork(cfg.architecture, state.seed_net.weights, state.scores)
+    weights = masked_weights(net, cfg.subnet_fraction)
     accs = [evaluate(cfg.architecture, weights, feats, labels)
             for feats, labels in env.test_sets if len(labels)]
     return np.asarray(accs)
@@ -338,12 +347,13 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
     cut to its top s fraction (s = 1 for fsl, which ignores ``sparsity``),
     goes into its layer's tally as its cohort returns.  Attackers' rows go
     instead, uncut, into one colluders' tally per layer, whose reversed
-    order (:func:`adversary.craft_rank_poison`) is added once per attacker."""
+    order (:func:`adversary.craft_rank_poison`) is added once per attacker.
+    The next state's scores are the one rebuild of the voted ranking."""
     s = cfg.sparsity if cfg.algorithm is Algorithm.SPARSE_FSL else 1.0
     tallies = [LayerTally(len(layer), s) for layer in state.ranking]
     selected, mal, cohorts = _train_clients(
         cfg, env, round_index, lambda batches, epochs, rngs: fsl_client_update(
-            state.seed_net, state.ranking, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
+            state.seed_net, state.scores, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
     own = [LayerTally(len(layer)) for layer in state.ranking] if mal else []
     for first, blocks in cohorts:
         bad = [i - first for i in mal if 0 <= i - first < len(blocks[0])]
@@ -356,8 +366,9 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
         for tally, layer in zip(tallies, adversary.craft_rank_poison(own)):
             for _ in mal:
                 tally.add(layer)
-    return (ServerState(ranking=[tally.order() for tally in tallies], seed_net=state.seed_net),
-            selected, bool(mal))
+    ranking = [tally.order() for tally in tallies]
+    return (ServerState(ranking=ranking, seed_net=state.seed_net,
+                        scores=state.seed_net.rebuild(ranking)), selected, bool(mal))
 
 
 def fedavg_client_update(weights: np.ndarray, specs: list[LayerSpec],

@@ -64,7 +64,7 @@ class TestRankPoison:
         seed_net = SeedNetwork(901, self.SPECS)
         batches = make_batches(derive(71, []), 1)
         own = [layer[0] for layer in fsl_client_update(
-            seed_net, seed_net.ranking, [batches[0]], [2], 0.5, self.SGD,
+            seed_net, seed_net.scores, [batches[0]], [2], 0.5, self.SGD,
             [derive(901, [3, 1, 0])])]
         poison = craft_rank_poison(colluders_tallies([own]))
         for p, o in zip(poison, own):
@@ -74,7 +74,7 @@ class TestRankPoison:
         seed_net = SeedNetwork(902, self.SPECS)
         batches = make_batches(derive(72, []), 3)
         own = [[layer[0] for layer in fsl_client_update(
-            seed_net, seed_net.ranking, [b], [1], 0.5, self.SGD, [derive(902, [3, 1, u])])]
+            seed_net, seed_net.scores, [b], [1], 0.5, self.SGD, [derive(902, [3, 1, u])])]
                for u, b in enumerate(batches)]
         poison = craft_rank_poison(colluders_tallies(own))
         expected = [reverse_ranking(layer) for layer in vote_network(own)]

@@ -146,9 +146,10 @@ def test_final_state_matches_pinned_hash(name):
 
 # The golden configs never tie at a mask threshold: their float32 scores are
 # all distinct.  Here the shared seed network's sorted scores are rounded to
-# multiples of 1/4, so every rebuild from a ranking (each round's start)
-# holds runs of equal scores, one of them across each layer's top-k
-# threshold, and the mask must drop the lowest-index ties of that run.
+# multiples of 1/4, and the initial state's scores rebuilt from them, so
+# every round's starting scores hold runs of equal scores, one of them
+# across each layer's top-k threshold, and the mask must drop the
+# lowest-index ties of that run.
 TIED_STATE_SHA256 = "21acca187da884110f6548b27a75643d5bb0b1764ddb53dbe473559f172159a2"
 
 
@@ -157,6 +158,7 @@ def _quantized_fsl_state():
     state = initial_state(cfg)
     seed_net = state.seed_net
     seed_net.sorted_scores = [np.round(v * 4) / 4 for v in seed_net.sorted_scores]
+    state.scores = seed_net.rebuild(state.ranking)
     return cfg, state
 
 

@@ -252,6 +252,55 @@ print(bad)
                 assert np.array_equal(got[r], oracle_mask(flat[r], k)), (r, k)
 
 
+class TestBlockedChains:
+    """Past one CHUNK, sgd_step and the masked product run block by block
+    through one small scratch array, with the bytes of one whole-array pass."""
+
+    def test_masked_weights_match_whole_layer_product(self):
+        # Layer sizes on each side of a block edge and a ragged last block,
+        # as one matrix and as a cohort's stack.  A kept negative weight
+        # times a dropped edge's 0.0 is -0.0: np.where would give +0.0.
+        chunk = nn.CHUNK
+        for fan_in, fan_out in [(151, 217), (256, 128), (331, 99), (784, 200), (20, 40)]:
+            assert fan_in * fan_out in (chunk - 1, chunk, chunk + 1, 156800, 800)
+            specs = [LayerSpec(fan_in, fan_out, "identity")]
+            net = Supernetwork.from_seed(fan_in, specs, InitKind.KAIMING_NORMAL)
+            w = net.weights[0]
+            assert (w < 0).any()
+            rng = derive(fan_out, [])
+            for stack in (net.scores[0], rng.uniform(3 * w.size).reshape((3,) + w.shape)):
+                net.scores = [stack.astype(np.float32)]
+                for k in (0.3, 0.5, 1.0):
+                    mask = mask_layer(net.scores[0].reshape(stack.shape[:-2] + (-1,)), k)
+                    want = (w * mask.reshape(stack.shape)).astype(np.float64)
+                    got = masked_weights(net, k)[0]
+                    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+                    if k < 1:
+                        assert (np.signbit(got) & (got == 0)).any()
+
+    def test_paper_size_step_and_mask_stay_below_a_float64_layer(self):
+        # lenet-mnist's 512 x 3136 layer: one float64 temporary of it is
+        # 12.25 MiB.  The step holds one 256 KiB scratch; the masked
+        # product holds the float32 mask and one scratch beside its output.
+        net = Supernetwork.from_seed(3, [LayerSpec(3136, 512, "identity")])
+        p = net.scores[0].copy()
+        g, buf = np.ones(p.shape), np.zeros(p.shape)
+        layer64 = 8 * p.size
+        tracemalloc.start()
+        try:
+            sgd_step([p], [g], [buf], SgdConfig(0.4, 0.9, 1e-4, 8))
+            step_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = masked_weights(net, 0.5)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert step_peak < layer64 / 16
+        assert kept - before >= out[0].nbytes == layer64
+        assert peak - before - out[0].nbytes < layer64 / 2 + layer64 / 16
+
+
 class TestForward:
     def test_two_edge_hand_example(self):
         net = Supernetwork(
@@ -373,6 +422,40 @@ class TestTrain:
                     sgd_step([p], [g], [buf], sgd)
             assert p.tobytes() == want_p.tobytes() and buf.tobytes() == want_buf.tobytes()
 
+        # Past one CHUNK a contiguous step runs block by block: sizes on
+        # each side of a block edge, a ragged last block and a cohort's
+        # stack, with inf, NaN and -0.0 entries.  A NaN's payload may follow
+        # the order of the operands of a sum, which the reference writes
+        # the other way round, so NaNs are matched by place here; the
+        # blocked step must match the whole-array step, which reversed
+        # (non-contiguous) views take, byte for byte.
+        chunk = nn.CHUNK
+        for shape in [(chunk - 1,), (chunk,), (chunk + 1,), (3 * chunk + 5,), (2, 200, 784)]:
+            n = math.prod(shape)
+            sgd = SgdConfig(0.4, 0.9, 1e-4, 8)
+            p = rng.uniform(n, -3, 3).astype(np.float32)
+            g = rng.uniform(n, -3, 3)
+            buf = rng.uniform(n, -1, 1)
+            for a, values in ((p, (np.inf, -np.inf, np.nan, -0.0)), (g, (np.inf, np.nan, -0.0)),
+                              (buf, (-np.inf, np.nan, -0.0))):
+                at = np.array(rng.integers_below([n] * 8 * len(values))).reshape(len(values), 8)
+                for v, where in zip(values, at):
+                    a[where] = v
+                a[-1] = values[-1]  # the last block's last entry
+            p, g, buf = p.reshape(shape), g.reshape(shape), buf.reshape(shape)
+            want_p, want_buf = p.copy(), buf.copy()
+            whole_p, whole_buf = p.copy(), buf.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(3):
+                    reference(want_p, g, want_buf, sgd)
+                    sgd_step([p], [g], [buf], sgd)
+                    sgd_step([whole_p[..., ::-1]], [g[..., ::-1]], [whole_buf[..., ::-1]], sgd)
+            for got, want, whole in ((p, want_p, whole_p), (buf, want_buf, whole_buf)):
+                assert got.tobytes() == whole.tobytes()
+                nan = np.isnan(want)
+                assert nan.any() and np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes()
+
     def test_epochs_zero_rejected(self):
         net, batches = self._tiny_problem()
         with pytest.raises(ValueError):
@@ -485,19 +568,25 @@ class TestSeedNetwork:
                     got = cached.rebuild(ranking)
                     want = Supernetwork.from_seed(seed, self.SPECS, init)
                     want.reorder_all_scores(ranking)
-                    for a, b in zip(got.weights + got.scores, want.weights + want.scores):
+                    for a, b in zip(cached.weights + got, want.weights + want.scores):
                         assert a.dtype == b.dtype and a.shape == b.shape
                         assert a.tobytes() == b.tobytes()
 
     def test_shared_arrays_read_only(self):
         net = SeedNetwork(4, self.SPECS)
-        for a in net.weights + net.sorted_scores + net.ranking:
+        rebuilt = net.rebuild(net.ranking)
+        for a in net.weights + net.scores + net.sorted_scores + net.ranking + rebuilt:
             with pytest.raises(ValueError):
                 a.flat[0] = 1
-        rebuilt = net.rebuild(net.ranking)
-        assert all(mine is shared for mine, shared in zip(rebuilt.weights, net.weights))
-        rebuilt.scores[0][0, 0] = 9.0  # each rebuild owns its scores
-        assert net.rebuild(net.ranking).scores[0][0, 0] != 9.0
+        # The initial scores are the rebuild of the initial ranking.
+        assert [a.tobytes() for a in rebuilt] == [a.tobytes() for a in net.scores]
+        # A network over the read-only arrays shares them, copying none.
+        over = Supernetwork(net.specs, net.weights, rebuilt)
+        assert all(a is b for a, b in zip(over.weights + over.scores, net.weights + rebuilt))
+        # Writable scores are copied, so a network owns what it may write.
+        own = Supernetwork(net.specs, net.weights, [s.copy() for s in rebuilt])
+        own.scores[0][0, 0] = 9.0
+        assert own.scores[0].flags.writeable and rebuilt[0][0, 0] != 9.0
 
 
 class TestSeedReconstruction:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fedrank.nn as nn
 import fedrank.protocols as protocols
 from fedrank.adversary import AttackConfig, AttackKind
 from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
@@ -129,7 +130,7 @@ class TestFslClientUpdate:
         cfg, env = fsl_env
         state = initial_state(cfg)
         out = client_rankings(fsl_client_update(
-            seed_network(cfg), state.ranking, [env.train_batches[0]], [1], 0.5,
+            seed_network(cfg), state.scores, [env.train_batches[0]], [1], 0.5,
             SgdConfig(0.0, 0.0, 0.0, 8), [derive(cfg.seed, [TAG_TRAIN, 1, 0])]))[0]
         for got, want in zip(out, state.ranking):
             assert np.array_equal(got, want)
@@ -137,7 +138,7 @@ class TestFslClientUpdate:
     def test_identical_clients_identical_rankings(self, fsl_env):
         cfg, env = fsl_env
         state = initial_state(cfg)
-        args = (seed_network(cfg), state.ranking, [env.train_batches[3]], [2], 0.5, cfg.sgd)
+        args = (seed_network(cfg), state.scores, [env.train_batches[3]], [2], 0.5, cfg.sgd)
         a = client_rankings(fsl_client_update(*args, [derive(9, [0])]))[0]
         b = client_rankings(fsl_client_update(*args, [derive(9, [0])]))[0]
         for ra, rb in zip(a, b):
@@ -160,7 +161,7 @@ class TestFslClientUpdate:
                        for i in range(0, 64, 8)]
             seed_net = SeedNetwork(seed, specs)
             ranking = client_rankings(fsl_client_update(
-                seed_net, seed_net.ranking, [batches], [3], 0.5, sgd,
+                seed_net, seed_net.scores, [batches], [3], 0.5, sgd,
                 [derive(seed, [TAG_TRAIN, 1, 0])]))[0]
             bottom = set(ranking[0][:8].tolist())
             noise_edges = {i for i in range(16) if i % 2 == 1}
@@ -177,7 +178,7 @@ class TestFslRound:
         new_state, selected, _ = fsl_round(state, env, cfg1, 1)
         u = selected[0]
         expected = client_rankings(fsl_client_update(
-            seed_network(cfg1), state.ranking, [env.train_batches[u]], [cfg1.local_epochs],
+            seed_network(cfg1), state.scores, [env.train_batches[u]], [cfg1.local_epochs],
             cfg1.subnet_fraction, cfg1.sgd, [derive(cfg1.seed, [TAG_TRAIN, 1, u])]))[0]
         for got, want in zip(new_state.ranking, expected):
             assert np.array_equal(got, want)
@@ -197,7 +198,7 @@ class TestFslRound:
         fixtures = [FIG_R1, FIG_R2, FIG_R3]
         calls = []
 
-        def fake_update(seed_net, ranking, batches, epochs, k, sgd, rngs):
+        def fake_update(seed_net, scores, batches, epochs, k, sgd, rngs):
             rows = []
             for _ in batches:  # one ranking per client of the cohort
                 calls.append(None)
@@ -205,7 +206,9 @@ class TestFslRound:
             return [np.stack(rows), np.stack(rows)]  # one (G, n) block per layer
 
         monkeypatch.setattr(protocols, "fsl_client_update", fake_update)
-        state = ServerState(ranking=[FIG_R1, FIG_R1])
+        # Two layers of six edges, as the fixture rankings have.
+        seed_net = SeedNetwork(cfg3.seed, [LayerSpec(2, 3), LayerSpec(3, 2, "identity")])
+        state = ServerState(ranking=[FIG_R1, FIG_R1], seed_net=seed_net, scores=seed_net.scores)
         new_state, _, _ = fsl_round(state, env, cfg3, 1)
         assert new_state.ranking[0].tolist() == [0, 2, 4, 5, 3, 1]
 
@@ -261,20 +264,55 @@ class TestSharedSeedNetwork:
             assert not np.isnan(protocols._evaluate_ranking(round_cfg, env, state).mean())
         assert len(draws) == 1
 
+    def test_one_rebuild_per_global_ranking(self, monkeypatch):
+        # At 784-200-10 every cohort is one client.  The initial state takes
+        # the seed draw's scores, each round rebuilds the ranking it voted
+        # once, and its five cohorts and the evaluation all start from that
+        # one rebuild: one scatter per layer per round.
+        cfg = ExperimentConfig(
+            algorithm=Algorithm.FSL, rounds=2, eval_every=1, num_clients=10,
+            clients_per_round=5, local_epochs=1, seed=8,
+            architecture=[LayerSpec(784, 200, "relu"), LayerSpec(200, 10, "identity")],
+            dataset=DatasetSpec(kind="blobs", blob_classes=10, blob_dims=784,
+                                blob_samples_per_class=4, blob_cluster_std=2.0))
+        assert protocols.cohort_size(cfg.architecture) == 1
+        reorder, calls, cohorts = nn.reorder_scores, [], []
+        update = protocols.fsl_client_update
+
+        def spy(values, ranking):
+            calls.append(len(values))
+            return reorder(values, ranking)
+
+        def counted(*args):
+            cohorts.append(len(args[2]))
+            return update(*args)
+
+        monkeypatch.setattr(nn, "reorder_scores", spy)
+        monkeypatch.setattr(protocols, "fsl_client_update", counted)
+        records = run_experiment(cfg)
+        assert len(records) == 2 and cohorts == [1] * 10
+        assert calls == [156800, 2000] * 2
+
     def test_client_training_leaves_next_rebuild_unchanged(self, fsl_env):
+        # A cohort trains from the state's read-only scores, shared, not
+        # copied: training never writes them, nor the next rebuild.
         cfg, env = fsl_env
-        seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
-        before = [s.tobytes() for s in seed_net.rebuild(seed_net.ranking).scores]
+        state = initial_state(cfg)
+        seed_net, scores = state.seed_net, state.scores
+        assert not any(s.flags.writeable for s in scores)
+        before = [s.tobytes() for s in scores]
 
-        def client(net):
+        def client(net, start):
             return client_rankings(fsl_client_update(
-                net, seed_net.ranking, [env.train_batches[0]], [2], 0.5, cfg.sgd,
-                [derive(cfg.seed, [TAG_TRAIN, 1, 0])]))[0]
+                net, start, [env.train_batches[0], env.train_batches[1]], [2, 1], 0.5,
+                cfg.sgd, [derive(cfg.seed, [TAG_TRAIN, 1, u]) for u in (0, 1)]))[0]
 
-        trained = client(seed_net)
+        trained = client(seed_net, scores)
         assert any(not np.array_equal(a, b) for a, b in zip(trained, seed_net.ranking))
-        assert before == [s.tobytes() for s in seed_net.rebuild(seed_net.ranking).scores]
-        for a, b in zip(trained, client(seed_network(cfg))):
+        assert before == [s.tobytes() for s in scores]
+        assert before == [s.tobytes() for s in seed_net.rebuild(seed_net.ranking)]
+        fresh = seed_network(cfg)
+        for a, b in zip(trained, client(fresh, [s.copy() for s in fresh.scores])):
             assert a.tobytes() == b.tobytes()
 
 
@@ -560,13 +598,13 @@ def _ref_train(params, grads_of, batches, epochs, sgd, rng):
 
 
 def _ref_fsl_client(seed_net, ranking, batches, epochs, k, sgd, rng):
-    net = seed_net.rebuild(ranking)
+    weights, scores = seed_net.weights, [s.copy() for s in seed_net.rebuild(ranking)]
 
     def grads_of(batch):
-        eff = [(w * _ref_mask(s, k)).astype(np.float64) for w, s in zip(net.weights, net.scores)]
-        return [g * w for g, w in zip(_ref_grads(net.specs, eff, batch), net.weights)]
+        eff = [(w * _ref_mask(s, k)).astype(np.float64) for w, s in zip(weights, scores)]
+        return [g * w for g, w in zip(_ref_grads(seed_net.specs, eff, batch), weights)]
 
-    scores = _ref_train(net.scores, grads_of, batches, epochs, sgd, rng)
+    _ref_train(scores, grads_of, batches, epochs, sgd, rng)
     for s in scores:
         if not np.all(np.isfinite(s)):
             raise ValueError("values must be finite")
@@ -610,7 +648,8 @@ class TestCohortTrainer:
         got = []
         for lo in range(0, len(batches), cohort):
             sl = slice(lo, lo + cohort)
-            got += client_rankings(fsl_client_update(seed_net, ranking, batches[sl],
+            got += client_rankings(fsl_client_update(seed_net, seed_net.rebuild(ranking),
+                                                     batches[sl],
                                                      self.EPOCHS[sl], 0.5, sgd, rngs[sl]))
         want = [_ref_fsl_client(seed_net, ranking, b, e, 0.5, sgd, r)
                 for b, e, r in zip(batches, self.EPOCHS, self.streams())]
@@ -641,7 +680,7 @@ class TestCohortTrainer:
             _ref_fsl_client(seed_net, seed_net.ranking, batches[0], 2, 0.5, sgd,
                             self.streams()[0])
         with pytest.raises(ValueError) as got:
-            fsl_client_update(seed_net, seed_net.ranking, batches, self.EPOCHS, 0.5, sgd,
+            fsl_client_update(seed_net, seed_net.scores, batches, self.EPOCHS, 0.5, sgd,
                               self.streams())
         assert str(got.value) == str(want.value) == "values must be finite"
 
@@ -679,7 +718,7 @@ def _list_vote_round(state, env, cfg, round_index):
     voted by one LayerTally(n, s)."""
     selected, mal, cohorts = protocols._train_clients(
         cfg, env, round_index, lambda batches, epochs, rngs: fsl_client_update(
-            state.seed_net, state.ranking, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
+            state.seed_net, state.scores, batches, epochs, cfg.subnet_fraction, cfg.sgd, rngs))
     blocks = [part for _, part in cohorts]
     rows = [[layer[g] for layer in part] for part in blocks for g in range(len(part[0]))]
     if mal:
@@ -693,7 +732,8 @@ def _list_vote_round(state, env, cfg, round_index):
         for tally, block in zip(tallies, part, strict=True):
             tally.add(block)
     ranking = [tally.order() for tally in tallies]
-    return ServerState(ranking=ranking, seed_net=state.seed_net), selected, mal
+    return (ServerState(ranking=ranking, seed_net=state.seed_net,
+                        scores=state.seed_net.rebuild(ranking)), selected, mal)
 
 
 class TestStreamedVote:

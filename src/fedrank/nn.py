@@ -25,10 +25,10 @@ never padded: a padded row count in ``x @ Wᵀ`` or the backward ``dz`` can
 take another BLAS kernel and change the bytes.  Each cohort's rankings
 come from one row-wise sort per layer.
 
-Past CHUNK elements the SGD step and the masked product run block by
-block through one small scratch array, with no full-layer temporaries:
-each element meets the same ufuncs in the same order, so the bytes are
-those of one whole-array pass.
+Past CHUNK elements the SGD step runs block by block through one small
+float64 scratch array, with no full-layer temporary: each element meets
+the same ufuncs in the same order, so the bytes are those of one
+whole-array pass.
 
 Poisoned runs overflow to inf and NaN by design: the trainer sets numpy's
 error state once around its lockstep loop and :func:`evaluate` once around
@@ -247,29 +247,11 @@ def _blocks(n: int) -> Iterator[slice]:
 
 def _masked(weights: list[np.ndarray], scores: list[np.ndarray], k: float) -> list[np.ndarray]:
     """Each layer's float32 ``weights`` times the top-k mask of its scores
-    (of each client's matrix in a cohort's stack), in float64: the float32
-    product ``w * mask`` cast up, past one CHUNK block by block through one
-    float32 scratch.  The product keeps a negative weight's -0.0, where
-    ``np.where`` would give +0.0.  Casting the product up beat
-    ``np.multiply(..., dtype=np.float64)``, whose buffered casts cost
-    1.5-1.8x at 20-40-10 and at 784-200-10; blocks read level with the
-    whole-layer product at 200x784 and 6 % faster at 512x3136 (timeit)."""
-    out = []
-    for w, s in zip(weights, scores):
-        mask = mask_layer(s.reshape(s.shape[:-2] + (-1,)), k).reshape(s.shape)
-        if w.size <= CHUNK:
-            out.append((w * mask).astype(np.float64))
-            continue
-        eff = np.empty(mask.shape)
-        flat, rows, eff_rows = w.reshape(-1), mask.reshape(-1, w.size), eff.reshape(-1, w.size)
-        scratch = np.empty(CHUNK, dtype=np.float32)
-        for b in _blocks(w.size):
-            part = scratch[: len(flat[b])]
-            for m, e in zip(rows, eff_rows):
-                np.multiply(flat[b], m[b], out=part)
-                e[b] = part
-        out.append(eff)
-    return out
+    (of each client's matrix in a cohort's stack), in float64.  The float32
+    product cast up beats ``np.multiply(..., dtype=np.float64)``, whose
+    buffered casts cost 1.5-1.8x at 20-40-10 and at 784-200-10 (timeit)."""
+    return [(w * mask_layer(s.reshape(s.shape[:-2] + (-1,)), k).reshape(s.shape))
+            .astype(np.float64) for w, s in zip(weights, scores)]
 
 
 def masked_weights(net: Supernetwork, k: float) -> list[np.ndarray]:

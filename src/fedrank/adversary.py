@@ -100,8 +100,7 @@ def _krum_accepts(crafted: np.ndarray, own: list[np.ndarray], own_sq: np.ndarray
 def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
                      n_malicious: int, aggregator: str,
                      omega_kind: OmegaKind = OmegaKind.NEG_UNIT,
-                     gamma_init: float = 50.0, gamma_iters: int = 20,
-                     f: int | None = None) -> np.ndarray:
+                     gamma_init: float = 50.0, gamma_iters: int = 20) -> np.ndarray:
     """Perturb the benign mean along a malicious direction.
 
     ``benign_deltas`` are the attackers' own deltas as rows (a 2-D array
@@ -113,23 +112,19 @@ def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
     The halving search takes ``gamma_iters`` steps from ``gamma_init``
     toward the largest value the aggregator's selection still accepts (for
     aggregators without a selection step it saturates near 2 * gamma_init).
-    As ``protocols.baseline_round`` calls it, the Krum search saturates too:
-    the rows are the attackers' own k deltas and f = n_malicious = k, so a
-    finite crafted copy has k - 1 zero distances, scores 0 and wins its tie.
-
-    ``f`` is the number of Byzantine clients the simulated Krum tolerates;
-    it defaults to ``n_malicious``, the attackers sampled this round.  The
-    server (``protocols.baseline_round``) uses floor(malicious_fraction * n)
-    instead, so the two can differ.  The mismatch is deliberate: aligning
-    them changes the bytes of every opt_poison run, pinned hashes included.
+    The simulated Krum tolerates f = n_malicious, where the server
+    (``protocols.baseline_round``) uses floor(malicious_fraction * n): the
+    mismatch is deliberate, as aligning them changes the bytes of every
+    opt_poison run, pinned hashes included.  As ``baseline_round`` calls it,
+    the Krum search saturates too: the rows are the attackers' own k deltas
+    and n_malicious = k, so a finite crafted copy has k - 1 zero distances,
+    scores 0 and wins its tie.
     """
     if len(client_ids) != len(benign_deltas):
         raise ValueError(f"{len(client_ids)} client ids for {len(benign_deltas)} updates")
     if n_malicious < 1:
         raise ValueError("n_malicious must be >= 1")
     omega_kind = OmegaKind(omega_kind)
-    if f is None:
-        f = n_malicious
     if aggregator not in ("average", "trimmed_mean", "multi_krum"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
     base = average(benign_deltas)
@@ -141,9 +136,10 @@ def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
     else:
         omega = -np.sign(base)
     # Average and trimmed mean have no selection step that rejects an
-    # update, and Krum cannot be simulated against fewer than f + 3 peers:
+    # update, and Krum cannot be simulated against fewer than f + 3 peers,
+    # that is fewer than three own rows beside the f = n_malicious copies:
     # in those cases every gamma is accepted and the search saturates.
-    simulate = aggregator == "multi_krum" and len(benign_deltas) + n_malicious >= f + 3
+    simulate = aggregator == "multi_krum" and len(benign_deltas) >= 3
     if simulate:
         own_sq = squared_distances(benign_deltas)
         # Ids below any real client id so score ties favor the adversary.
@@ -151,7 +147,8 @@ def craft_opt_poison(benign_deltas: list[np.ndarray], client_ids: list[int],
     gamma = gamma_init
     step = gamma_init / 2.0
     for _ in range(gamma_iters):
-        if not simulate or _krum_accepts(base + gamma * omega, benign_deltas, own_sq, ids, f):
+        if not simulate or _krum_accepts(base + gamma * omega, benign_deltas, own_sq,
+                                         ids, n_malicious):
             gamma += step
         else:
             gamma -= step

@@ -11,11 +11,17 @@ straight-through estimator), and its weights never change.  One trainer
 and one accuracy rule serve both.  All reductions run in float64;
 parameters stay float32.
 
+A :class:`Supernetwork` holds the float32 arrays it is given, not copies:
+every party rebuilds the same network from the shared seed, so the seed's
+weights and a state's scores are shared read-only by every cohort and
+every evaluation.  :meth:`Supernetwork.from_seed` freezes the weights it
+draws and :class:`SeedNetwork` freezes everything it shares; nothing here
+writes a network's arrays in place.
+
 The trainer runs a cohort of G clients in lockstep.  Every client starts
 from the same parameters, so each layer's parameters and momentum are one
 (G, fan_out, fan_in) stack, row c client c's, and that stack is the
-cohort's only copy of them: read-only starting scores are shared, never
-copied or written.  At each step the clients whose batches have one size
+cohort's only copy of them.  At each step the clients whose batches have one size
 make one stacked forward and backward pass (``np.matmul`` runs the same
 BLAS call on every row as on one client's matrices), and one elementwise
 SGD step moves every client still training; masks come from one row-wise
@@ -38,7 +44,6 @@ its forward pass, and the kernels they call set none of their own.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,34 +119,23 @@ def validate_architecture(specs: list[LayerSpec]) -> None:
         raise ValueError("last layer must use the identity activation")
 
 
-def _float32(a, writeable: bool) -> np.ndarray:
-    """``a`` itself if it is a read-only float32 array, taken as frozen and
-    shared (so networks over one SeedNetwork's arrays hold no copies of
-    them), else a float32 copy of it."""
-    a = np.asarray(a)
-    if a.dtype == np.float32 and not a.flags.writeable:
-        return a
-    a = np.array(a, dtype=np.float32)
-    a.flags.writeable = writeable
-    return a
-
-
 class Supernetwork:
     """Fixed random weights plus per-edge scores, layer by layer.
 
     Each layer's scores are one (fan_out, fan_in) matrix, or, once
     :func:`edge_popup_train` has trained a cohort, a (G, fan_out, fan_in)
-    stack of G clients' scores over the shared weights.  Read-only float32
-    weights and scores are shared, not copied; training replaces the
-    scores with its stacks and never writes the matrices it started from.
+    stack of G clients' scores over the shared weights.  The arrays are
+    held as given, only a non-float32 one converted, and never written:
+    training and :meth:`reorder_all_scores` replace the list entries.
+    Freezing is the maker's part; :meth:`from_seed` freezes its weights.
     """
 
     def __init__(self, specs: list[LayerSpec], weights: list[np.ndarray],
                  scores: list[np.ndarray]):
         validate_architecture(specs)
         self.specs = specs
-        self.weights = [_float32(w, writeable=False) for w in weights]
-        self.scores = [_float32(s, writeable=True) for s in scores]
+        self.weights = [np.asarray(w, dtype=np.float32) for w in weights]
+        self.scores = [np.asarray(s, dtype=np.float32) for s in scores]
         for spec, w, s in zip(specs, self.weights, self.scores):
             if w.shape != (spec.fan_out, spec.fan_in) or s.shape != w.shape:
                 raise ValueError("weight/score shapes do not match the specs")
@@ -153,12 +147,14 @@ class Supernetwork:
 
         One tagged sub-stream fills all weight matrices in layer order, a
         second fills all score matrices, so server and clients agree
-        bitwise.
+        bitwise.  The weights are read-only, the scores writable.
         """
         w_rng = derive(seed, [TAG_WEIGHTS])
         s_rng = derive(seed, [TAG_SCORES])
         weights = [init_weights((sp.fan_out, sp.fan_in), weight_init, w_rng) for sp in specs]
         scores = [init_scores((sp.fan_out, sp.fan_in), s_rng) for sp in specs]
+        for w in weights:
+            w.flags.writeable = False
         return cls(specs, weights, scores)
 
     def reorder_all_scores(self, ranking: list[np.ndarray]) -> None:
@@ -241,23 +237,15 @@ def mask_layer(scores: np.ndarray, k: float) -> np.ndarray:
 CHUNK = 2 ** 15
 
 
-def _blocks(n: int) -> Iterator[slice]:
-    return (slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK))
-
-
-def _masked(weights: list[np.ndarray], scores: list[np.ndarray], k: float) -> list[np.ndarray]:
+def masked_weights(weights: list[np.ndarray], scores: list[np.ndarray],
+                   k: float) -> list[np.ndarray]:
     """Each layer's float32 ``weights`` times the top-k mask of its scores
-    (of each client's matrix in a cohort's stack), in float64.  The float32
-    product cast up beats ``np.multiply(..., dtype=np.float64)``, whose
-    buffered casts cost 1.5-1.8x at 20-40-10 and at 784-200-10 (timeit)."""
+    (of each client's matrix in a cohort's stack), in float64: the matrices
+    the forward pass multiplies by.  The float32 product cast up beats
+    ``np.multiply(..., dtype=np.float64)``, whose buffered casts cost
+    1.5-1.8x at 20-40-10 and at 784-200-10 (timeit)."""
     return [(w * mask_layer(s.reshape(s.shape[:-2] + (-1,)), k).reshape(s.shape))
             .astype(np.float64) for w, s in zip(weights, scores)]
-
-
-def masked_weights(net: Supernetwork, k: float) -> list[np.ndarray]:
-    """Each layer's weights times its top-k mask, in float64: the matrices
-    the forward pass multiplies by (a stack of them for a cohort)."""
-    return _masked(net.weights, net.scores, k)
 
 
 @dataclass
@@ -330,7 +318,8 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray],
             continue
         p, g, buf = p.reshape(-1), g.reshape(-1), buf.reshape(-1)
         scratch = np.empty(CHUNK)
-        for b in _blocks(p.size):
+        for lo in range(0, p.size, CHUNK):
+            b = slice(lo, lo + CHUNK)
             part = scratch[: len(p[b])]
             np.copyto(part, p[b])
             _sgd_chain(p[b], g[b], buf[b], sgd, part)
@@ -458,7 +447,7 @@ def edge_popup_train(net: Supernetwork, batches: list[list[Minibatch]], epochs: 
     live client's weights and scales their assembled gradients by W once;
     only the passes run per group of one batch size."""
     def grads_of(scores: list[np.ndarray], steps: list[Minibatch]) -> list[np.ndarray]:
-        grads = _grads_by_size(steps, _masked(net.weights, scores, k), lambda part, batch:
+        grads = _grads_by_size(steps, masked_weights(net.weights, scores, k), lambda part, batch:
                                ep_backward(net, ep_forward(net, part, batch)[1]))
         for g, w in zip(grads, net.weights):
             g *= w

@@ -306,14 +306,13 @@ def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
 
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
                       state: ServerState) -> np.ndarray:
-    """Per-client test accuracy of the state's global subnetwork: its
-    scores, masked once in place.
+    """Per-client test accuracy of the state's global subnetwork: the seed
+    weights under its scores' mask, built once for every test set.
 
     Each test set keeps its own forward pass: one matmul over all of them
     could take another BLAS kernel and change the bytes.
     """
-    net = Supernetwork(cfg.architecture, state.seed_net.weights, state.scores)
-    weights = masked_weights(net, cfg.subnet_fraction)
+    weights = masked_weights(state.seed_net.weights, state.scores, cfg.subnet_fraction)
     accs = [evaluate(cfg.architecture, weights, feats, labels)
             for feats, labels in env.test_sets if len(labels)]
     return np.asarray(accs)
@@ -321,6 +320,7 @@ def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
 
 def _evaluate_weights(cfg: ExperimentConfig, env: Environment,
                       state: ServerState) -> np.ndarray:
+    # Cast once here: dense_evaluate casts float32 weights once per test set.
     mats = [m.astype(np.float64) for m in unflatten_params(state.weights, cfg.architecture)]
     accs = [dense_evaluate(mats, cfg.architecture, feats, labels)
             for feats, labels in env.test_sets if len(labels)]

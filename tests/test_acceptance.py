@@ -177,7 +177,7 @@ def test_criterion_4_gradient_oracle():
             k = (0.3, 0.5, 0.8)[trial % 3]
             # one-client cohort: the masked weights and the batch stacked
             # once; the score gradient is dL/dW_eff times W
-            weights = [w[None] for w in masked_weights(net, k)]
+            weights = [w[None] for w in masked_weights(net.weights, net.scores, k)]
             _, cache = ep_forward(net, weights, Minibatch(x[None], labels[None]))
             got = [g[0] * w for g, w in zip(ep_backward(net, cache), net.weights)]
             want = oracle_backward(net.weights, net.scores,

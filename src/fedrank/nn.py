@@ -408,16 +408,20 @@ def _train(start: list[np.ndarray], grads_of, batches: list[list[Minibatch]],
 
 
 def evaluate(specs: list[LayerSpec], weights: list[np.ndarray],
-             inputs: np.ndarray, labels: np.ndarray) -> float:
+             inputs: np.ndarray, labels: np.ndarray) -> np.ndarray | float:
     """Fraction of argmax-correct predictions under the effective float64
-    ``weights`` (``masked_weights`` for edge-popup); a NaN logit never wins."""
+    ``weights`` (``masked_weights`` for edge-popup); a NaN logit never wins.
+    One (b, fan_in) set gives one value; a (G, b, fan_in) stack of G sets
+    with (G, b) labels gives each set's value, the one it gets alone:
+    ``np.matmul`` makes each set's BLAS call as for the set alone (a
+    1-sample set's vector product too)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) == 0:
+    if labels.size == 0:
         raise ValueError("dataset is empty")
     with np.errstate(over="ignore", invalid="ignore"):
         logits, _ = forward(specs, weights, Minibatch(inputs=np.asarray(inputs), labels=labels))
-    preds = np.argmax(np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf), axis=1)
-    return float(np.mean(preds == labels))
+    preds = np.argmax(np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf), axis=-1)
+    return np.mean(preds == labels, axis=-1)
 
 
 # --- Edge-popup: scores trained over the frozen weights ----------------------
@@ -482,7 +486,7 @@ def dense_train(weights: list[np.ndarray], specs: list[LayerSpec],
 
 
 def dense_evaluate(weights: list[np.ndarray], specs: list[LayerSpec],
-                   inputs: np.ndarray, labels: np.ndarray) -> float:
+                   inputs: np.ndarray, labels: np.ndarray) -> np.ndarray | float:
     return evaluate(specs, [w.astype(np.float64, copy=False) for w in weights],
                     inputs, labels)
 

@@ -304,27 +304,40 @@ def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
                            for i in range(0, len(selected), size))
 
 
+def _accuracies_by_size(test_sets: list[tuple[np.ndarray, np.ndarray]], evaluate_fn,
+                        *args) -> np.ndarray:
+    """Each non-empty test set's accuracy, in test-set order, from one
+    ``evaluate_fn(*args, inputs, labels)`` call per sample count b: the sets
+    of one size go as one (G, b, fan_in) stack with (G, b) labels."""
+    sets = [s for s in test_sets if len(s[1])]
+    groups: dict[int, list[int]] = {}
+    for i, (_, labels) in enumerate(sets):
+        groups.setdefault(len(labels), []).append(i)
+    accs = np.empty(len(sets))
+    for rows in groups.values():
+        accs[rows] = evaluate_fn(*args, np.stack([sets[r][0] for r in rows]),
+                                 np.stack([sets[r][1] for r in rows]))
+    return accs
+
+
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
                       state: ServerState) -> np.ndarray:
     """Per-client test accuracy of the state's global subnetwork: the seed
     weights under its scores' mask, built once for every test set.
 
-    Each test set keeps its own forward pass: one matmul over all of them
-    could take another BLAS kernel and change the bytes.
+    The test sets of one size share one stacked pass, which gives each set
+    the bytes of its own (see :func:`evaluate`).  Sets are never padded to
+    one size: a padded row count can take another BLAS kernel.
     """
     weights = masked_weights(state.seed_net.weights, state.scores, cfg.subnet_fraction)
-    accs = [evaluate(cfg.architecture, weights, feats, labels)
-            for feats, labels in env.test_sets if len(labels)]
-    return np.asarray(accs)
+    return _accuracies_by_size(env.test_sets, evaluate, cfg.architecture, weights)
 
 
 def _evaluate_weights(cfg: ExperimentConfig, env: Environment,
                       state: ServerState) -> np.ndarray:
-    # Cast once here: dense_evaluate casts float32 weights once per test set.
+    # Cast once here: dense_evaluate casts float32 weights once per call.
     mats = [m.astype(np.float64) for m in unflatten_params(state.weights, cfg.architecture)]
-    accs = [dense_evaluate(mats, cfg.architecture, feats, labels)
-            for feats, labels in env.test_sets if len(labels)]
-    return np.asarray(accs)
+    return _accuracies_by_size(env.test_sets, dense_evaluate, mats, cfg.architecture)
 
 
 def _record(env: Environment, round_index: int, selected: list[int],

@@ -8,7 +8,7 @@ import pytest
 from fedrank.data import (IdxFormatError, dirichlet_partition,
                           dirichlet_proportions, gen_blobs,
                           largest_remainder_counts, load_idx)
-from fedrank.rng import RngStream, derive
+from fedrank.rng import TAG_DATA, RngStream, derive
 
 
 class TestBlobs:
@@ -30,6 +30,16 @@ class TestBlobs:
         b = gen_blobs(2, 3, 10, 1.0, derive(43, []))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("dims, digest", [
+        (20, "a1a207459789a64548b82939738af5a89624c387b3b990b3508b16fe894e0313"),
+        (784, "71edc34b7919426be3cd2af5366ae783bc0ca3f4dd7d83af8b91362e3f7ad894"),
+    ], ids=["desk", "mid"])
+    def test_features_pinned(self, dims, digest):
+        # The benchmark's 10 x 200 blobs (variant 0) at the desk and mid sizes.
+        ds = gen_blobs(10, dims, 200, 2.0, derive(2024, [TAG_DATA]), separation=8.0)
+        assert ds.features.shape == (2000, dims)
+        assert hashlib.sha256(ds.features.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

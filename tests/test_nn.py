@@ -176,7 +176,8 @@ class TestStackedKernels:
     own call gives."""
 
     # Stacked against per-client products, as forward and backward form
-    # them: x @ w.T, g.T @ x and g @ w for (batch, fan_in, fan_out) shapes.
+    # them: x @ w.T, g.T @ x and g @ w for (batch, fan_in, fan_out) shapes,
+    # and x @ w.T with one w shared by a stack of test sets.
     MATMUL_SCRIPT = """
 import numpy as np
 from fedrank.rng import derive
@@ -192,6 +193,14 @@ for b, fi, fo, g in [(8, 20, 40, 25), (8, 40, 10, 25), (3, 20, 40, 25),
              (d @ w, [d[c] @ w[c] for c in range(g)])]
     bad += [(b, fi, fo, i) for i, (stacked, each) in enumerate(pairs)
             if stacked.tobytes() != np.stack(each).tobytes()]
+# Evaluation: one weight matrix over a stack of same-size test sets.
+for b in (1, 3, 8):
+    for fi, fo in [(20, 40), (40, 10), (784, 200), (200, 10)]:
+        rng = derive(5353, [b, fi, fo])
+        x = rng.uniform(25 * b * fi, -2, 2).reshape(25, b, fi)
+        w = rng.uniform(fo * fi, -1, 1).reshape(fo, fi)
+        if (x @ w.T).tobytes() != np.stack([x[c] @ w.T for c in range(25)]).tobytes():
+            bad.append((b, fi, fo, "shared"))
 print(bad)
 """
     BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -18,6 +18,8 @@ from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
 from fedrank.ranking import LayerTally, argsort_ranking, reverse_ranking, vote_network
 from fedrank.rng import TAG_TRAIN, derive
 
+from test_acceptance import desk_task
+
 FIG_R1 = np.array([4, 0, 2, 3, 5, 1])
 FIG_R2 = np.array([2, 0, 1, 5, 4, 3])
 FIG_R3 = np.array([0, 2, 5, 3, 4, 1])
@@ -809,3 +811,85 @@ class TestStreamedVote:
         ranking_bytes = 8 * (784 * 200 + 200 * 10)
         assert peak(8) - peak(2) < ranking_bytes / 4
         assert peak(8, attackers=6) - peak(8, attackers=1) < ranking_bytes / 4
+
+
+# --- Evaluation by test-set size against the per-set loop it replaced -------
+
+
+def _per_set_accuracies(cfg, env, state):
+    """The oracle of the grouped evaluation: one forward pass, argmax and
+    mean per non-empty test set, as evaluation ran before the sets of one
+    size were stacked."""
+    specs = cfg.architecture
+    if state.weights is None:
+        weights = nn.masked_weights(state.seed_net.weights, state.scores, cfg.subnet_fraction)
+    else:
+        weights = [m.astype(np.float64) for m in unflatten_params(state.weights, specs)]
+    accs = []
+    for feats, labels in env.test_sets:
+        if len(labels):
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits, _ = nn.forward(specs, weights, Minibatch(feats, labels))
+            logits = np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
+            accs.append(float(np.mean(np.argmax(logits, axis=1) == labels)))
+    return np.asarray(accs)
+
+
+def mid_config(algorithm: Algorithm) -> ExperimentConfig:
+    """784-200-10 on 50 blobs over 8 clients, whose test sets hold 2, 0, 2,
+    0, 1, 3, 0 and 1 samples."""
+    rank = algorithm in protocols.RANK_ALGORITHMS
+    cfg = ExperimentConfig(
+        algorithm=algorithm, rounds=1, num_clients=8, clients_per_round=4, local_epochs=1,
+        seed=1, dirichlet_alpha=0.3, sgd=SgdConfig(0.4 if rank else 0.01, 0.9, 1e-4, 8),
+        architecture=[LayerSpec(784, 200, "relu"), LayerSpec(200, 10, "identity")],
+        dataset=DatasetSpec(kind="blobs", blob_classes=10, blob_dims=784,
+                            blob_samples_per_class=5, blob_cluster_std=2.0))
+    cfg.validate()
+    return cfg
+
+
+class TestEvaluationBySize:
+    # The desk task is the benchmark's desk variant 0.
+    @pytest.mark.parametrize("make", [lambda algorithm: desk_task(algorithm, rounds=1),
+                                      mid_config], ids=["desk", "mid"])
+    @pytest.mark.parametrize("algorithm", [Algorithm.FSL, Algorithm.FEDAVG])
+    def test_matches_per_set_loop(self, make, algorithm):
+        # Each accuracy's bytes, in test-set order without the empty sets,
+        # at the initial state and after one round.
+        cfg = make(algorithm)
+        env = build_environment(cfg)
+        if make is mid_config:
+            assert [len(labels) for _, labels in env.test_sets] == [2, 0, 2, 0, 1, 3, 0, 1]
+        rank = algorithm in protocols.RANK_ALGORITHMS
+        evaluate_state = protocols._evaluate_ranking if rank else protocols._evaluate_weights
+        state = initial_state(cfg)
+        for t in (0, 1):
+            if t:
+                state, _, _ = (fsl_round if rank else baseline_round)(state, env, cfg, t)
+            got, want = evaluate_state(cfg, env, state), _per_set_accuracies(cfg, env, state)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("algorithm, name, evaluate_state", [
+        (Algorithm.FSL, "evaluate", "_evaluate_ranking"),
+        (Algorithm.FEDAVG, "dense_evaluate", "_evaluate_weights"),
+    ])
+    def test_one_pass_per_test_set_size(self, algorithm, name, evaluate_state, monkeypatch):
+        # The desk data's 100 test sets come in 7 sizes, 1 to 7 samples:
+        # one stacked call per size, every set in exactly one of them.
+        cfg = desk_task(algorithm, rounds=1)
+        env = build_environment(cfg)
+        sizes = [len(labels) for _, labels in env.test_sets]
+        assert len(sizes) == 100 and sorted(set(sizes)) == list(range(1, 8))
+        shapes, fn = [], getattr(protocols, name)
+
+        def counted(*args):
+            shapes.append(args[-1].shape)
+            return fn(*args)
+
+        monkeypatch.setattr(protocols, name, counted)
+        accs = getattr(protocols, evaluate_state)(cfg, env, initial_state(cfg))
+        assert len(accs) == 100 and len(shapes) == 7
+        assert sorted(b for _, b in shapes) == list(range(1, 8))
+        assert sum(g for g, _ in shapes) == 100

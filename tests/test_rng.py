@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -45,6 +46,22 @@ class TestStreamPrimitives:
         z = derive(11, [0]).normal(100000)
         assert abs(z.mean()) < 3.0 / math.sqrt(len(z))
         assert abs(z.std() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("n, digest", [
+        (1, "e2509df51f92205b0fe17a289867b1f177427adbef7df35687b193b475fce6b7"),
+        (2, "80a8de5d346f973967bb39e1925e388e247bedd604621a07a464c6e1a13e6b1c"),
+        (3, "b590b9f98c5151b94a9387ccec3214d6490eaa5e9a6c4362869898c6284b97bd"),
+        (65535, "0b477b598f076dbdf43f8586daa8cec25c12f9cad2b2957876940641e418949e"),
+        (65537, "7d5950b7da9d0541176cde2959f6a2f23b4d4fe17c787ca49f2f00eaf60ea7c7"),
+        (1568001, "a51233ab9e281f52a8ac62c8323ffa772548ff331a7b40b2db559ced428eccf5"),
+    ])
+    def test_normal_pinned(self, n, digest):
+        # The draws' bytes, then the word after them: a draw of n reads
+        # 2 * ceil(n / 2) words, whatever blocks it computes them in.
+        rng = derive(2024, [7, n])
+        h = hashlib.sha256(rng.normal(n).astype("<f8").tobytes())
+        h.update(rng.next_u64(1).astype("<u8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_integers_below_uniform_and_in_range(self):
         vals = np.array(derive(13, []).integers_below([7] * 20000))

@@ -361,14 +361,21 @@ def _stacked(batches: list[Minibatch]) -> Minibatch:
                      labels=np.array([b.labels for b in batches]))
 
 
+def rows_by_size(sizes) -> dict[int, list[int]]:
+    """The positions in ``sizes`` grouped by their size, each group and the
+    groups in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for row, size in enumerate(sizes):
+        groups.setdefault(size, []).append(row)
+    return groups
+
+
 def _grads_by_size(batches: list[Minibatch], stacks: list[np.ndarray], grads_of
                    ) -> list[np.ndarray]:
     """``grads_of(rows of stacks, stacked batch)`` for each group of clients
     whose batches have one size, assembled in row order.  Short batches get
     their own pass, never padding."""
-    groups: dict[int, list[int]] = {}
-    for row, b in enumerate(batches):
-        groups.setdefault(len(b.labels), []).append(row)
+    groups = rows_by_size(len(b.labels) for b in batches)
     if len(groups) == 1:
         return grads_of(stacks, _stacked(batches))
     grads = [np.empty(s.shape, dtype=np.float64) for s in stacks]

@@ -44,9 +44,9 @@ from .analytics import CostReport, comm_cost
 from .data import ClientShards, Dataset, dirichlet_partition, gen_blobs, load_idx
 from .nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
                  dense_evaluate, dense_train, edge_popup_train, evaluate,
-                 flatten_params, masked_weights, require_finite,
+                 flatten_params, masked_weights, require_finite, rows_by_size,
                  unflatten_params, validate_architecture)
-from .ranking import LayerTally, NetworkRanking, floor_count, keep_count
+from .ranking import LayerTally, NetworkRanking, floor_count, keep_count, stable_order
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
 
 
@@ -310,11 +310,8 @@ def _accuracies_by_size(test_sets: list[tuple[np.ndarray, np.ndarray]], evaluate
     ``evaluate_fn(*args, inputs, labels)`` call per sample count b: the sets
     of one size go as one (G, b, fan_in) stack with (G, b) labels."""
     sets = [s for s in test_sets if len(s[1])]
-    groups: dict[int, list[int]] = {}
-    for i, (_, labels) in enumerate(sets):
-        groups.setdefault(len(labels), []).append(i)
     accs = np.empty(len(sets))
-    for rows in groups.values():
+    for rows in rows_by_size(len(labels) for _, labels in sets).values():
         accs[rows] = evaluate_fn(*args, np.stack([sets[r][0] for r in rows]),
                                  np.stack([sets[r][1] for r in rows]))
     return accs
@@ -402,8 +399,7 @@ def _topk_sparsify(delta: np.ndarray, specs: list[LayerSpec], fraction: float) -
         n = sp.n_edges
         seg = delta[pos : pos + n]
         keep = keep_count(n, fraction)
-        order = np.argsort(-np.abs(seg), kind="stable")
-        kept = order[:keep]
+        kept = stable_order(-np.abs(seg))[:keep]
         out[pos + kept] = seg[kept]
         pos += n
     return out

@@ -6,10 +6,12 @@ network ranking is one permutation per layer.  All ties break toward the
 lower edge index (stable sorts throughout) so every operation is
 deterministic.
 
-Every stable order here comes from :func:`stable_order`: one plain sort of
-unique uint64 words, an order-preserving key above the entry's index, which
-numpy runs as its SIMD sort.  float64 input, float32 with a NaN and integer
-ranges too wide to leave room for the index fall back to the stable argsort.
+Every stable order here comes from :func:`stable_order`, which runs only
+numpy's SIMD sorts: one plain sort of unique uint64 words, an
+order-preserving key above the entry's index, where the two fit in 64 bits.
+Wider keys (float64, integer ranges too wide to leave room for the index)
+take the unstable argsort, and where it leaves equal keys side by side their
+dense ranks take the packed sort.
 
 Every ranking row taken in (an upload, a decoded download, a client's cut
 ranking) passes one rule, :func:`_rank_rows`: integer entries in [0, n),
@@ -69,50 +71,76 @@ def keep_count(n_edges: int, k: float) -> int:
     return n_edges - floor_count(n_edges, 1.0 - k)
 
 
-def _order_keys(values: np.ndarray, width: int) -> np.ndarray | None:
-    """uint64 keys below 2**(64 - width) that order as ``values`` do, or
-    None where there are none."""
-    if values.dtype == np.float32:
-        if width > 32 or np.isnan(values).any():
-            return None
-        bits = (values + np.float32(0.0)).view(np.int32)  # -0.0 + 0.0 is +0.0
-        flip = bits >> 31  # -1 for negatives, 0 otherwise
-        flip |= np.int32(-2**31)
-        bits ^= flip  # negatives inverted, the rest above them
-        return bits.view(np.uint32).astype(np.uint64)
-    if values.dtype.kind in "iu" and values.size:
+def _order_keys(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """A new uint64 array of keys that order and tie as ``values`` do under
+    ``np.argsort``, and the bit width they fit in.
+
+    A float32 or float64 key is the bit pattern with the sign flipped
+    (negatives inverted, the rest above them), after adding 0.0 folds -0.0
+    onto +0.0, which the argsort treats as equal; every NaN gets the one
+    all-ones key, above +inf, as the argsort puts NaNs last.  An integer or
+    bool key is value - min.  Any other dtype is rejected."""
+    if values.dtype in (np.float32, np.float64):
+        bits = 8 * values.dtype.itemsize
+        signed = np.dtype(f"i{bits // 8}").type
+        with np.errstate(invalid="ignore"):  # a signalling NaN raises it
+            keys = (values + values.dtype.type(0)).view(signed)
+        flip = keys >> (bits - 1)  # -1 for negatives, 0 otherwise
+        flip |= signed(-2**(bits - 1))
+        keys ^= flip
+        keys[np.isnan(values)] = -1  # all ones, which no other value reaches
+        return keys.view(f"u{bits // 8}").astype(np.uint64, copy=False), bits
+    if values.dtype.kind in "biu":
+        if not values.size:
+            return values.astype(np.uint64), 0
         lo = int(values.min())
-        if (int(values.max()) - lo).bit_length() + width <= 64:
-            keys = values.astype(np.uint64)  # modulo 2**64, so the difference is exact
-            keys -= np.uint64(lo % 2**64)
-            return keys
-    return None
+        keys = values.astype(np.uint64)  # modulo 2**64, so the difference is exact
+        keys -= np.uint64(lo % 2**64)
+        return keys, (int(values.max()) - lo).bit_length()
+    raise TypeError(f"no stable order for dtype {values.dtype}")
 
 
 def stable_order(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, axis=-1, kind="stable")`` as int64: the stable
-    order of each row along the last axis (of the one row of a 1-D array).
+    order of each row along the last axis (of the one row of a 1-D array),
+    from numpy's SIMD sorts alone.
 
-    Each entry becomes one unique uint64 word: an unsigned key that orders
-    as the value does, shifted left by the index width and OR-ed with the
-    entry's index in its row.  One plain sort of the words along the rows,
-    masked to the index bits, is the stable order.  The float32 key is the
-    bit pattern with the sign flipped (negatives inverted, -0.0 folded onto
-    +0.0, which the argsort treats as equal); an integer key is value - min.
-    Where key and index need more than 64 bits (float64 input, an integer
-    range too wide for the index width), or for float32 with a NaN, this
-    falls back to the stable argsort itself.
+    Each entry gets a key that orders and ties as its value does
+    (:func:`_order_keys`).  Where the key and the index width,
+    bit_length(n - 1), fit in 64 bits together, the key is shifted left by
+    the index width and OR-ed with the entry's index in its row; one plain
+    sort of these unique words, masked to the index bits, is the stable
+    order.  Wider keys (float64, an integer range too wide for the index)
+    take the unstable argsort as they are.  Where no two adjacent sorted
+    keys of a row are equal, that is already the stable order.  Otherwise
+    each sorted key becomes its dense rank in its row (below n, so at most
+    32 bits for a row of up to 2**32 entries), packed beside the index the
+    argsort put there, and one packed sort of those words is the order:
+    exact for any ties, at most two sorts.
     """
     values = np.asarray(values)
-    width = max(values.shape[-1] - 1, 0).bit_length()
-    words = _order_keys(values, width)
-    if words is None:
-        return np.argsort(values, axis=-1, kind="stable").astype(np.int64, copy=False)
-    words <<= np.uint64(width)
-    words |= np.arange(values.shape[-1], dtype=np.uint64)
-    words.sort(axis=-1)
-    words &= np.uint64((1 << width) - 1)
-    return words.view(np.int64)
+    n = values.shape[-1]
+    width = max(n - 1, 0).bit_length()
+    keys, bits = _order_keys(values)
+    if bits + width <= 64:
+        index = np.arange(n, dtype=np.uint64)
+    else:
+        order = np.argsort(keys, axis=-1)
+        # a fancy index costs less than take_along_axis at a few hundred entries
+        keys = keys[order] if keys.ndim == 1 else np.take_along_axis(keys, order, axis=-1)
+        starts = keys[..., 1:] != keys[..., :-1]
+        if starts.all():
+            return order
+        if width > 32:
+            raise ValueError("rows with ties must hold at most 2**32 entries")
+        keys[..., 0] = 0
+        np.cumsum(starts, axis=-1, dtype=np.uint64, out=keys[..., 1:])  # dense ranks
+        index = order.view(np.uint64)
+    keys <<= np.uint64(width)
+    keys |= index
+    keys.sort(axis=-1)
+    keys &= np.uint64((1 << width) - 1)
+    return keys.view(np.int64)
 
 
 def finite_flat(values: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
                                build_environment, fedavg_client_update,
                                fsl_client_update, fsl_round, initial_state,
                                run_experiment, select_clients)
-from fedrank.ranking import LayerTally, argsort_ranking, reverse_ranking, vote_network
+from fedrank.ranking import (LayerTally, argsort_ranking, keep_count, reverse_ranking,
+                             vote_network)
 from fedrank.rng import TAG_TRAIN, derive
 
 from test_acceptance import desk_task
@@ -409,6 +410,30 @@ class TestBaselineRound:
         delta = np.array([1.0, -5.0, 0.5, 2.0, 3.0, -1.0, 0.0, 0.0])
         out = protocols._topk_sparsify(delta, specs, 0.5)
         assert out.tolist() == [0.0, -5.0, 0.0, 2.0, 3.0, -1.0, 0.0, 0.0]
+
+    def test_topk_sparsify_matches_the_stable_argsort(self):
+        # Oracle: each layer's stable argsort of -|delta|, the form the
+        # filter took before stable_order served it.
+        def oracle(delta, specs, fraction):
+            out, pos = np.zeros_like(delta), 0
+            for sp in specs:
+                seg = delta[pos:pos + sp.n_edges]
+                kept = np.argsort(-np.abs(seg), kind="stable")[:keep_count(sp.n_edges, fraction)]
+                out[pos + kept] = seg[kept]
+                pos += sp.n_edges
+            return out
+
+        pool = np.array([0.0, -0.0, 0.25, -0.25, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf])
+        one, two = [LayerSpec(3, 4)], [LayerSpec(3, 4), LayerSpec(4, 5, "identity")]
+        rng = derive(4100, [])
+        for case in range(40):
+            delta = pool[rng.integers_below([len(pool)] * 32)]
+            if case % 2:  # mostly distinct magnitudes, some tied
+                delta[::3] = rng.uniform(11, -1.0, 1.0)
+            for specs, fraction in [(one, f / 12) for f in (0, 1, 11, 12)] + [(two, 0.5)]:
+                n = sum(sp.n_edges for sp in specs)
+                got = protocols._topk_sparsify(delta[:n], specs, fraction)
+                assert got.tobytes() == oracle(delta[:n], specs, fraction).tobytes()
 
     def test_signsgd_single_client_sign_step(self):
         cfg = tiny_config(algorithm=Algorithm.SIGNSGD, clients_per_round=1,

@@ -149,15 +149,67 @@ class TestStableOrder:
             self.check((np.array(rng.integers_below([7] * n), dtype=np.float32) - 3) / 2)
             self.check(np.array(rng.integers_below([max(n // 4, 1)] * n), dtype=np.int64))
 
-    def test_fallbacks(self):
+    def test_float64_ties_and_extremes(self):
+        # Keys of float64 leave no room for the index, so these take the
+        # argsort and, where it leaves ties, the dense-rank repair.
+        f64 = np.finfo(np.float64)
+        nans = np.array([0x7FF8000000000001, 0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+        pool = np.concatenate([[-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+                                f64.smallest_subnormal, -f64.smallest_subnormal, f64.tiny / 2,
+                                -f64.tiny / 2, f64.tiny, f64.max, -f64.max,
+                                1.0, 1.0 + f64.eps, -1.0, 0.5], nans])
+        rng = derive(72, [])
+        for case in range(300):
+            n = 1 + rng.integers_below([400])[0]
+            if case % 3 == 0:  # mostly distinct, a few values repeated
+                values = rng.uniform(n, -1.0, 1.0)
+                values[rng.integers_below([n] * (n // 20))] = pool[case % len(pool)]
+            else:  # every 6th only -0.0 and +0.0, the rest all of the pool
+                values = pool[rng.integers_below([2 if case % 6 == 1 else len(pool)] * n)]
+            if case % 4 == 0:  # a run of NaNs
+                start = rng.integers_below([n])[0]
+                values[start:start + 1 + rng.integers_below([n])[0]] = pool[2 + case % 2]
+            self.check(values)
+
+    def test_rows_with_and_without_ties(self):
+        rng = derive(73, [])
+        for case in range(60):
+            g, n = 1 + case % 5, 1 + rng.integers_below([500])[0]
+            rows = np.array([rng.uniform(n, -3.0, 3.0) for _ in range(g)])
+            rows[case % 2::2] = np.round(rows[case % 2::2])  # every other row ties
+            self.check(rows)
+            self.check(rows.astype(np.float32))
+
+    def test_all_equal_rows(self):
+        for n in (1, 2, 3, 300, 5000):
+            for value in (0.0, -0.0, np.nan, -np.inf, 1.5):
+                self.check(np.full(n, value))
+                self.check(np.full((3, n), value, dtype=np.float32))
+            self.check(np.full((2, n), -7, dtype=np.int64))
+
+    def test_empty_and_single_entry_rows(self):
+        for dtype in (np.float64, np.float32, np.int64, np.uint64):
+            for shape in ((3, 0), (0,), (1,), (3, 1), (0, 4)):
+                self.check(np.zeros(shape, dtype=dtype))
+        self.check(np.array([np.nan]))
+
+    def test_bool_keys_and_rejected_dtypes(self):
+        self.check(np.array(derive(74, []).integers_below([2] * 200), dtype=bool))
+        for dtype in (np.float16, np.longdouble, np.complex128, object):
+            with pytest.raises(TypeError):
+                stable_order(np.ones(3, dtype=dtype))
+
+    def test_wide_keys_and_float32_nan(self):
         rng = derive(69, [])
-        # float64 values a float32 key would merge
+        # float64 values a float32 key would merge: the argsort with ties
         self.check(1.0 + np.array(rng.integers_below([4] * 500)) * 1e-12)
-        # width 2 leaves 62 key bits: a range of 2**62 - 1 fits, 2**62 does not
+        # width 2 leaves 62 key bits: a range of 2**62 - 1 is packed, 2**62
+        # and wider take the argsort
         for lo, hi in ((-2**61, 2**61 - 1), (-2**61, 2**61), (-2**63, 2**63 - 1)):
             self.check(np.array([hi, lo, hi, lo], dtype=np.int64))
         self.check(np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64))
-        self.check(np.array([1.0, np.nan, -1.0, np.nan, 0.0], dtype=np.float32))
+        # a float32 NaN keys above +inf and stays packed
+        self.check(np.array([1.0, np.nan, -1.0, np.nan, 0.0, np.inf], dtype=np.float32))
 
     def test_votes_return_stable_order_of_their_tally(self):
         rng = derive(70, [])

@@ -11,12 +11,14 @@ straight-through estimator), and its weights never change.  One trainer
 and one accuracy rule serve both.  All reductions run in float64;
 parameters stay float32.
 
-A :class:`Supernetwork` holds the float32 arrays it is given, not copies:
-every party rebuilds the same network from the shared seed, so the seed's
-weights and a state's scores are shared read-only by every cohort and
-every evaluation.  :meth:`Supernetwork.from_seed` freezes the weights it
-draws and :class:`SeedNetwork` freezes everything it shares; nothing here
-writes a network's arrays in place.
+:class:`Supernetwork` is the one network type.  It holds the float32
+arrays it is given, not copies: every party rebuilds the same network from
+the shared seed, so :meth:`Supernetwork.from_seed` draws it read-only once
+per run, and its weights and a round's scores (the rebuild
+:meth:`Supernetwork.reorder_all_scores` makes of the voted ranking) are
+shared by every cohort and every evaluation.  The trainer takes scores
+apart from the network and returns new stacks; nothing here writes a
+network's arrays in place.
 
 The trainer runs a cohort of G clients in lockstep.  Every client starts
 from the same parameters, so each layer's parameters and momentum are one
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import InitKind, RngStream, TAG_SCORES, TAG_WEIGHTS, derive, init_scores, init_weights
-from .ranking import finite_flat, keep_count, reorder_scores, stable_order
+from .ranking import argsort_ranking, finite_flat, keep_count, reorder_scores, stable_order
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -119,15 +121,25 @@ def validate_architecture(specs: list[LayerSpec]) -> None:
         raise ValueError("last layer must use the identity activation")
 
 
-class Supernetwork:
-    """Fixed random weights plus per-edge scores, layer by layer.
+def seed_weights(seed: int, specs: list[LayerSpec], weight_init: InitKind) -> list[np.ndarray]:
+    """Each layer's weights as any party draws them from the shared seed:
+    one tagged sub-stream fills every matrix in layer order, so all parties
+    agree bitwise."""
+    rng = derive(seed, [TAG_WEIGHTS])
+    return [init_weights((sp.fan_out, sp.fan_in), weight_init, rng) for sp in specs]
 
-    Each layer's scores are one (fan_out, fan_in) matrix, or, once
-    :func:`edge_popup_train` has trained a cohort, a (G, fan_out, fan_in)
-    stack of G clients' scores over the shared weights.  The arrays are
-    held as given, only a non-float32 one converted, and never written:
-    training and :meth:`reorder_all_scores` replace the list entries.
-    Freezing is the maker's part; :meth:`from_seed` freezes its weights.
+
+class Supernetwork:
+    """Fixed random weights plus per-edge scores, layer by layer, with the
+    scores' ranking and each layer's scores sorted ascending (stable sort).
+
+    Each layer's weights and scores are one (fan_out, fan_in) matrix, held
+    as given, only a non-float32 one converted, and never written; the
+    ranking and sorted scores are made here and read-only.  Freezing the
+    rest is the maker's part: :meth:`from_seed` freezes all it draws, so
+    every cohort and evaluation of a run can share one network.  The
+    scores are the rebuild of their own ranking:
+    ``reorder_scores(s[r], r) == s``.
     """
 
     def __init__(self, specs: list[LayerSpec], weights: list[np.ndarray],
@@ -136,71 +148,43 @@ class Supernetwork:
         self.specs = specs
         self.weights = [np.asarray(w, dtype=np.float32) for w in weights]
         self.scores = [np.asarray(s, dtype=np.float32) for s in scores]
-        for spec, w, s in zip(specs, self.weights, self.scores):
+        for spec, w, s in zip(specs, self.weights, self.scores, strict=True):
             if w.shape != (spec.fan_out, spec.fan_in) or s.shape != w.shape:
                 raise ValueError("weight/score shapes do not match the specs")
+        self.ranking = [argsort_ranking(s) for s in self.scores]
+        self.sorted_scores = [s.ravel()[r] for s, r in zip(self.scores, self.ranking)]
+        for a in self.ranking + self.sorted_scores:
+            a.flags.writeable = False
 
     @classmethod
     def from_seed(cls, seed: int, specs: list[LayerSpec],
                   weight_init: InitKind = InitKind.SIGNED_KAIMING_CONSTANT) -> "Supernetwork":
-        """Reconstruct the network any party can build from the shared seed.
-
-        One tagged sub-stream fills all weight matrices in layer order, a
-        second fills all score matrices, so server and clients agree
-        bitwise.  The weights are read-only, the scores writable.
-        """
-        w_rng = derive(seed, [TAG_WEIGHTS])
+        """Reconstruct the network any party can build from the shared seed,
+        read-only: :func:`seed_weights`, and a second tagged sub-stream
+        filling all score matrices in layer order."""
         s_rng = derive(seed, [TAG_SCORES])
-        weights = [init_weights((sp.fan_out, sp.fan_in), weight_init, w_rng) for sp in specs]
+        weights = seed_weights(seed, specs, weight_init)
         scores = [init_scores((sp.fan_out, sp.fan_in), s_rng) for sp in specs]
-        for w in weights:
-            w.flags.writeable = False
+        for a in weights + scores:
+            a.flags.writeable = False
         return cls(specs, weights, scores)
 
-    def reorder_all_scores(self, ranking: list[np.ndarray]) -> None:
-        """Overwrite scores so their layer-wise order matches ``ranking``,
-        handing out the current scores, stably sorted."""
-        for i, (s, perm) in enumerate(zip(self.scores, ranking)):
-            values = np.sort(s.ravel(), kind="stable")
-            self.scores[i] = reorder_scores(values, perm).reshape(s.shape)
-
-    def score_rankings(self) -> list[np.ndarray]:
-        """Each layer's ranking of its scores: an (n,) permutation for a
-        matrix, a (G, n) array of one per client for a cohort's stack, from
-        one row-wise sort.  Raises unless every score is finite."""
-        return [stable_order(finite_flat(s).reshape(s.shape[:-2] + (-1,)))
-                for s in self.scores]
-
-
-class SeedNetwork:
-    """The network every party builds from the shared seed, built once.
-
-    Holds the frozen weights, the initial scores, their ranking and each
-    layer's initial scores sorted ascending (stable sort), all read-only,
-    so every cohort of every round can share one.  The initial scores are
-    the rebuild of the initial ranking: ``reorder_scores(s[r], r) == s``.
-    """
-
-    def __init__(self, seed: int, specs: list[LayerSpec],
-                 weight_init: InitKind = InitKind.SIGNED_KAIMING_CONSTANT):
-        net = Supernetwork.from_seed(seed, specs, weight_init)
-        self.specs = specs
-        self.weights = net.weights
-        self.scores = net.scores
-        self.ranking = net.score_rankings()
-        self.sorted_scores = [s.ravel()[r] for s, r in zip(net.scores, self.ranking)]
-        for a in self.scores + self.ranking + self.sorted_scores:
-            a.flags.writeable = False
-
-    def rebuild(self, ranking: list[np.ndarray]) -> list[np.ndarray]:
-        """Each layer's read-only scores for ``ranking``: what ``from_seed``
-        then ``reorder_all_scores(ranking)`` gives, without drawing the
-        weights or sorting the scores again."""
+    def reorder_all_scores(self, ranking: list[np.ndarray]) -> list[np.ndarray]:
+        """Each layer's read-only scores for ``ranking``: the network's
+        scores handed out so their layer-wise order matches it, by one
+        scatter of the sorted scores per layer."""
         scores = [reorder_scores(v, perm).reshape(w.shape)
                   for v, perm, w in zip(self.sorted_scores, ranking, self.weights)]
         for s in scores:
             s.flags.writeable = False
         return scores
+
+    def score_rankings(self, scores: list[np.ndarray]) -> list[np.ndarray]:
+        """Each layer's ranking of ``scores``: an (n,) permutation for a
+        matrix, a (G, n) array of one per client for a cohort's stack, from
+        one row-wise sort.  Raises unless every score is finite.  A method,
+        not a function, while the benchmark traces it by this name."""
+        return [stable_order(finite_flat(s).reshape(s.shape[:-2] + (-1,))) for s in scores]
 
 
 def mask_layer(scores: np.ndarray, k: float) -> np.ndarray:
@@ -450,22 +434,22 @@ def ep_backward(net: Supernetwork, cache: ForwardCache) -> list[np.ndarray]:
     return backward(net.specs, cache)
 
 
-def edge_popup_train(net: Supernetwork, batches: list[list[Minibatch]], epochs: list[int],
-                     k: float, sgd: SgdConfig, rngs: list[RngStream]) -> list[np.ndarray]:
-    """Train one copy of ``net``'s scores per client of a cohort (see
-    :func:`_train`); weights are untouched.  ``net.scores`` become the
-    (G, fan_out, fan_in) stacks, which are returned.  Each step masks every
-    live client's weights and scales their assembled gradients by W once;
-    only the passes run per group of one batch size."""
-    def grads_of(scores: list[np.ndarray], steps: list[Minibatch]) -> list[np.ndarray]:
-        grads = _grads_by_size(steps, masked_weights(net.weights, scores, k), lambda part, batch:
+def edge_popup_train(net: Supernetwork, scores: list[np.ndarray], batches: list[list[Minibatch]],
+                     epochs: list[int], k: float, sgd: SgdConfig,
+                     rngs: list[RngStream]) -> list[np.ndarray]:
+    """Train one copy of ``scores`` (a float32 matrix per layer) per client
+    of a cohort over ``net``'s weights (see :func:`_train`) and return the
+    (G, fan_out, fan_in) stacks; ``net`` is untouched.  Each step masks
+    every live client's weights and scales their assembled gradients by W
+    once; only the passes run per group of one batch size."""
+    def grads_of(live: list[np.ndarray], steps: list[Minibatch]) -> list[np.ndarray]:
+        grads = _grads_by_size(steps, masked_weights(net.weights, live, k), lambda part, batch:
                                ep_backward(net, ep_forward(net, part, batch)[1]))
         for g, w in zip(grads, net.weights):
             g *= w
         return grads
 
-    net.scores = _train(net.scores, grads_of, batches, epochs, sgd, rngs)
-    return net.scores
+    return _train(scores, grads_of, batches, epochs, sgd, rngs)
 
 
 # --- Dense (weight-trained) entries for the baseline protocols ---------------

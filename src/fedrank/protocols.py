@@ -13,13 +13,15 @@ train in cohorts of consecutive clients, each layer one stacked array
 that ``nn`` trains in lockstep.  :func:`cohort_size` fits as many clients
 as COHORT_BYTES holds at 8 bytes per edge, at least one: all 25 of a
 1,200-edge desk round, one at 784-200-10, whose layers already run inside
-numpy.  The seed network is drawn once per run by ``initial_state`` and
-carried in the ``ServerState``, with read-only scores for the state's
-ranking: the seed draw's own for the initial state, and one rebuild of the
-voted ranking per rank round after it.  Every cohort of the next round
-starts from those scores, since its clients all adopt the global ranking,
-and the evaluation masks them as they are.  A round trains its cohorts in
-order; a rank round tallies each cohort's rankings before the next trains.
+numpy.  The seed network, a read-only ``nn.Supernetwork``, is drawn once
+per run by ``initial_state`` and carried in the ``ServerState``, with
+read-only scores for the state's ranking: the seed draw's own for the
+initial state, and one ``reorder_all_scores`` rebuild of the voted ranking
+per rank round after it; weight protocols draw the seed's weights alone.
+Every cohort of the next round starts from those scores, since its clients
+all adopt the global ranking, and the evaluation masks them as they are.  A
+round trains its cohorts in order; a rank round tallies each cohort's
+rankings before the next trains.
 
 Determinism contract: every random choice comes from a stream derived from
 the experiment seed and purpose tags (sampling uses [TAG_SAMPLING, round],
@@ -42,9 +44,9 @@ from .adversary import AttackConfig, AttackKind
 from .aggregation import average, multi_krum, sign_majority, trimmed_mean
 from .analytics import CostReport, comm_cost
 from .data import ClientShards, Dataset, dirichlet_partition, gen_blobs, load_idx
-from .nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
-                 dense_evaluate, dense_train, edge_popup_train, evaluate,
-                 flatten_params, masked_weights, require_finite, rows_by_size,
+from .nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, dense_evaluate,
+                 dense_train, edge_popup_train, evaluate, flatten_params,
+                 masked_weights, require_finite, rows_by_size, seed_weights,
                  unflatten_params, validate_architecture)
 from .ranking import LayerTally, NetworkRanking, floor_count, keep_count, stable_order
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
@@ -177,13 +179,13 @@ class ServerState:
     Ranking protocols hold a permutation family, the network every party
     rebuilds from the seed, drawn once per run, and each layer's read-only
     float32 scores for the ranking, built once when the state is made
-    (``seed_net.rebuild(ranking)``); weight protocols hold the flat global
-    parameter vector.
+    (``seed_net.reorder_all_scores(ranking)``); weight protocols hold the
+    flat global parameter vector.
     """
 
     ranking: NetworkRanking | None = None
     weights: np.ndarray | None = None
-    seed_net: SeedNetwork | None = None
+    seed_net: Supernetwork | None = None
     scores: list[np.ndarray] | None = None
 
 
@@ -248,10 +250,10 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
 
 def initial_state(cfg: ExperimentConfig) -> ServerState:
     if cfg.algorithm in RANK_ALGORITHMS:
-        seed_net = SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
+        seed_net = Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
         return ServerState(ranking=seed_net.ranking, seed_net=seed_net, scores=seed_net.scores)
-    net = Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
-    return ServerState(weights=flatten_params(net.weights))
+    return ServerState(weights=flatten_params(
+        seed_weights(cfg.seed, cfg.architecture, cfg.weight_init)))
 
 
 def select_clients(cfg: ExperimentConfig, round_index: int) -> list[int]:
@@ -260,19 +262,18 @@ def select_clients(cfg: ExperimentConfig, round_index: int) -> list[int]:
     return [int(u) for u in picked]
 
 
-def fsl_client_update(seed_net: SeedNetwork, scores: list[np.ndarray],
+def fsl_client_update(seed_net: Supernetwork, scores: list[np.ndarray],
                       batches: list[list[Minibatch]], epochs: list[int], k: float,
                       sgd: SgdConfig, rngs: list) -> list[np.ndarray]:
     """One cohort's round: start from the global ranking's read-only
-    ``scores`` (a ``ServerState``'s), train every client's scores locally
-    (client c on ``batches[c]`` for ``epochs[c]`` epochs, shuffled by
-    ``rngs[c]``), and return the cohort's new rankings as one (G, n) block
-    per layer, row c client c's ranking, as
-    :meth:`Supernetwork.score_rankings` made it.
+    ``scores`` (a ``ServerState``'s) over the seed network's weights, train
+    every client's scores locally (client c on ``batches[c]`` for
+    ``epochs[c]`` epochs, shuffled by ``rngs[c]``), and return the cohort's
+    new rankings as one (G, n) block per layer, row c client c's ranking,
+    as :meth:`Supernetwork.score_rankings` made it.
     :meth:`ranking.LayerTally.add` takes such a block as it is."""
-    net = Supernetwork(seed_net.specs, seed_net.weights, scores)
-    edge_popup_train(net, batches, epochs, k, sgd, rngs)
-    return net.score_rankings()
+    return seed_net.score_rankings(edge_popup_train(seed_net, scores, batches, epochs, k,
+                                                    sgd, rngs))
 
 
 COHORT_BYTES = 256 * 1024
@@ -377,8 +378,9 @@ def fsl_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
             for _ in mal:
                 tally.add(layer)
     ranking = [tally.order() for tally in tallies]
-    return (ServerState(ranking=ranking, seed_net=state.seed_net,
-                        scores=state.seed_net.rebuild(ranking)), selected, bool(mal))
+    net = state.seed_net
+    return (ServerState(ranking=ranking, seed_net=net, scores=net.reorder_all_scores(ranking)),
+            selected, bool(mal))
 
 
 def fedavg_client_update(weights: np.ndarray, specs: list[LayerSpec],

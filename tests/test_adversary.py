@@ -11,7 +11,7 @@ from fedrank.adversary import (AttackConfig, AttackKind, OmegaKind,
 from fedrank.aggregation import (LEAF, multi_krum_select, select_from_distances,
                                  squared_distances)
 from fedrank.data import gen_blobs
-from fedrank.nn import LayerSpec, Minibatch, SeedNetwork, SgdConfig
+from fedrank.nn import LayerSpec, Minibatch, SgdConfig, Supernetwork
 from fedrank.protocols import fsl_client_update
 from fedrank.ranking import LayerTally, argsort_ranking, reverse_ranking, vote_network
 from fedrank.rng import derive
@@ -61,7 +61,7 @@ class TestRankPoison:
     SGD = SgdConfig(0.4, 0.9, 1e-4, 8)
 
     def test_single_client_is_reversed_own_ranking(self):
-        seed_net = SeedNetwork(901, self.SPECS)
+        seed_net = Supernetwork.from_seed(901, self.SPECS)
         batches = make_batches(derive(71, []), 1)
         own = [layer[0] for layer in fsl_client_update(
             seed_net, seed_net.scores, [batches[0]], [2], 0.5, self.SGD,
@@ -71,7 +71,7 @@ class TestRankPoison:
             assert np.array_equal(p, reverse_ranking(o))
 
     def test_collusion_is_reverse_of_group_vote(self):
-        seed_net = SeedNetwork(902, self.SPECS)
+        seed_net = Supernetwork.from_seed(902, self.SPECS)
         batches = make_batches(derive(72, []), 3)
         own = [[layer[0] for layer in fsl_client_update(
             seed_net, seed_net.scores, [b], [1], 0.5, self.SGD, [derive(902, [3, 1, u])])]

@@ -108,8 +108,6 @@ def test_every_definition_has_a_reader():
 # Definitions that only ``bench/`` reads: no run of the package uses them,
 # and they go once the benchmark stops naming them.
 BENCH_ONLY = (
-    "nn.Supernetwork.reorder_all_scores",
-    "ranking.argsort_ranking",
     "ranking.decode_layer_ranking",
     "ranking.decode_sparse_ranking",
     "ranking.encode_layer_ranking",

@@ -158,7 +158,7 @@ def _quantized_fsl_state():
     state = initial_state(cfg)
     seed_net = state.seed_net
     seed_net.sorted_scores = [np.round(v * 4) / 4 for v in seed_net.sorted_scores]
-    state.scores = seed_net.rebuild(state.ranking)
+    state.scores = seed_net.reorder_all_scores(state.ranking)
     return cfg, state
 
 

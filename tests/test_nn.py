@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import fedrank.nn as nn
-from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
+from fedrank.nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork,
                         dense_evaluate, dense_weight_grads, edge_popup_train,
                         ep_backward, ep_forward, evaluate, forward, mask_layer,
                         masked_weights, sgd_step)
 from fedrank.analytics import ARCH_PRESETS
 from fedrank.protocols import ExperimentConfig, run_experiment
-from fedrank.ranking import argsort_ranking
+from fedrank.ranking import argsort_ranking, reorder_scores
 from fedrank.rng import InitKind, derive
 
 
@@ -386,12 +386,12 @@ class TestTrain:
 
     def test_single_step_identity(self):
         net, batches = self._tiny_problem()
-        before = [s.copy() for s in net.scores]
+        before = net.scores
         batch = batches[0]
         _, grads = ep_pass(net, 0.5, batch)
-        net2 = Supernetwork(net.specs, list(net.weights), before)
-        edge_popup_train(net2, [[batch]], [1], 0.5, SgdConfig(0.1, 0.0, 0.0, 8), [derive(1, [])])
-        for b, g, after in zip(before, grads, [s[0] for s in net2.scores]):
+        trained = edge_popup_train(net, before, [[batch]], [1], 0.5,
+                                   SgdConfig(0.1, 0.0, 0.0, 8), [derive(1, [])])
+        for b, g, after in zip(before, grads, [s[0] for s in trained]):
             assert np.allclose(after, (b.astype(np.float64) - 0.1 * g).astype(np.float32))
 
     def test_sgd_step_matches_reference_formula(self):
@@ -457,19 +457,25 @@ class TestTrain:
     def test_epochs_zero_rejected(self):
         net, batches = self._tiny_problem()
         with pytest.raises(ValueError):
-            edge_popup_train(net, [batches], [0], 0.5, SgdConfig(0.1), [derive(1, [])])
+            edge_popup_train(net, net.scores, [batches], [0], 0.5, SgdConfig(0.1),
+                             [derive(1, [])])
 
     def test_empty_dataset_rejected(self):
         net, _ = self._tiny_problem()
         with pytest.raises(ValueError):
-            edge_popup_train(net, [[]], [1], 0.5, SgdConfig(0.1), [derive(1, [])])
+            edge_popup_train(net, net.scores, [[]], [1], 0.5, SgdConfig(0.1), [derive(1, [])])
 
     def test_weights_bitwise_unchanged(self):
+        # Training returns new stacks and leaves the network as it was.
         net, batches = self._tiny_problem()
-        before = [w.copy() for w in net.weights]
-        edge_popup_train(net, [batches], [5], 0.5, SgdConfig(0.4, 0.9, 1e-4, 8), [derive(2, [])])
-        for b, w in zip(before, net.weights):
-            assert np.array_equal(b, w)
+        arrays = net.weights + net.scores
+        before = [a.copy() for a in arrays]
+        trained = edge_popup_train(net, net.scores, [batches], [5], 0.5,
+                                   SgdConfig(0.4, 0.9, 1e-4, 8), [derive(2, [])])
+        assert all(a is b for a, b in zip(net.weights + net.scores, arrays))
+        for b, a in zip(before, arrays):
+            assert b.tobytes() == a.tobytes()
+        assert [s.shape for s in trained] == [(1,) + s.shape for s in net.scores]
 
     def test_weights_not_writable(self):
         net, _ = self._tiny_problem()
@@ -483,16 +489,16 @@ class TestTrain:
         net = Supernetwork.from_seed(7, specs)
         batches = [Minibatch(ds.features[i : i + 8], ds.labels[i : i + 8])
                    for i in range(0, len(ds.labels), 8)]
-        edge_popup_train(net, [batches], [20], 0.5, SgdConfig(0.4, 0.9, 1e-4, 8), [derive(34, [])])
-        weights = masked_weights(net.weights, [s[0] for s in net.scores], 0.5)
+        trained = edge_popup_train(net, net.scores, [batches], [20], 0.5,
+                                   SgdConfig(0.4, 0.9, 1e-4, 8), [derive(34, [])])
+        weights = masked_weights(net.weights, [s[0] for s in trained], 0.5)
         assert evaluate(specs, weights, ds.features, ds.labels) > 0.9
 
     def test_k_one_mask_equals_untrained(self):
         net, batches = self._tiny_problem(seed=35)
-        before = [s.copy() for s in net.scores]
-        edge_popup_train(net, [batches], [3], 1.0, SgdConfig(0.4, 0.9, 0.0, 8), [derive(3, [])])
-        after = [s[0] for s in net.scores]
-        changed = any(not np.array_equal(b, s) for b, s in zip(before, after))
+        after = [s[0] for s in edge_popup_train(net, net.scores, [batches], [3], 1.0,
+                                                SgdConfig(0.4, 0.9, 0.0, 8), [derive(3, [])])]
+        changed = any(not np.array_equal(b, s) for b, s in zip(net.scores, after))
         assert changed  # scores move, the mask cannot
         for s in after:
             assert np.all(mask_layer(s, 1.0) == 1.0)
@@ -552,48 +558,49 @@ class TestAccuracyRule:
         assert dense_evaluate(weights, [LayerSpec(2, 3, "identity")], self.X, self.LABELS) == 1.0
 
 
-class TestSeedNetwork:
+class TestSeedReconstruction:
     SPECS = [LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "identity")]
 
     def test_rebuild_equals_from_seed_and_reorder(self):
+        # Oracle: each layer's drawn scores stably sorted, then scattered by
+        # the ranking.  The seed draw's ranking is argsort_ranking of its
+        # scores, and the rebuild leaves the weights as drawn.
         rng = derive(39, [])
         for seed in (0, 3, 2**32 - 1):
             for init in (InitKind.SIGNED_KAIMING_CONSTANT, InitKind.KAIMING_NORMAL):
-                cached = SeedNetwork(seed, self.SPECS, init)
+                net = Supernetwork.from_seed(seed, self.SPECS, init)
                 fresh = Supernetwork.from_seed(seed, self.SPECS, init)
-                assert all(a.tobytes() == b.tobytes()
-                           for a, b in zip(cached.ranking, fresh.score_rankings()))
+                assert all(a.tobytes() == argsort_ranking(s).tobytes()
+                           for a, s in zip(net.ranking, fresh.scores))
                 for _ in range(5):
                     ranking = [argsort_ranking(rng.uniform(sp.n_edges)) for sp in self.SPECS]
-                    got = cached.rebuild(ranking)
-                    want = Supernetwork.from_seed(seed, self.SPECS, init)
-                    want.reorder_all_scores(ranking)
-                    for a, b in zip(cached.weights + got, want.weights + want.scores):
+                    got = net.reorder_all_scores(ranking)
+                    want = [reorder_scores(np.sort(s.ravel(), kind="stable"), r).reshape(s.shape)
+                            for s, r in zip(fresh.scores, ranking)]
+                    for a, b in zip(net.weights + got, fresh.weights + want):
                         assert a.dtype == b.dtype and a.shape == b.shape
                         assert a.tobytes() == b.tobytes()
 
     def test_shared_arrays_read_only(self):
-        net = SeedNetwork(4, self.SPECS)
-        rebuilt = net.rebuild(net.ranking)
+        net = Supernetwork.from_seed(4, self.SPECS)
+        rebuilt = net.reorder_all_scores(net.ranking)
+        # from_seed freezes all it draws, and every network its ranking,
+        # its sorted scores and each rebuild.
         for a in net.weights + net.scores + net.sorted_scores + net.ranking + rebuilt:
             with pytest.raises(ValueError):
                 a.flat[0] = 1
         # The initial scores are the rebuild of the initial ranking.
         assert [a.tobytes() for a in rebuilt] == [a.tobytes() for a in net.scores]
         # A network holds the float32 arrays it is given, copying none,
-        # writable ones included.
+        # writable ones included, and freezes none of them.
         over = Supernetwork(net.specs, net.weights, rebuilt)
         assert all(a is b for a, b in zip(over.weights + over.scores, net.weights + rebuilt))
         writable = [a.copy() for a in net.weights + rebuilt]
         own = Supernetwork(net.specs, writable[:len(net.specs)], writable[len(net.specs):])
         assert all(a is b for a, b in zip(own.weights + own.scores, writable))
-        # from_seed freezes the weights it draws and leaves its scores writable.
-        drawn = Supernetwork.from_seed(4, self.SPECS)
-        assert not any(w.flags.writeable for w in drawn.weights)
-        assert all(s.flags.writeable for s in drawn.scores)
+        assert all(a.flags.writeable for a in writable)
+        assert not any(a.flags.writeable for a in own.ranking + own.sorted_scores)
 
-
-class TestSeedReconstruction:
     def test_bitwise_identical_rebuild(self):
         specs = [LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "identity")]
         for seed in (0, 1, 2**31, 2**32 - 1):
@@ -614,3 +621,12 @@ class TestSeedReconstruction:
             Supernetwork.from_seed(1, [LayerSpec(3, 4, "relu"), LayerSpec(5, 2, "identity")])
         with pytest.raises(ValueError):
             Supernetwork.from_seed(1, [LayerSpec(3, 4, "relu")])
+
+    def test_one_weight_and_score_matrix_per_layer(self):
+        # Two layers given one matrix each must not build a one-layer
+        # network whose logits have the first layer's width.
+        net = Supernetwork.from_seed(1, self.SPECS)
+        w, s = net.weights, net.scores
+        for weights, scores in ((w[:1], s[:1]), (w[:1], s), (w, s[:1]), (w + w[:1], s + s[:1])):
+            with pytest.raises(ValueError):
+                Supernetwork(self.SPECS, weights, scores)

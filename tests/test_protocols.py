@@ -8,8 +8,8 @@ import pytest
 import fedrank.nn as nn
 import fedrank.protocols as protocols
 from fedrank.adversary import AttackConfig, AttackKind
-from fedrank.nn import (LayerSpec, Minibatch, SeedNetwork, SgdConfig, Supernetwork,
-                        dense_weight_grads, unflatten_params)
+from fedrank.nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, dense_weight_grads,
+                        flatten_params, unflatten_params)
 from fedrank.protocols import (Aggregator, Algorithm, DatasetKind, DatasetSpec,
                                ExperimentConfig, ServerState, baseline_round,
                                build_environment, fedavg_client_update,
@@ -32,8 +32,8 @@ def client_rankings(blocks):
     return [list(client) for client in zip(*blocks)]
 
 
-def seed_network(cfg: ExperimentConfig) -> SeedNetwork:
-    return SeedNetwork(cfg.seed, cfg.architecture, cfg.weight_init)
+def seed_network(cfg: ExperimentConfig) -> Supernetwork:
+    return Supernetwork.from_seed(cfg.seed, cfg.architecture, cfg.weight_init)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -162,7 +162,7 @@ class TestFslClientUpdate:
             feats = np.stack([signal, noise], axis=1)
             batches = [Minibatch(feats[i : i + 8], labels[i : i + 8])
                        for i in range(0, 64, 8)]
-            seed_net = SeedNetwork(seed, specs)
+            seed_net = Supernetwork.from_seed(seed, specs)
             ranking = client_rankings(fsl_client_update(
                 seed_net, seed_net.scores, [batches], [3], 0.5, sgd,
                 [derive(seed, [TAG_TRAIN, 1, 0])]))[0]
@@ -210,7 +210,8 @@ class TestFslRound:
 
         monkeypatch.setattr(protocols, "fsl_client_update", fake_update)
         # Two layers of six edges, as the fixture rankings have.
-        seed_net = SeedNetwork(cfg3.seed, [LayerSpec(2, 3), LayerSpec(3, 2, "identity")])
+        seed_net = Supernetwork.from_seed(cfg3.seed,
+                                          [LayerSpec(2, 3), LayerSpec(3, 2, "identity")])
         state = ServerState(ranking=[FIG_R1, FIG_R1], seed_net=seed_net, scores=seed_net.scores)
         new_state, _, _ = fsl_round(state, env, cfg3, 1)
         assert new_state.ranking[0].tolist() == [0, 2, 4, 5, 3, 1]
@@ -249,6 +250,7 @@ class TestSharedSeedNetwork:
     def test_one_seed_network_draw_per_run(self, fsl_env, monkeypatch):
         # The network is drawn in initial_state and carried by the state:
         # neither the rounds, their evaluations nor the attackers draw it.
+        # A weight protocol draws the seed's weights alone, the same ones.
         _, env = fsl_env
         cfg = tiny_config()
         attacked = tiny_config(attack=AttackConfig(0.5, AttackKind.RANK_REVERSAL))
@@ -266,12 +268,18 @@ class TestSharedSeedNetwork:
             assert attack_active == (round_cfg is attacked)
             assert not np.isnan(protocols._evaluate_ranking(round_cfg, env, state).mean())
         assert len(draws) == 1
+        fedavg = tiny_config(algorithm=Algorithm.FEDAVG)
+        assert len(run_experiment(fedavg, env=env)) == fedavg.rounds
+        assert len(draws) == 1
+        weights = Supernetwork.from_seed(fedavg.seed, fedavg.architecture).weights
+        assert initial_state(fedavg).weights.tobytes() == flatten_params(weights).tobytes()
 
     def test_one_rebuild_per_global_ranking(self, monkeypatch):
         # At 784-200-10 every cohort is one client.  The initial state takes
         # the seed draw's scores, each round rebuilds the ranking it voted
         # once, and its five cohorts and the evaluation all start from that
-        # one rebuild: one scatter per layer per round.
+        # one rebuild: one reorder_all_scores call, one scatter per layer,
+        # per round.
         cfg = ExperimentConfig(
             algorithm=Algorithm.FSL, rounds=2, eval_every=1, num_clients=10,
             clients_per_round=5, local_epochs=1, seed=8,
@@ -279,12 +287,16 @@ class TestSharedSeedNetwork:
             dataset=DatasetSpec(kind="blobs", blob_classes=10, blob_dims=784,
                                 blob_samples_per_class=4, blob_cluster_std=2.0))
         assert protocols.cohort_size(cfg.architecture) == 1
-        reorder, calls, cohorts = nn.reorder_scores, [], []
-        update = protocols.fsl_client_update
+        reorder, calls, cohorts, rebuilds = nn.reorder_scores, [], [], []
+        update, rebuild = protocols.fsl_client_update, Supernetwork.reorder_all_scores
 
         def spy(values, ranking):
             calls.append(len(values))
             return reorder(values, ranking)
+
+        def rebuild_spy(net, ranking):
+            rebuilds.append(net)
+            return rebuild(net, ranking)
 
         def counted(*args):
             cohorts.append(len(args[2]))
@@ -292,9 +304,11 @@ class TestSharedSeedNetwork:
 
         monkeypatch.setattr(nn, "reorder_scores", spy)
         monkeypatch.setattr(protocols, "fsl_client_update", counted)
+        monkeypatch.setattr(Supernetwork, "reorder_all_scores", rebuild_spy)
         records = run_experiment(cfg)
         assert len(records) == 2 and cohorts == [1] * 10
         assert calls == [156800, 2000] * 2
+        assert len(rebuilds) == 2 and rebuilds[0] is rebuilds[1]
 
     def test_client_training_leaves_next_rebuild_unchanged(self, fsl_env):
         # A cohort trains from the state's read-only scores, shared, not
@@ -313,7 +327,7 @@ class TestSharedSeedNetwork:
         trained = client(seed_net, scores)
         assert any(not np.array_equal(a, b) for a, b in zip(trained, seed_net.ranking))
         assert before == [s.tobytes() for s in scores]
-        assert before == [s.tobytes() for s in seed_net.rebuild(seed_net.ranking)]
+        assert before == [s.tobytes() for s in seed_net.reorder_all_scores(seed_net.ranking)]
         fresh = seed_network(cfg)
         for a, b in zip(trained, client(fresh, [s.copy() for s in fresh.scores])):
             assert a.tobytes() == b.tobytes()
@@ -625,7 +639,7 @@ def _ref_train(params, grads_of, batches, epochs, sgd, rng):
 
 
 def _ref_fsl_client(seed_net, ranking, batches, epochs, k, sgd, rng):
-    weights, scores = seed_net.weights, [s.copy() for s in seed_net.rebuild(ranking)]
+    weights, scores = seed_net.weights, [s.copy() for s in seed_net.reorder_all_scores(ranking)]
 
     def grads_of(batch):
         eff = [(w * _ref_mask(s, k)).astype(np.float64) for w, s in zip(weights, scores)]
@@ -667,7 +681,7 @@ class TestCohortTrainer:
 
     @pytest.mark.parametrize("cohort", [len(LENGTHS), 1])
     def test_fsl_matches_per_client_loop(self, cohort):
-        seed_net = SeedNetwork(31, self.SPECS)
+        seed_net = Supernetwork.from_seed(31, self.SPECS)
         ranking = [argsort_ranking(derive(32, [li]).uniform(sp.n_edges))
                    for li, sp in enumerate(self.SPECS)]
         sgd = SgdConfig(0.4, 0.9, 1e-4, 8)
@@ -675,7 +689,8 @@ class TestCohortTrainer:
         got = []
         for lo in range(0, len(batches), cohort):
             sl = slice(lo, lo + cohort)
-            got += client_rankings(fsl_client_update(seed_net, seed_net.rebuild(ranking),
+            got += client_rankings(fsl_client_update(seed_net,
+                                                     seed_net.reorder_all_scores(ranking),
                                                      batches[sl],
                                                      self.EPOCHS[sl], 0.5, sgd, rngs[sl]))
         want = [_ref_fsl_client(seed_net, ranking, b, e, 0.5, sgd, r)
@@ -700,7 +715,7 @@ class TestCohortTrainer:
             assert u.tobytes() == _ref_fedavg_client(theta, self.SPECS, b, e, sgd, r).tobytes()
 
     def test_non_finite_scores_raise_as_before(self):
-        seed_net = SeedNetwork(33, self.SPECS)
+        seed_net = Supernetwork.from_seed(33, self.SPECS)
         sgd = SgdConfig(1e300, 0.0, 0.0, 8)  # the first step overflows the scores
         batches = self.shards()
         with pytest.raises(ValueError) as want:
@@ -760,7 +775,7 @@ def _list_vote_round(state, env, cfg, round_index):
             tally.add(block)
     ranking = [tally.order() for tally in tallies]
     return (ServerState(ranking=ranking, seed_net=state.seed_net,
-                        scores=state.seed_net.rebuild(ranking)), selected, mal)
+                        scores=state.seed_net.reorder_all_scores(ranking)), selected, mal)
 
 
 class TestStreamedVote:

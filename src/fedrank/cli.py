@@ -77,9 +77,6 @@ def _parsed(key: str, conv, items: list[str]) -> list:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = parse_config(args.config)
-        if args.seed_override is not None:
-            cfg.seed = args.seed_override
-            cfg.validate()
         env = build_environment(cfg)  # loads and partitions the data before any output
         out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
         manifest_path = out_dir / "manifest.json"
@@ -98,8 +95,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             "outputs": {"records": records_path.name, "summary": summary_path.name},
         }
         out_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        # Opened before the manifest is written: a failure here leaves no manifest.
         records_file = open(records_path, "w", buffering=1)  # a line is flushed as it ends
+        try:
+            manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        except OSError:
+            records_file.close()
+            raise
     except (ValueError, OSError) as exc:
         return _fail(exc)
 
@@ -192,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to the key=value config")
     run.add_argument("--out", default=None,
                      help=f"output directory (default: ${OUT_DIR_ENV} or .)")
-    run.add_argument("--seed-override", type=int, default=None)
     run.set_defaults(func=cmd_run)
 
     bound = sub.add_parser("bound", help="sweep the vote failure-probability bound")

@@ -167,10 +167,6 @@ class ExperimentConfig:
             if self.aggregator is Aggregator.TRIMMED_MEAN and n <= 2 * f:
                 raise ValueError(f"trimmed_mean needs clients_per_round > 2 * f = {2 * f} {of_f}")
 
-    @property
-    def attack_epochs(self) -> int:
-        return self.attack.epochs if self.attack.epochs is not None else self.local_epochs
-
 
 @dataclass
 class ServerState:
@@ -233,6 +229,9 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
         raise ValueError("dataset dimensionality does not match the first layer")
     if dataset.num_classes > cfg.architecture[-1].fan_out:
         raise ValueError("architecture has fewer outputs than classes")
+    if cfg.num_clients > len(dataset.labels):  # before a partition linear in num_clients
+        raise ValueError(f"num_clients = {cfg.num_clients} exceeds the dataset's "
+                         f"{len(dataset.labels)} samples")
     shards = dirichlet_partition(dataset.labels, cfg.num_clients, cfg.dirichlet_alpha,
                                  derive(cfg.seed, [TAG_PARTITION]))
     for c, idx in enumerate(shards.train):
@@ -241,9 +240,8 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
                              f"samples over {cfg.num_clients} clients)")
     batches = [_client_batches(dataset, idx, cfg.sgd.batch_size) for idx in shards.train]
     tests = [(dataset.features[idx], dataset.labels[idx]) for idx in shards.test]
-    arch_counts = [sp.n_edges for sp in cfg.architecture]
-    k_or_s = cfg.sparsity if cfg.algorithm in (Algorithm.SPARSE_FSL, Algorithm.TOPK) else None
-    cost = comm_cost(arch_counts, cfg.algorithm.value, k_or_s)
+    cost = comm_cost([sp.n_edges for sp in cfg.architecture], cfg.algorithm.value,
+                     cfg.sparsity)
     return Environment(dataset=dataset, shards=shards, train_batches=batches,
                        test_sets=tests, cost=cost)
 
@@ -290,13 +288,14 @@ def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
     """Sample the round's clients; return them, the positions among them of
     the malicious ones, and, lazily, each cohort of cohort_size consecutive
     clients, in client order, as the position of its first client and
-    ``train(batches, epochs, rngs)`` of the cohort.  Client
-    u trains on its stream [TAG_TRAIN, round, u], attackers for
-    ``attack_epochs``; ``validate`` ties each attack kind to one family."""
+    ``train(batches, epochs, rngs)`` of the cohort.  Client u trains on its
+    stream [TAG_TRAIN, round, u], attackers for ``attack.epochs`` if set;
+    ``validate`` ties each attack kind to one family."""
     selected = select_clients(cfg, round_index)
     n_mal = cfg.attack.malicious_count(cfg.num_clients)
     mal = [i for i, u in enumerate(selected) if u < n_mal]
-    epochs = [cfg.attack_epochs if u < n_mal else cfg.local_epochs for u in selected]
+    epochs = [(cfg.attack.epochs or cfg.local_epochs) if u < n_mal else cfg.local_epochs
+              for u in selected]
     prefix = derive(cfg.seed, [TAG_TRAIN, round_index])
     rngs = [prefix.child(u) for u in selected]
     batches = [env.train_batches[u] for u in selected]

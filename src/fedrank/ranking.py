@@ -275,10 +275,11 @@ def reverse_ranking(r: LayerRanking) -> LayerRanking:
 
 
 def truncate_ranking(r: LayerRanking, s: float) -> SparseLayerRanking:
-    """Keep the top s-fraction of a full ranking.
+    """Keep the top s-fraction of a full ranking, the sparse upload.
 
-    ``top`` is a view of the suffix and shares memory with ``r``: a round
-    truncates every client's ranking, and a copy would hold each twice.
+    ``top`` is a view of the suffix and shares memory with ``r``, so the cut
+    copies nothing.  No round calls this: :class:`LayerTally` makes a
+    round's cuts.
     """
     r = _integer_entries(r).astype(np.int64, copy=False)
     keep = keep_count(len(r), s)

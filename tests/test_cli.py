@@ -47,6 +47,16 @@ def demo_cfg(tmp_path, changes):
     return write_cfg(tmp_path, "\n".join(lines + added) + "\n")
 
 
+def idx_changes(tmp_path, rows, cols):
+    """demo.cfg changes for an idx dataset of 4 images of rows x cols pixels."""
+    images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 4, rows, cols) + bytes(4 * rows * cols))
+    labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 0, 1]))
+    return {"dataset": "idx", "idx_images": str(images), "idx_labels": str(labels),
+            "blob_classes": None, "blob_dims": None, "blob_samples_per_class": None,
+            "blob_cluster_std": None}
+
+
 def read_rows(path):
     with open(path) as f:
         return list(csv.DictReader(f))
@@ -143,10 +153,12 @@ class TestRun:
          "blob_classes and blob_samples_per_class must be >= 1"),
         ({"blob_cluster_std": "-1"}, "blob_cluster_std must be >= 0"),
         ({"dirichlet_alpha": "0"}, "dirichlet_alpha must be > 0"),
-        ({"blob_samples_per_class": "2"},
-         "client 0 gets no training samples (20 samples over 40 clients)"),
+        ({"blob_samples_per_class": "2"}, "num_clients = 40 exceeds the dataset's 20 samples"),
         ({"blob_cluster_std": "1e308"},
          "blob_cluster_std = 1e+308 overflows the blob features"),
+        ({"blob_samples_per_class": "4"},  # enough samples, but a Dirichlet draw leaves one empty
+         "client 0 gets no training samples (40 samples over 40 clients)"),
+        ({"seed": "4294967296"}, "seed must fit in 32 bits"),
     ])
     @pytest.mark.filterwarnings("error")  # numpy's overflow warnings included
     def test_demo_config_value_that_would_fail_mid_run_rejected(
@@ -159,56 +171,65 @@ class TestRun:
     @pytest.mark.parametrize("missing", [False, True])
     def test_idx_data_error_rejected_before_output(self, tmp_path, capsys, missing):
         # An idx dataset is checked once it is loaded, still before any output.
-        images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
-        images.write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(16))  # 2x2 pixels
-        labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 0, 1]))
+        changes = idx_changes(tmp_path, 2, 2)
         if missing:
-            images = tmp_path / "none.idx"
-            message = f"[Errno 2] No such file or directory: '{images}'"
+            changes["idx_images"] = str(tmp_path / "none.idx")
+            message = f"[Errno 2] No such file or directory: '{changes['idx_images']}'"
         else:
             message = "dataset dimensionality does not match the first layer"
-        changes = {"dataset": "idx", "idx_images": str(images), "idx_labels": str(labels),
-                   "blob_classes": None, "blob_dims": None, "blob_samples_per_class": None,
-                   "blob_cluster_std": None}
         rc = main(["run", "--config", demo_cfg(tmp_path, changes), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("idx", [False, True])
+    def test_more_clients_than_samples_rejected_before_partition(self, tmp_path, capsys,
+                                                                 monkeypatch, idx):
+        # Partitioning takes time linear in num_clients; the count alone decides.
+        def partition(*args):
+            raise AssertionError("dirichlet_partition was called")
+
+        monkeypatch.setattr(protocols, "dirichlet_partition", partition)
+        changes = idx_changes(tmp_path, 4, 5) if idx else {}
+        changes["num_clients"] = "10" if idx else "200000"
+        rc = main(["run", "--config", demo_cfg(tmp_path, changes), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: num_clients = {changes['num_clients']} exceeds the dataset's "
+            f"{4 if idx else 1000} samples\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("blocked", ["records.jsonl", "manifest.json"])
+    def test_output_that_cannot_open_leaves_no_manifest(self, tmp_path, capsys, blocked):
+        # records.jsonl opens first, so a manifest is never left unfinished.
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "manifest.json").is_file()
+
     @staticmethod
-    def _assert_workers_unknown(tmp_path, capsys, workers):
-        # Rounds train in order; there is no pool for --workers to size.
+    def _assert_unknown(tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o"),
-                  "--workers", workers])
+                  flag, value])
         assert exit_info.value.code == 2
-        assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_workers_flag_rejected(self, tmp_path, capsys):
-        self._assert_workers_unknown(tmp_path, capsys, "2")
+        # Rounds train in order; there is no pool for --workers to size.
+        self._assert_unknown(tmp_path, capsys, "--workers", "2")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
         # Once a range error of its own, now an unknown argument like any value.
-        self._assert_workers_unknown(tmp_path, capsys, workers)
+        self._assert_unknown(tmp_path, capsys, "--workers", workers)
 
-    def test_seed_override(self, tmp_path):
-        cfg = write_cfg(tmp_path)
-        main(["run", "--config", cfg, "--out", str(tmp_path / "a")])
-        main(["run", "--config", cfg, "--out", str(tmp_path / "b"),
-              "--seed-override", "99"])
-        assert (tmp_path / "a/summary.csv").read_text() != \
-            (tmp_path / "b/summary.csv").read_text()
-        manifest = json.loads((tmp_path / "b/manifest.json").read_text())
-        assert manifest["config"]["seed"] == 99
-
-    def test_seed_override_out_of_range_rejected(self, tmp_path, capsys):
-        rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o"),
-                   "--seed-override", "4294967296"])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: seed must fit in 32 bits\n"
-        assert not (tmp_path / "o").exists()
+    def test_seed_override_flag_rejected(self, tmp_path, capsys):
+        # The config's seed key is the one way to set the seed.
+        self._assert_unknown(tmp_path, capsys, "--seed-override", "1")
 
     def test_training_failure_propagates(self, tmp_path, monkeypatch):
         # Anything but a ValueError is a fault of the program: it raises, once

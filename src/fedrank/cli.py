@@ -60,12 +60,6 @@ def records_to_csv(records: list[RoundRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fail(exc: Exception) -> int:
-    """A user error: one ``error:`` line and exit code 2."""
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
-
-
 def _parsed(key: str, conv, items: list[str]) -> list:
     """``conv`` of each item; a bad item is a ValueError naming ``key``."""
     try:
@@ -75,35 +69,24 @@ def _parsed(key: str, conv, items: list[str]) -> list:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = parse_config(args.config)
-        env = build_environment(cfg)  # loads and partitions the data before any output
-        out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
-        manifest_path = out_dir / "manifest.json"
-        records_path = out_dir / "records.jsonl"
-        summary_path = out_dir / "summary.csv"
-        sizes = [len(tr) + len(te) for tr, te in zip(env.shards.train, env.shards.test)]
-        manifest = {
-            "config": config_to_flat_dict(cfg),
-            "version": __version__,
-            # The partition's gammas come from numpy's log and cos.
-            "shards": {"undersized": env.shards.undersized, "min": min(sizes),
-                       "median": statistics.median(sizes), "max": max(sizes),
-                       "python": platform.python_version(), "numpy": np.__version__},
-            "started": _now(),
-            "finished": None,
-            "outputs": {"records": records_path.name, "summary": summary_path.name},
-        }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # Opened before the manifest is written: a failure here leaves no manifest.
-        records_file = open(records_path, "w", buffering=1)  # a line is flushed as it ends
-        try:
-            manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-        except OSError:
-            records_file.close()
-            raise
-    except (ValueError, OSError) as exc:
-        return _fail(exc)
+    cfg = parse_config(args.config)
+    env = build_environment(cfg)  # loads and partitions the data before any output
+    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+    manifest_path = out_dir / "manifest.json"
+    records_path = out_dir / "records.jsonl"
+    summary_path = out_dir / "summary.csv"
+    sizes = [len(tr) + len(te) for tr, te in zip(env.shards.train, env.shards.test)]
+    manifest = {
+        "config": config_to_flat_dict(cfg),
+        "version": __version__,
+        # The partition's gammas come from numpy's log and cos.
+        "shards": {"undersized": env.shards.undersized, "min": min(sizes),
+                   "median": statistics.median(sizes), "max": max(sizes),
+                   "python": platform.python_version(), "numpy": np.__version__},
+        "started": _now(),
+        "finished": None,
+        "outputs": {"records": records_path.name, "summary": summary_path.name},
+    }
 
     def finish(**fields) -> None:
         manifest.update(fields, finished=_now())
@@ -115,17 +98,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             row[key] = _json_safe(row[key])
         records_file.write(json.dumps(row) + "\n")
 
-    try:
-        with records_file:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # Opened before the manifest is written, so a failure here leaves no
+    # manifest, and emptied only after it is, so a failed manifest write
+    # leaves an earlier run's records as they were.
+    with open(records_path, "a", buffering=1) as records_file:  # a line is flushed as it ends
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        records_file.truncate(0)
+        try:
             records = run_experiment(cfg, env=env, on_eval=write_record)
-    except BaseException as exc:  # the manifest says how the run ended
-        finish(error=f"{type(exc).__name__}: {exc}")
-        if isinstance(exc, ValueError):  # a value training cannot go on from
-            return _fail(exc)
-        raise
-
-    summary_path.write_text(records_to_csv(records))
-
+            summary_path.write_text(records_to_csv(records))
+        except BaseException as exc:  # the manifest says how the run ended
+            finish(error=f"{type(exc).__name__}: {exc}")
+            raise
     finish()
     print(f"wrote {summary_path} ({len(records)} eval points)")
     return 0
@@ -148,15 +133,12 @@ def bound_csv(n: int, p_min: float, p_max: float, p_steps: int,
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        alphas = _parsed("alpha", float, [a for a in args.alpha.split(",") if a.strip() != ""])
-        if not alphas:
-            raise ValueError("alpha list is empty")
-        if args.p_steps < 1 or not (0 < args.p_min <= args.p_max < 1):
-            raise ValueError("p grid must satisfy 0 < p_min <= p_max < 1 and p_steps >= 1")
-        _emit(bound_csv(args.n, args.p_min, args.p_max, args.p_steps, alphas), args.out)
-    except (ValueError, OSError) as exc:
-        return _fail(exc)
+    alphas = _parsed("alpha", float, [a for a in args.alpha.split(",") if a.strip() != ""])
+    if not alphas:
+        raise ValueError("alpha list is empty")
+    if args.p_steps < 1 or not (0 < args.p_min <= args.p_max < 1):
+        raise ValueError("p grid must satisfy 0 < p_min <= p_max < 1 and p_steps >= 1")
+    _emit(bound_csv(args.n, args.p_min, args.p_max, args.p_steps, alphas), args.out)
     return 0
 
 
@@ -169,19 +151,16 @@ def commcost_csv(arch_name: str, counts: list[int]) -> str:
 
 
 def cmd_commcost(args: argparse.Namespace) -> int:
-    try:
-        if bool(args.preset) == bool(args.counts):
-            raise ValueError("provide exactly one of --preset or --counts")
-        if args.counts:
-            name, counts = "custom", _parsed("counts", int, args.counts.split(","))
-        elif args.preset in ARCH_PRESETS:
-            name, counts = args.preset, ARCH_PRESETS[args.preset]
-        else:
-            raise ValueError(f"unknown preset {args.preset!r}; choices: "
-                             f"{', '.join(sorted(ARCH_PRESETS))}")
-        _emit(commcost_csv(name, counts), args.out)
-    except (ValueError, OSError) as exc:
-        return _fail(exc)
+    if bool(args.preset) == bool(args.counts):
+        raise ValueError("provide exactly one of --preset or --counts")
+    if args.counts:
+        name, counts = "custom", _parsed("counts", int, args.counts.split(","))
+    elif args.preset in ARCH_PRESETS:
+        name, counts = args.preset, ARCH_PRESETS[args.preset]
+    else:
+        raise ValueError(f"unknown preset {args.preset!r}; choices: "
+                         f"{', '.join(sorted(ARCH_PRESETS))}")
+    _emit(commcost_csv(name, counts), args.out)
     return 0
 
 
@@ -218,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # a bad input or output: one line, exit code 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -208,6 +209,47 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
         assert not (tmp_path / "o" / "manifest.json").is_file()
+
+    def test_summary_that_cannot_be_written_ends_the_manifest(self, tmp_path, capsys):
+        # Reported after the last round: records.jsonl is whole and the
+        # manifest says how the run ended.
+        cfg = write_cfg(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+        (tmp_path / "o" / "summary.csv").mkdir(parents=True)
+        capsys.readouterr()
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"].startswith("IsADirectoryError: [Errno 21] Is a directory")
+        assert manifest["finished"] is not None
+        assert (tmp_path / "o" / "records.jsonl").read_bytes() == \
+            (tmp_path / "whole" / "records.jsonl").read_bytes()
+
+    def test_manifest_that_cannot_be_written_keeps_earlier_records(self, tmp_path, capsys):
+        # records.jsonl is emptied only once the manifest is written.
+        (tmp_path / "o" / "manifest.json").mkdir(parents=True)
+        earlier = b'{"round": 2}\n'
+        (tmp_path / "o" / "records.jsonl").write_bytes(earlier)
+        rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+        assert (tmp_path / "o" / "records.jsonl").read_bytes() == earlier
+
+    def test_os_error_mid_training_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        rc = main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["error"] == "OSError: [Errno 28] No space left on device"
+        assert manifest["finished"] is not None
+        assert not (tmp_path / "o" / "summary.csv").exists()
 
     @staticmethod
     def _assert_unknown(tmp_path, capsys, flag, value):
@@ -452,3 +494,33 @@ class TestCommcost:
         assert rc == 2
         assert captured.err == "error: provide exactly one of --preset or --counts\n"
         assert captured.out == ""
+
+
+def error_exits(source: str) -> list[int]:
+    """Line of every ``error:`` string and every ``return 2`` outside the
+    module-level ``main``, the one place the CLI turns an error into its exit."""
+    tree = ast.parse(source)
+    in_main = {node for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"
+               for node in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree) if node not in in_main and (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("error:")
+        or isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+        and node.value.value == 2))
+
+
+@pytest.mark.parametrize("source, want", [
+    ('def cmd_x(a):\n    print(f"error: {a}", file=sys.stderr)\n    return 2\n', [2, 3]),
+    ('def _fail(exc):\n    sys.stderr.write("error: " + str(exc))\n', [2]),
+    ('def cmd_x(a):\n    def inner():\n        return 2\n    return 0\n', [3]),
+    ('def main():\n    print(f"error: {exc}")\n    return 2\n', []),
+    ('def cmd_x():\n    print("no error: here")\n    return 0\n', []),
+])
+def test_finds_an_error_exit(source, want):
+    assert error_exits(source) == want
+
+
+def test_main_is_the_one_error_exit():
+    source = Path(cli.__file__).read_text()
+    assert error_exits(source) == []
+    assert len(error_exits(source.replace("\ndef main(", "\ndef _main("))) == 2

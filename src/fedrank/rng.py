@@ -56,6 +56,10 @@ _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _GAMMA_U64 = np.uint64(_GAMMA)
 
+# Pairs per block of a normal draw: 256 KiB per float64 temporary, as
+# nn.CHUNK, so a draw holds little beyond its output.
+NORMAL_PAIRS = 2**15
+
 # Up to this many words are computed one by one with _fin, more with
 # _fin_array: at about 0.6-0.9 us a word against a fixed 8-14 us per array
 # call, the two cost the same at 12-16 words (timeit, 2-core host).
@@ -106,9 +110,15 @@ class RngStream:
 
     def next_u64(self, n: int) -> np.ndarray:
         """Return the next ``n`` raw 64-bit outputs as a uint64 array."""
-        counters = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        if n < 0:
+            raise ValueError(f"cannot draw {n} words")
+        at = self._counter
         self._counter += n
-        return _words(self._key, counters)
+        return self._words_after(at, n)
+
+    def _words_after(self, at: int, n: int) -> np.ndarray:
+        """The ``n`` words after counter position ``at``; the counter does not move."""
+        return _words(self._key, np.arange(at + 1, at + n + 1, dtype=np.uint64))
 
     def _words_at(self, positions) -> list[int]:
         """The words at counter positions ``positions`` (word i is what
@@ -123,16 +133,25 @@ class RngStream:
         return low + (high - low) * _unit(self.next_u64(n))
 
     def normal(self, n: int) -> np.ndarray:
-        """``n`` standard-normal float64 samples via Box-Muller."""
+        """``n`` standard-normal float64 samples via Box-Muller.  Of the ``2p``
+        words read, ``p = ceil(n / 2)``, pair ``i`` takes words ``i`` and
+        ``p + i``; the pairs are computed NORMAL_PAIRS at a time."""
+        if n < 0:
+            raise ValueError(f"cannot draw {n} samples")
         pairs = (n + 1) // 2
-        u1 = _unit(self.next_u64(pairs))
-        u1 += 2.0**-53  # (0, 1], so the log is finite
-        u2 = _unit(self.next_u64(pairs))
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        at = self._counter
+        self._counter += 2 * pairs
+        for lo in range(0, max(pairs, 1), NORMAL_PAIRS):  # n = 0 runs one empty block
+            hi = min(lo + NORMAL_PAIRS, pairs)
+            u1 = _unit(self._words_after(at + lo, hi - lo))
+            u1 += 2.0**-53  # (0, 1], so the log is finite
+            u2 = _unit(self._words_after(at + pairs + lo, hi - lo))
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = 2.0 * np.pi * u2
+            if lo == 0:  # after r and theta: that order sets small draws' heap layout
+                out = np.empty(2 * pairs)
+            out[2 * lo:2 * hi:2] = r * np.cos(theta)
+            out[2 * lo + 1:2 * hi:2] = r * np.sin(theta)
         return out[:n]
 
     def integers_below(self, bounds: list[int]) -> list[int]:

@@ -113,6 +113,28 @@ class TestConfigValidation:
             cfg.validate()
 
 
+class TestBuildEnvironment:
+    def test_holds_only_what_it_keeps(self):
+        # The mid-krum-poison shape: 2000 blobs in 784 dimensions, whose
+        # normal draw once held 3.5 times its output beside what the
+        # environment keeps (the features and every client's copies).
+        cfg = ExperimentConfig(
+            algorithm=Algorithm.FEDAVG, aggregator=Aggregator.MULTI_KRUM, num_clients=100,
+            clients_per_round=25,
+            architecture=[LayerSpec(784, 200, "relu"), LayerSpec(200, 10, "identity")],
+            dataset=DatasetSpec(kind="blobs", blob_classes=10, blob_dims=784,
+                                blob_samples_per_class=200, blob_cluster_std=2.0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            env = build_environment(cfg)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert env.dataset.features.shape == (2000, 784)
+        assert peak <= 1.1 * kept
+
+
 class TestSampling:
     def test_no_duplicates_and_range(self):
         cfg = tiny_config()

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from fedrank.rng import _PYTHON_WORDS, InitKind, RngStream, derive, init_scores, init_weights
+from fedrank.rng import (_PYTHON_WORDS, NORMAL_PAIRS, InitKind, RngStream, _unit, derive,
+                         init_scores, init_weights)
 
 
 class TestDerive:
@@ -52,7 +54,9 @@ class TestStreamPrimitives:
         (2, "80a8de5d346f973967bb39e1925e388e247bedd604621a07a464c6e1a13e6b1c"),
         (3, "b590b9f98c5151b94a9387ccec3214d6490eaa5e9a6c4362869898c6284b97bd"),
         (65535, "0b477b598f076dbdf43f8586daa8cec25c12f9cad2b2957876940641e418949e"),
+        (65536, "dd12e9e30e0bb631262ac9e8d3b1629425f2ab644f9083e890581aae5aece231"),
         (65537, "7d5950b7da9d0541176cde2959f6a2f23b4d4fe17c787ca49f2f00eaf60ea7c7"),
+        (65538, "ef22fa436d50b65c6dfb66d4abd4765ffb86c99d707265d0b621c1cfe3959206"),
         (1568001, "a51233ab9e281f52a8ac62c8323ffa772548ff331a7b40b2db559ced428eccf5"),
     ])
     def test_normal_pinned(self, n, digest):
@@ -62,6 +66,29 @@ class TestStreamPrimitives:
         h = hashlib.sha256(rng.normal(n).astype("<f8").tobytes())
         h.update(rng.next_u64(1).astype("<u8").tobytes())
         assert h.hexdigest() == digest
+
+    def test_normal_holds_little_beyond_its_output(self):
+        # A mid-krum-poison blob set: one block's temporaries beside the
+        # 12.0 MiB output, not the whole draw's words and products.
+        tracemalloc.start()
+        try:
+            z = derive(2024, [8]).normal(1_568_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * z.nbytes
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.next_u64(-2), lambda rng: rng.uniform(-1),
+        lambda rng: rng.normal(-5), lambda rng: rng.normal(-1)],
+        ids=["next_u64(-2)", "uniform(-1)", "normal(-5)", "normal(-1)"])
+    def test_negative_count_leaves_the_stream(self, draw):
+        want, got = derive(5, [1]), derive(5, [1])
+        want.next_u64(3)
+        got.next_u64(3)
+        with pytest.raises(ValueError):
+            draw(got)
+        assert_same_position(want, got)
 
     def test_integers_below_uniform_and_in_range(self):
         vals = np.array(derive(13, []).integers_below([7] * 20000))
@@ -118,6 +145,40 @@ def per_step_sample(rng, n_total, k):
 def assert_same_position(a, b):
     assert a._counter == b._counter
     assert a.next_u64(1)[0] == b.next_u64(1)[0]
+
+
+def whole_array_normal(rng, n):
+    """The whole-array Box-Muller the blocked normal draw replaces."""
+    pairs = (n + 1) // 2
+    u1 = _unit(rng.next_u64(pairs))
+    u1 += 2.0**-53
+    u2 = _unit(rng.next_u64(pairs))
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+class TestBlockedNormal:
+    def test_matches_whole_array_draw(self):
+        # Bytes and stream position at the block edges (NORMAL_PAIRS pairs
+        # is 2 * NORMAL_PAIRS values) and at random sizes, each drawn after
+        # 0-2 words so that blocks start at odd and even counters.
+        edge = 2 * NORMAL_PAIRS
+        sizes = list(range(5)) + [edge + d for d in range(-1, 3)]
+        sizes += [2 * edge + d for d in range(-1, 3)]
+        sizes += derive(63, []).integers_below([400_001] * 20)
+        for case, n in enumerate(sizes):
+            want, got = RngStream(case), RngStream(case)
+            want.next_u64(case % 3)
+            got.next_u64(case % 3)
+            expected = whole_array_normal(want, n)
+            drawn = got.normal(n)
+            assert drawn.shape == (n,)
+            assert drawn.tobytes() == expected.tobytes()
+            assert_same_position(want, got)
 
 
 class TestBlockDraws:

@@ -48,38 +48,52 @@ def trimmed_mean(updates: list[np.ndarray], f: int) -> np.ndarray:
     return mat.mean(axis=0)
 
 
-def _tree_sum(leaf, lo: int, m: int) -> np.ndarray:
-    """``leaf(lo, m)`` summed over numpy's pairwise split of columns lo..lo+m."""
+def _tree(leaf, join, lo: int, hi: int):
+    """``leaf(lo, hi)`` over numpy's pairwise split of columns lo..hi into
+    runs of at most LEAF, the two halves' results joined by ``join``."""
+    m = hi - lo
     if m <= LEAF:
-        return leaf(lo, m)
-    half = m // 2 - (m // 2) % 8
-    return _tree_sum(leaf, lo, half) + _tree_sum(leaf, lo + half, m - half)
+        return leaf(lo, hi)
+    mid = lo + m // 2 - (m // 2) % 8
+    return join(_tree(leaf, join, lo, mid), _tree(leaf, join, mid, hi))
 
 
-def pair_sums(rows: list[np.ndarray], anchors: list[int]) -> np.ndarray:
-    """``np.sum((rows[i] - rows[k]) ** 2)`` to the byte for each k of ``anchors``
-    and each i < k, in that order, with no temporary wider than LEAF columns.
+def _line_aligned(size: int) -> np.ndarray:
+    """``np.empty(size)`` starting on a 64-byte cache line, where malloc
+    promises only 16 bytes.  numpy's SIMD stores into a buffer that starts
+    mid-line split lines: on a 2-core Xeon, pair_sums of 25 x 159,010 rows
+    took about 65 ms that way against 49 ms aligned."""
+    buf = np.empty(size + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start : start + size]
+
+
+def pair_sums(rows: list[np.ndarray]) -> np.ndarray:
+    """``np.sum((rows[i] - rows[k]) ** 2)`` to the byte for each k = 1..n-1
+    and each i < k, in that order, with no temporary wider than one leaf.
     numpy sums a contiguous row pairwise, from a 0.0 that changes no sum of
     squares: up to 128 entries with eight accumulators, more as sum(left) +
     sum(right) split at n // 2 - (n // 2) % 8.  So the columns are cut by that
-    rule into leaves, each leaf's squared differences are summed in one
-    buffer, and the leaf sums are added back up in tree order."""
-    d = _shape(rows)[0]
-    diffs = np.empty(max(anchors, default=0) * min(d, LEAF))
+    rule into leaves of at most LEAF columns.  Each leaf's columns of all n
+    rows are copied into one buffer, the squared differences to each row k
+    are summed in a second, both as wide as the widest leaf, and the leaf
+    sums are added back up in tree order."""
+    n, d = len(rows), _shape(rows)[0]
+    width = _tree(lambda lo, hi: hi - lo, max, 0, d)
+    stacked, diffs = _line_aligned(n * width), _line_aligned((n - 1) * width)
 
-    def leaf(lo: int, m: int) -> np.ndarray:
-        cols = [row[lo : lo + m] for row in rows]
-        sums, pos = np.empty(sum(anchors)), 0
-        for k in anchors:
-            diff = diffs[: k * m].reshape(k, m)
-            for i in range(k):
-                np.subtract(cols[i], cols[k], out=diff[i])
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        m = hi - lo
+        cols = np.stack([row[lo:hi] for row in rows], out=stacked[: n * m].reshape(n, m))
+        sums, pos = np.empty(n * (n - 1) // 2), 0
+        for k in range(1, n):
+            diff = np.subtract(cols[:k], cols[k], out=diffs[: k * m].reshape(k, m))
             np.square(diff, out=diff)
             np.add.reduce(diff, axis=1, out=sums[pos : pos + k])
             pos += k
         return sums
 
-    return _tree_sum(leaf, 0, d)
+    return _tree(leaf, np.add, 0, d)
 
 
 def squared_distances(rows: list[np.ndarray]) -> np.ndarray:
@@ -89,33 +103,25 @@ def squared_distances(rows: list[np.ndarray]) -> np.ndarray:
     n = len(rows)
     sq = np.zeros((n, n))
     below = np.tril_indices(n, -1)
-    sq[below] = sq.T[below] = pair_sums(rows, list(range(1, n)))
+    sq[below] = sq.T[below] = pair_sums(rows)
     return sq
-
-
-def select_from_distances(sq: np.ndarray, client_ids: list[int], f: int) -> list[int]:
-    """Indices of the m = n - f rows of ``sq`` with the lowest Krum scores.
-
-    ``sq`` is the n x n ``squared_distances`` matrix of the updates.  The
-    score of an update is the summed squared distance to its n - f - 2
-    nearest peers; score ties break toward the lower client_id.
-    """
-    n = len(sq)
-    if n < f + 3:
-        raise ValueError(f"multi-krum needs at least f + 3 = {f + 3} updates, got {n}")
-    # Each row's 0.0 self-distance sorts first (NaN sorts last), so the
-    # n - f - 2 nearest peers follow it.
-    scores = np.sort(sq, axis=1)[:, 1 : n - f - 1].sum(axis=1)
-    order = np.lexsort((np.asarray(client_ids), scores))
-    return sorted(int(i) for i in order[: n - f])
 
 
 def multi_krum_select(updates: list[np.ndarray], client_ids: list[int], f: int) -> list[int]:
     """Indices of the m = n - f updates with the lowest Krum scores;
-    ``client_ids[i]`` is the id of ``updates[i]``."""
-    if len(client_ids) != len(updates):
-        raise ValueError(f"{len(client_ids)} client ids for {len(updates)} updates")
-    return select_from_distances(squared_distances(updates), client_ids, f)
+    ``client_ids[i]`` is the id of ``updates[i]``.  The score of an update is
+    the summed squared distance to its n - f - 2 nearest peers; score ties
+    break toward the lower client_id."""
+    n = len(updates)
+    if len(client_ids) != n:
+        raise ValueError(f"{len(client_ids)} client ids for {n} updates")
+    if n < f + 3:
+        raise ValueError(f"multi-krum needs at least f + 3 = {f + 3} updates, got {n}")
+    # Each row's 0.0 self-distance sorts first (NaN sorts last), so the
+    # n - f - 2 nearest peers follow it.
+    scores = np.sort(squared_distances(updates), axis=1)[:, 1 : n - f - 1].sum(axis=1)
+    order = np.lexsort((np.asarray(client_ids), scores))
+    return sorted(int(i) for i in order[: n - f])
 
 
 def multi_krum(updates: list[np.ndarray], client_ids: list[int], f: int) -> np.ndarray:

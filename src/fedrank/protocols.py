@@ -419,8 +419,7 @@ def baseline_round(state: ServerState, env: Environment, cfg: ExperimentConfig,
             updates[i] = adversary.craft_scale_attack(updates[i], cfg.attack.scale_factor)
     elif mal and cfg.attack.kind is AttackKind.OPT_POISON:
         crafted = adversary.craft_opt_poison(
-            [updates[i] for i in mal], [selected[i] for i in mal], len(mal),
-            cfg.aggregator.value, cfg.attack.omega_kind, cfg.attack.gamma_init,
+            [updates[i] for i in mal], cfg.attack.omega_kind, cfg.attack.gamma_init,
             cfg.attack.gamma_iters)
         for i in mal:
             updates[i] = crafted

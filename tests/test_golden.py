@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedrank import adversary
+from fedrank import aggregation
 from fedrank.cli import main
 from fedrank.config import build_config, parse_lines
 from fedrank.protocols import (RANK_ALGORITHMS, baseline_round, build_environment,
@@ -56,8 +56,7 @@ GOLDEN = {
                  attack="scale", malicious_fraction="0.25", eval_every="1"),
         "799a5ecf1cedfa3d69f1c2cf5faa570fa5c4672d59845a02d6e65257bf95b0dd"),
     # 4 of 12 clients are malicious and 8 take part, so the server's Krum
-    # drops f = int(0.4 * 8) = 3, and a round that samples 3 or 4 attackers
-    # simulates Krum over their 6 or 8 rows in the gamma search.
+    # drops f = int(0.4 * 8) = 3.
     "fedavg_multi_krum_opt_poison": (
         _variant(algorithm="fedavg", aggregator="multi_krum", learning_rate="0.03",
                  attack="opt_poison", malicious_fraction="0.4", clients_per_round="8",
@@ -91,20 +90,21 @@ def test_summary_matches_pinned_hash(name, tmp_path):
     assert _summary_sha256(name, tmp_path) == GOLDEN[name][1]
 
 
-def test_opt_poison_pin_runs_krum_gamma_search(tmp_path, monkeypatch):
-    """The multi-Krum pin covers the gamma search's simulated selection."""
+def test_krum_pin_takes_one_distance_matrix_per_round(tmp_path, monkeypatch):
+    """The multi-Krum pin computes only the server's distances: the opt_poison
+    craft simulates no selection."""
     calls = []
-    select = adversary.select_from_distances
+    distances = aggregation.squared_distances
 
-    def spy(sq, client_ids, f):
-        calls.append(len(sq))
-        return select(sq, client_ids, f)
+    def spy(rows):
+        calls.append(len(rows))
+        return distances(rows)
 
-    monkeypatch.setattr(adversary, "select_from_distances", spy)
+    monkeypatch.setattr(aggregation, "squared_distances", spy)
     assert _summary_sha256("fedavg_multi_krum_opt_poison", tmp_path) == \
         GOLDEN["fedavg_multi_krum_opt_poison"][1]
-    # Three of the six rounds sample enough attackers, 20 gamma steps each.
-    assert len(calls) == 60 and set(calls) == {6, 8}
+    # One server selection over the 8 sampled clients in each of 6 rounds.
+    assert calls == [8] * 6
 
 
 # SHA-256 of each golden config's final protocol state: the concatenated

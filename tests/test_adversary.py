@@ -7,7 +7,7 @@ import pytest
 from fedrank.adversary import (AttackConfig, AttackKind, OmegaKind,
                                craft_opt_poison, craft_rank_poison,
                                craft_scale_attack)
-from fedrank.aggregation import LEAF, multi_krum_select
+from fedrank.aggregation import LEAF, average, multi_krum, multi_krum_select
 from fedrank.data import gen_blobs
 from fedrank.nn import LayerSpec, Minibatch, SgdConfig, Supernetwork
 from fedrank.protocols import fsl_client_update
@@ -259,12 +259,19 @@ class TestOptPoisonMatchesOracle:
         gamma = float(np.linalg.norm(out - base))
         assert gamma == pytest.approx(3.0 * (2.0 - 2.0**-12), rel=1e-9)
 
+    @pytest.mark.parametrize("aggregator", ["average", "multi_krum"])
     @pytest.mark.parametrize("width", [1, 4])
-    def test_ragged_rows_rejected(self, width):
+    def test_ragged_rows_rejected(self, aggregator, width):
+        # The craft rejects ragged rows, and so does the aggregator the round
+        # hands them to next.
         rows = self._deltas(98, 4, 3)
         rows[2] = np.ones(width)
         with pytest.raises(ValueError, match="same shape"):
             craft_opt_poison(rows, OmegaKind.NEG_UNIT, 50.0, 20)
+        aggregate = {"average": average,
+                     "multi_krum": lambda u: multi_krum(u, [0, 1, 2, 3], 1)}[aggregator]
+        with pytest.raises(ValueError, match="same shape"):
+            aggregate(rows)
 
     def test_search_holds_no_stack(self):
         # Five attackers at the mid-size MLP's 159,010 parameters.  Beside

@@ -60,6 +60,16 @@ def records_to_csv(records: list[RoundRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _blas() -> str:
+    """numpy's BLAS build as ``name version``, or "unknown" where numpy
+    cannot report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # a numpy without ``mode``, a build without the entry
+        return "unknown"
+
+
 def _parsed(key: str, conv, items: list[str]) -> list:
     """``conv`` of each item; a bad item is a ValueError naming ``key``."""
     try:
@@ -79,6 +89,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = {
         "config": config_to_flat_dict(cfg),
         "version": __version__,
+        "blas": _blas(),  # every float64 product runs on it (README "Numerics")
         # The partition's gammas come from numpy's log and cos.
         "shards": {"undersized": env.shards.undersized, "min": min(sizes),
                    "median": statistics.median(sizes), "max": max(sizes),

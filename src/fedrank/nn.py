@@ -28,10 +28,9 @@ make one stacked forward and backward pass (``np.matmul`` runs the same
 BLAS call on every row as on one client's matrices), and one elementwise
 SGD step moves every client still training; masks come from one row-wise
 selection per layer, and each step builds every live client's float64
-effective weights once.  Batches of other sizes get their own pass and are
-never padded: a padded row count in ``x @ Wᵀ`` or the backward ``dz`` can
-take another BLAS kernel and change the bytes.  Each cohort's rankings
-come from one row-wise sort per layer.
+effective weights once.  Batches of other sizes get their own pass
+(:func:`_by_size`, which groups evaluation's test sets too).  Each
+cohort's rankings come from one row-wise sort per layer.
 
 Past CHUNK elements the SGD step runs block by block through one small
 float64 scratch array, with no full-layer temporary: each element meets
@@ -40,7 +39,7 @@ whole-array pass.
 
 Poisoned runs overflow to inf and NaN by design: the trainer sets numpy's
 error state once around its lockstep loop and :func:`evaluate` once around
-its forward pass, and the kernels they call set none of their own.
+its passes, and the kernels they call set none of their own.
 """
 
 from __future__ import annotations
@@ -345,29 +344,30 @@ def _stacked(batches: list[Minibatch]) -> Minibatch:
                      labels=np.array([b.labels for b in batches]))
 
 
-def rows_by_size(sizes) -> dict[int, list[int]]:
-    """The positions in ``sizes`` grouped by their size, each group and the
-    groups in first-seen order."""
+def _by_size(sets: list[Minibatch], pass_of, *stacks: np.ndarray) -> list[np.ndarray]:
+    """``pass_of(stacked sets, those rows of each stack)`` once for each group
+    of ``sets`` with one sample count, the groups in first-seen order, each
+    of its results assembled in set order; one group passes ``stacks``
+    unsliced.
+
+    A group's (G, b, fan_in) stack makes each set's BLAS call as the set
+    alone makes it (``np.matmul`` runs the same call on every row, a
+    1-sample set's vector product too).  Sets of other sizes get their own
+    pass and are never padded: a padded row count in ``x @ Wᵀ`` or the
+    backward ``dz`` can take another BLAS kernel and change the bytes.
+    """
     groups: dict[int, list[int]] = {}
-    for row, size in enumerate(sizes):
-        groups.setdefault(size, []).append(row)
-    return groups
-
-
-def _grads_by_size(batches: list[Minibatch], stacks: list[np.ndarray], grads_of
-                   ) -> list[np.ndarray]:
-    """``grads_of(rows of stacks, stacked batch)`` for each group of clients
-    whose batches have one size, assembled in row order.  Short batches get
-    their own pass, never padding."""
-    groups = rows_by_size(len(b.labels) for b in batches)
+    for i, s in enumerate(sets):
+        groups.setdefault(len(s.labels), []).append(i)
     if len(groups) == 1:
-        return grads_of(stacks, _stacked(batches))
-    grads = [np.empty(s.shape, dtype=np.float64) for s in stacks]
+        return pass_of(_stacked(sets), *stacks)
+    out = []
     for rows in groups.values():
-        part = grads_of([s[rows] for s in stacks], _stacked([batches[r] for r in rows]))
-        for g, p in zip(grads, part):
-            g[rows] = p
-    return grads
+        part = pass_of(_stacked([sets[r] for r in rows]), *(s[rows] for s in stacks))
+        out = out or [np.empty((len(sets),) + p.shape[1:], dtype=p.dtype) for p in part]
+        for o, p in zip(out, part):
+            o[rows] = p
+    return out
 
 
 def _train(start: list[np.ndarray], grads_of, batches: list[list[Minibatch]],
@@ -399,20 +399,18 @@ def _train(start: list[np.ndarray], grads_of, batches: list[list[Minibatch]],
 
 
 def evaluate(specs: list[LayerSpec], weights: list[np.ndarray],
-             inputs: np.ndarray, labels: np.ndarray) -> np.ndarray | float:
-    """Fraction of argmax-correct predictions under the effective float64
-    ``weights`` (``masked_weights`` for edge-popup); a NaN logit never wins.
-    One (b, fan_in) set gives one value; a (G, b, fan_in) stack of G sets
-    with (G, b) labels gives each set's value, the one it gets alone:
-    ``np.matmul`` makes each set's BLAS call as for the set alone (a
-    1-sample set's vector product too)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("dataset is empty")
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = forward(specs, weights, Minibatch(inputs=np.asarray(inputs), labels=labels))
-    preds = np.argmax(np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf), axis=-1)
-    return np.mean(preds == labels, axis=-1)
+             sets: list[Minibatch]) -> np.ndarray:
+    """Each non-empty set's fraction of argmax-correct predictions, in set
+    order, under the effective float64 ``weights`` (``masked_weights`` for
+    edge-popup), from one pass per sample count (:func:`_by_size`); a NaN
+    logit never wins."""
+    def accuracies(batch: Minibatch) -> list[np.ndarray]:
+        logits, _ = forward(specs, weights, batch)
+        logits = np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
+        return [np.mean(np.argmax(logits, axis=-1) == batch.labels, axis=-1)]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # no sample at all: no accuracy
+        return (_by_size([s for s in sets if len(s.labels)], accuracies) or [np.empty(0)])[0]
 
 
 # --- Edge-popup: scores trained over the frozen weights ----------------------
@@ -443,8 +441,9 @@ def edge_popup_train(net: Supernetwork, scores: list[np.ndarray], batches: list[
     every live client's weights and scales their assembled gradients by W
     once; only the passes run per group of one batch size."""
     def grads_of(live: list[np.ndarray], steps: list[Minibatch]) -> list[np.ndarray]:
-        grads = _grads_by_size(steps, masked_weights(net.weights, live, k), lambda part, batch:
-                               ep_backward(net, ep_forward(net, part, batch)[1]))
+        grads = _by_size(steps, lambda batch, *part:
+                         ep_backward(net, ep_forward(net, part, batch)[1]),
+                         *masked_weights(net.weights, live, k))
         for g, w in zip(grads, net.weights):
             g *= w
         return grads
@@ -469,17 +468,17 @@ def dense_train(weights: list[np.ndarray], specs: list[LayerSpec],
     """Plain weight training of a cohort from the same ``weights``, with the
     trainer edge_popup_train uses; returns the (G, fan_out, fan_in) stacks."""
     def grads_of(live: list[np.ndarray], steps: list[Minibatch]) -> list[np.ndarray]:
-        return _grads_by_size(steps, live, lambda part, batch:
-                              dense_weight_grads(part, specs, batch))
+        return _by_size(steps, lambda batch, *part: dense_weight_grads(part, specs, batch),
+                        *live)
 
     return _train([np.asarray(w, dtype=np.float32) for w in weights], grads_of,
                   batches, epochs, sgd, rngs)
 
 
 def dense_evaluate(weights: list[np.ndarray], specs: list[LayerSpec],
-                   inputs: np.ndarray, labels: np.ndarray) -> np.ndarray | float:
-    return evaluate(specs, [w.astype(np.float64, copy=False) for w in weights],
-                    inputs, labels)
+                   sets: list[Minibatch]) -> np.ndarray:
+    """:func:`evaluate` at float32 ``weights``, cast once for every set."""
+    return evaluate(specs, [w.astype(np.float64, copy=False) for w in weights], sets)
 
 
 def flatten_params(mats: list[np.ndarray]) -> np.ndarray:

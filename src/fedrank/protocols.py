@@ -46,8 +46,8 @@ from .analytics import CostReport, comm_cost
 from .data import ClientShards, Dataset, dirichlet_partition, gen_blobs, load_idx
 from .nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork, dense_evaluate,
                  dense_train, edge_popup_train, evaluate, flatten_params,
-                 masked_weights, require_finite, rows_by_size, seed_weights,
-                 unflatten_params, validate_architecture)
+                 masked_weights, require_finite, seed_weights, unflatten_params,
+                 validate_architecture)
 from .ranking import LayerTally, NetworkRanking, floor_count, keep_count, stable_order
 from .rng import InitKind, TAG_DATA, TAG_PARTITION, TAG_SAMPLING, TAG_TRAIN, derive
 
@@ -205,7 +205,7 @@ class Environment:
     dataset: Dataset  # unread; ROADMAP ("fresh_pages gauge") says why it stays
     shards: ClientShards
     train_batches: list[list[Minibatch]]
-    test_sets: list[tuple[np.ndarray, np.ndarray]]
+    test_sets: list[Minibatch]
     cost: CostReport
 
 
@@ -239,7 +239,7 @@ def build_environment(cfg: ExperimentConfig) -> Environment:
             raise ValueError(f"client {c} gets no training samples ({len(dataset.labels)} "
                              f"samples over {cfg.num_clients} clients)")
     batches = [_client_batches(dataset, idx, cfg.sgd.batch_size) for idx in shards.train]
-    tests = [(dataset.features[idx], dataset.labels[idx]) for idx in shards.test]
+    tests = [Minibatch(dataset.features[idx], dataset.labels[idx]) for idx in shards.test]
     cost = comm_cost([sp.n_edges for sp in cfg.architecture], cfg.algorithm.value,
                      cfg.sparsity)
     return Environment(dataset=dataset, shards=shards, train_batches=batches,
@@ -304,37 +304,18 @@ def _train_clients(cfg: ExperimentConfig, env: Environment, round_index: int,
                            for i in range(0, len(selected), size))
 
 
-def _accuracies_by_size(test_sets: list[tuple[np.ndarray, np.ndarray]], evaluate_fn,
-                        *args) -> np.ndarray:
-    """Each non-empty test set's accuracy, in test-set order, from one
-    ``evaluate_fn(*args, inputs, labels)`` call per sample count b: the sets
-    of one size go as one (G, b, fan_in) stack with (G, b) labels."""
-    sets = [s for s in test_sets if len(s[1])]
-    accs = np.empty(len(sets))
-    for rows in rows_by_size(len(labels) for _, labels in sets).values():
-        accs[rows] = evaluate_fn(*args, np.stack([sets[r][0] for r in rows]),
-                                 np.stack([sets[r][1] for r in rows]))
-    return accs
-
-
 def _evaluate_ranking(cfg: ExperimentConfig, env: Environment,
                       state: ServerState) -> np.ndarray:
     """Per-client test accuracy of the state's global subnetwork: the seed
-    weights under its scores' mask, built once for every test set.
-
-    The test sets of one size share one stacked pass, which gives each set
-    the bytes of its own (see :func:`evaluate`).  Sets are never padded to
-    one size: a padded row count can take another BLAS kernel.
-    """
+    weights under its scores' mask, built once for every test set."""
     weights = masked_weights(state.seed_net.weights, state.scores, cfg.subnet_fraction)
-    return _accuracies_by_size(env.test_sets, evaluate, cfg.architecture, weights)
+    return evaluate(cfg.architecture, weights, env.test_sets)
 
 
 def _evaluate_weights(cfg: ExperimentConfig, env: Environment,
                       state: ServerState) -> np.ndarray:
-    # Cast once here: dense_evaluate casts float32 weights once per call.
-    mats = [m.astype(np.float64) for m in unflatten_params(state.weights, cfg.architecture)]
-    return _accuracies_by_size(env.test_sets, dense_evaluate, mats, cfg.architecture)
+    return dense_evaluate(unflatten_params(state.weights, cfg.architecture),
+                          cfg.architecture, env.test_sets)
 
 
 def _record(env: Environment, round_index: int, selected: list[int],

@@ -77,6 +77,22 @@ class TestRun:
         assert len(lines) == 2
         assert json.loads(lines[0])["round"] == 2
 
+    def test_manifest_records_the_blas_build(self, tmp_path, monkeypatch):
+        # Beside the python and numpy versions: the BLAS that every float64
+        # product runs on, whose kernels round differently.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["blas"] == \
+            f"{blas['name']} {blas['version']}"
+
+        def no_config(mode):
+            raise KeyError(mode)
+
+        monkeypatch.setattr(np, "show_config", no_config)
+        assert main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["blas"] == "unknown"
+
     def test_zero_rounds_header_only(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, SMALL_RUN.replace("rounds = 4", "rounds = 0"))

@@ -10,6 +10,11 @@ baselines, and one full and one sparse vote at 784-200-10.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from fedrank.config import build_config, parse_lines
 from fedrank.protocols import (RANK_ALGORITHMS, baseline_round, build_environment,
                                fsl_round, initial_state)
 from fedrank.ranking import encode_layer_ranking, keep_count
+from fedrank.rng import derive
 
 from test_acceptance import GOLDEN_CONFIG
 
@@ -142,6 +148,54 @@ def _final_state_sha256(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_final_state_matches_pinned_hash(name):
     assert _final_state_sha256(name) == STATE_SHA256[name]
+
+
+# The pins under another BLAS.  The float64 bytes of a product depend on the
+# BLAS kernel and thread count, and the pins were taken under one of each;
+# they hold under others because a float32 step and an order (a ranking, an
+# argmax) round most ulp differences away.  That is a margin, not a proof,
+# so a child process reruns every pin under another OpenBLAS kernel
+# (Prescott's, which any x86-64 CPU runs) and at 1 and 2 threads.  Its raw
+# product bytes must differ from this process's; where they do not (another
+# BLAS, or this process already runs so), the case is skipped.
+BLAS_CHILD = """
+import json, sys
+from pathlib import Path
+import test_golden as g
+summary = {}
+for name in sorted(g.GOLDEN):
+    (Path(sys.argv[1]) / name).mkdir()
+    summary[name] = g._summary_sha256(name, Path(sys.argv[1]) / name)
+state = {name: g._final_state_sha256(name) for name in sorted(g.GOLDEN)}
+print(json.dumps([g._product_sha256(), summary, state]))
+"""
+
+
+def _product_sha256() -> str:
+    """SHA-256 of the float64 bytes of one (8, 784) @ (200, 784)ᵀ product:
+    the first layer of a 784-200-10 forward pass at batch 8."""
+    rng = derive(5454, [])
+    x = rng.uniform(8 * 784, -2, 2).reshape(8, 784)
+    w = rng.uniform(200 * 784, -1, 1).reshape(200, 784)
+    return hashlib.sha256((x @ w.T).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("setting", [("OPENBLAS_CORETYPE", "Prescott"),
+                                     ("OPENBLAS_NUM_THREADS", "1"),
+                                     ("OPENBLAS_NUM_THREADS", "2")],
+                         ids=["prescott", "1_thread", "2_threads"])
+def test_pins_hold_under_another_blas_kernel(setting, tmp_path):
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    env[setting[0]] = setting[1]
+    out = subprocess.run([sys.executable, "-c", BLAS_CHILD, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    product, summary, state = json.loads(out.stdout.splitlines()[-1])
+    assert summary == {name: pinned for name, (_, pinned) in GOLDEN.items()}
+    assert state == STATE_SHA256
+    if product == _product_sha256():
+        pytest.skip(f"kernel not varied: {setting[0]}={setting[1]} gives this process's "
+                    "product bytes")
 
 
 # The golden configs never tie at a mask threshold: their float32 scores are

@@ -223,20 +223,27 @@ print(bad)
         # must give each client the float64 gradient bytes of its own
         # one-client pass.  The float32 step can round a difference away,
         # so the pins on scores, rankings and summaries may not see it.
-        grads_by_size, mixed = nn._grads_by_size, []
+        # The evaluation goes through the same grouping with no stacks:
+        # each test set's accuracy must be the bytes of its own pass.
+        by_size, mixed, evaluated = nn._by_size, [], []
 
-        def checked(batches, stacks, grads_of):
-            grads = grads_by_size(batches, stacks, grads_of)
-            if len({len(b.labels) for b in batches}) > 1:
-                mixed.append(len(batches))
-                for c, batch in enumerate(batches):
-                    own = grads_of([s[c:c + 1].copy() for s in stacks], nn._stacked([batch]))
-                    assert [g[c].tobytes() for g in grads] == [g[0].tobytes() for g in own]
-            return grads
+        def checked(sets, pass_of, *stacks):
+            out = by_size(sets, pass_of, *stacks)
+            if not stacks:
+                evaluated.append(len(sets))
+                for c, one in enumerate(sets):
+                    assert out[0][c].tobytes() == pass_of(one)[0].tobytes()
+            elif len({len(b.labels) for b in sets}) > 1:
+                mixed.append(len(sets))
+                for c, batch in enumerate(sets):
+                    own = pass_of(nn._stacked([batch]), *(s[c:c + 1].copy() for s in stacks))
+                    assert [g[c].tobytes() for g in out] == [g[0].tobytes() for g in own]
+            return out
 
-        monkeypatch.setattr(nn, "_grads_by_size", checked)
+        monkeypatch.setattr(nn, "_by_size", checked)
         run_experiment(ExperimentConfig(algorithm=algorithm, rounds=3, eval_every=3))
         assert len(mixed) >= 10 and max(mixed) == 25  # the desk cohort is all 25 clients
+        assert evaluated == [100]  # one evaluation of every client's test set
 
     def test_stacked_mask_matches_mask_layer_per_row(self):
         # Rows 1, 3 and 4 hold few distinct values, so their threshold at
@@ -492,7 +499,7 @@ class TestTrain:
         trained = edge_popup_train(net, net.scores, [batches], [20], 0.5,
                                    SgdConfig(0.4, 0.9, 1e-4, 8), [derive(34, [])])
         weights = masked_weights(net.weights, [s[0] for s in trained], 0.5)
-        assert evaluate(specs, weights, ds.features, ds.labels) > 0.9
+        assert evaluate(specs, weights, [Minibatch(ds.features, ds.labels)]) > 0.9
 
     def test_k_one_mask_equals_untrained(self):
         net, batches = self._tiny_problem(seed=35)
@@ -511,14 +518,15 @@ class TestEvaluate:
                            scores=[np.array([[1.0, 1.0], [0.0, 0.0]])])
         x = np.abs(derive(36, []).uniform(10).reshape(5, 2)) + 0.1
         weights = masked_weights(net.weights, net.scores, 1.0)
-        assert evaluate(net.specs, weights, x, np.zeros(5, dtype=int)) == 1.0
+        assert evaluate(net.specs, weights, [Minibatch(x, np.zeros(5, dtype=int))]) == [1.0]
 
     def test_single_wrong_sample(self):
         net = Supernetwork([LayerSpec(2, 2, "identity")],
                            weights=[np.array([[1.0, 1.0], [0.0, 0.0]])],
                            scores=[np.array([[1.0, 1.0], [0.0, 0.0]])])
         weights = masked_weights(net.weights, net.scores, 1.0)
-        assert evaluate(net.specs, weights, np.array([[1.0, 1.0]]), np.array([1])) == 0.0
+        one = Minibatch(np.array([[1.0, 1.0]]), np.array([1]))
+        assert evaluate(net.specs, weights, [one]) == [0.0]
 
     def test_matches_hand_count(self):
         rng = derive(37, [])
@@ -528,13 +536,21 @@ class TestEvaluate:
         logits, _ = ep_pass(net, 0.5, Minibatch(x, labels))
         expected = sum(1 for i in range(10) if int(np.argmax(logits[i])) == labels[i]) / 10
         weights = masked_weights(net.weights, net.scores, 0.5)
-        assert evaluate(net.specs, weights, x, labels) == expected
+        assert evaluate(net.specs, weights, [Minibatch(x, labels)]) == [expected]
 
-    def test_empty_dataset_rejected(self):
+    def test_empty_sets_skipped(self):
+        # A client may hold no test sample: its set gets no accuracy, the
+        # others keep their order, and with no sample at all there is none.
         net = random_net(derive(38, []), [LayerSpec(2, 2, "identity")])
-        with pytest.raises(ValueError):
-            evaluate(net.specs, masked_weights(net.weights, net.scores, 0.5),
-                     np.zeros((0, 2)), np.zeros(0, dtype=int))
+        weights = masked_weights(net.weights, net.scores, 0.5)
+        x = derive(39, []).uniform(10, -1, 1).reshape(5, 2)
+        empty = Minibatch(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        sets = [Minibatch(x[:2], np.array([0, 1])), Minibatch(x[2:], np.array([1, 1, 0]))]
+        want = evaluate(net.specs, weights, sets)
+        got = evaluate(net.specs, weights, [empty, sets[0], empty, sets[1], empty])
+        assert got.shape == (2,) and got.tobytes() == want.tobytes()
+        assert evaluate(net.specs, weights, [empty, empty]).shape == (0,)
+        assert evaluate(net.specs, weights, []).shape == (0,)
 
 
 class TestAccuracyRule:
@@ -551,11 +567,12 @@ class TestAccuracyRule:
         weights = masked_weights(net.weights, net.scores, 1.0)
         logits, _ = forward(net.specs, weights, Minibatch(self.X, self.LABELS))
         assert np.isnan(logits[:, 2]).all()
-        assert evaluate(net.specs, weights, self.X, self.LABELS) == 1.0
+        assert evaluate(net.specs, weights, [Minibatch(self.X, self.LABELS)]) == [1.0]
 
     def test_dense_evaluate(self):
         weights = [w.astype(np.float32) for w in self.WEIGHTS]
-        assert dense_evaluate(weights, [LayerSpec(2, 3, "identity")], self.X, self.LABELS) == 1.0
+        sets = [Minibatch(self.X, self.LABELS)]
+        assert dense_evaluate(weights, [LayerSpec(2, 3, "identity")], sets) == [1.0]
 
 
 class TestSeedReconstruction:

@@ -888,12 +888,12 @@ def _per_set_accuracies(cfg, env, state):
     else:
         weights = [m.astype(np.float64) for m in unflatten_params(state.weights, specs)]
     accs = []
-    for feats, labels in env.test_sets:
-        if len(labels):
+    for test in env.test_sets:
+        if len(test.labels):
             with np.errstate(over="ignore", invalid="ignore"):
-                logits, _ = nn.forward(specs, weights, Minibatch(feats, labels))
+                logits, _ = nn.forward(specs, weights, test)
             logits = np.nan_to_num(logits, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
-            accs.append(float(np.mean(np.argmax(logits, axis=1) == labels)))
+            accs.append(float(np.mean(np.argmax(logits, axis=1) == test.labels)))
     return np.asarray(accs)
 
 
@@ -922,7 +922,7 @@ class TestEvaluationBySize:
         cfg = make(algorithm)
         env = build_environment(cfg)
         if make is mid_config:
-            assert [len(labels) for _, labels in env.test_sets] == [2, 0, 2, 0, 1, 3, 0, 1]
+            assert [len(test.labels) for test in env.test_sets] == [2, 0, 2, 0, 1, 3, 0, 1]
         rank = algorithm in protocols.RANK_ALGORITHMS
         evaluate_state = protocols._evaluate_ranking if rank else protocols._evaluate_weights
         state = initial_state(cfg)
@@ -939,19 +939,25 @@ class TestEvaluationBySize:
     ])
     def test_one_pass_per_test_set_size(self, algorithm, name, evaluate_state, monkeypatch):
         # The desk data's 100 test sets come in 7 sizes, 1 to 7 samples:
-        # one stacked call per size, every set in exactly one of them.
+        # one evaluation call, and in it one stacked forward pass per size,
+        # every set in exactly one of them.
         cfg = desk_task(algorithm, rounds=1)
         env = build_environment(cfg)
-        sizes = [len(labels) for _, labels in env.test_sets]
+        sizes = [len(test.labels) for test in env.test_sets]
         assert len(sizes) == 100 and sorted(set(sizes)) == list(range(1, 8))
-        shapes, fn = [], getattr(protocols, name)
+        calls, shapes, fn, forward = [], [], getattr(protocols, name), nn.forward
 
         def counted(*args):
-            shapes.append(args[-1].shape)
+            calls.append(args)
             return fn(*args)
 
+        def stacked(specs, weights, batch):
+            shapes.append(batch.inputs.shape[:2])
+            return forward(specs, weights, batch)
+
         monkeypatch.setattr(protocols, name, counted)
+        monkeypatch.setattr(nn, "forward", stacked)
         accs = getattr(protocols, evaluate_state)(cfg, env, initial_state(cfg))
-        assert len(accs) == 100 and len(shapes) == 7
+        assert len(accs) == 100 and len(calls) == 1 and len(shapes) == 7
         assert sorted(b for _, b in shapes) == list(range(1, 8))
         assert sum(g for g, _ in shapes) == 100

@@ -83,22 +83,25 @@ def gen_blobs(num_classes: int, dims: int, samples_per_class: int,
 def dirichlet_proportions(alpha: float, n: int, rng: RngStream) -> np.ndarray:
     """Dirichlet(alpha) over ``n`` parts: ``rng.gamma`` normalised (equal if all 0)."""
     gammas = rng.gamma(alpha, n)
-    total = gammas.sum()
-    if total == 0.0:
-        return np.full(n, 1.0 / n)
-    return gammas / total
+    with np.errstate(over="ignore"):  # finite gammas can overflow: alpha = 1e307, n = 100
+        total = gammas.sum()
+    if math.isinf(total):  # scale by the largest first
+        gammas /= gammas.max()
+        total = gammas.sum()
+    return gammas / total if total else np.full(n, 1.0 / n)
 
 
 def largest_remainder_counts(props: np.ndarray, total: int) -> np.ndarray:
     """Integer allocation of ``total`` items by proportion, remainders to the
-    largest fractional parts (ties to the lower index)."""
+    largest fractional parts (ties to the lower index).  Raises unless the
+    counts add up to ``total``."""
     raw = props * total
     base = np.floor(raw).astype(np.int64)
     short = total - int(base.sum())
-    if short > 0:
-        frac = raw - base
-        order = np.lexsort((np.arange(len(props)), -frac))
-        base[order[:short]] += 1
+    if not 0 <= short <= len(props):
+        raise ValueError(f"proportions summing to {props.sum()} cannot allot {total} items")
+    order = np.lexsort((np.arange(len(props)), -(raw - base)))
+    base[order[:short]] += 1
     return base
 
 

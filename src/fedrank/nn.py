@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import InitKind, RngStream, TAG_SCORES, TAG_WEIGHTS, derive, init_scores, init_weights
-from .ranking import argsort_ranking, finite_flat, keep_count, reorder_scores, stable_order
+from .rng import InitKind, RngStream, TAG_SCORES, TAG_WEIGHTS, derive, init_weights
+from .ranking import argsort_ranking, finite_flat, keep_count
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -138,7 +138,7 @@ class Supernetwork:
     rest is the maker's part: :meth:`from_seed` freezes all it draws, so
     every cohort and evaluation of a run can share one network.  The
     scores are the rebuild of their own ranking:
-    ``reorder_scores(s[r], r) == s``.
+    ``reorder_all_scores(ranking) == scores``.
     """
 
     def __init__(self, specs: list[LayerSpec], weights: list[np.ndarray],
@@ -160,30 +160,31 @@ class Supernetwork:
                   weight_init: InitKind = InitKind.SIGNED_KAIMING_CONSTANT) -> "Supernetwork":
         """Reconstruct the network any party can build from the shared seed,
         read-only: :func:`seed_weights`, and a second tagged sub-stream
-        filling all score matrices in layer order."""
+        filling all score matrices, Kaiming-uniform, in layer order."""
         s_rng = derive(seed, [TAG_SCORES])
         weights = seed_weights(seed, specs, weight_init)
-        scores = [init_scores((sp.fan_out, sp.fan_in), s_rng) for sp in specs]
+        scores = [init_weights(w.shape, InitKind.KAIMING_UNIFORM, s_rng) for w in weights]
         for a in weights + scores:
             a.flags.writeable = False
         return cls(specs, weights, scores)
 
     def reorder_all_scores(self, ranking: list[np.ndarray]) -> list[np.ndarray]:
-        """Each layer's read-only scores for ``ranking``: the network's
-        scores handed out so their layer-wise order matches it, by one
-        scatter of the sorted scores per layer."""
-        scores = [reorder_scores(v, perm).reshape(w.shape)
-                  for v, perm, w in zip(self.sorted_scores, ranking, self.weights)]
-        for s in scores:
-            s.flags.writeable = False
+        """Each layer's read-only scores for ``ranking``: one scatter of its
+        sorted scores, ``out[ranking[i]] = sorted_scores[i]``, so their order
+        matches it.  A ranking of another length raises ValueError."""
+        scores = []
+        for v, r, w in zip(self.sorted_scores, ranking, self.weights):
+            out = np.empty(len(r), dtype=v.dtype)
+            out[r] = v
+            out.flags.writeable = False
+            scores.append(out.reshape(w.shape))
         return scores
 
     def score_rankings(self, scores: list[np.ndarray]) -> list[np.ndarray]:
-        """Each layer's ranking of ``scores``: an (n,) permutation for a
-        matrix, a (G, n) array of one per client for a cohort's stack, from
-        one row-wise sort.  Raises unless every score is finite.  A method,
-        not a function, while the benchmark traces it by this name."""
-        return [stable_order(finite_flat(s).reshape(s.shape[:-2] + (-1,))) for s in scores]
+        """:func:`argsort_ranking` of each layer of ``scores``: a matrix or a
+        cohort's stack.  A method, not a function, while the benchmark traces
+        it by this name."""
+        return [argsort_ranking(s) for s in scores]
 
 
 def mask_layer(scores: np.ndarray, k: float) -> np.ndarray:

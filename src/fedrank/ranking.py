@@ -155,25 +155,11 @@ def finite_flat(values: np.ndarray) -> np.ndarray:
     return flat
 
 
-def argsort_ranking(values: np.ndarray) -> LayerRanking:
-    """Ranking of a value vector: indices ascending by value, stable."""
-    return stable_order(finite_flat(values))
-
-
-def reorder_scores(sorted_values: np.ndarray, ranking: LayerRanking) -> np.ndarray:
-    """Assign ascending values to edges by rank: out[ranking[i]] = sorted[i].
-
-    Consequently argsort_ranking(out) == ranking when values are distinct.
-    """
-    sorted_values = np.asarray(sorted_values)
-    ranking = np.asarray(ranking, dtype=np.int64)
-    if sorted_values.shape[0] != ranking.shape[0]:
-        raise ValueError("length mismatch between values and ranking")
-    if (sorted_values[1:] < sorted_values[:-1]).any():
-        raise ValueError("values must be sorted ascending")
-    out = np.empty_like(sorted_values)
-    out[ranking] = sorted_values
-    return out
+def argsort_ranking(values: np.ndarray) -> np.ndarray:
+    """Each layer's ranking, indices ascending by value, stable: an (n,)
+    permutation of a vector or matrix, a (G, n) block of one per matrix of a
+    (G, fan_out, fan_in) stack.  Raises unless every value is finite."""
+    return stable_order(finite_flat(values).reshape(np.shape(values)[:-2] + (-1,)))
 
 
 def _integer_entries(entries) -> np.ndarray:

@@ -306,8 +306,3 @@ def init_weights(shape: tuple[int, int], kind: InitKind, rng: RngStream) -> np.n
         b = math.sqrt(6.0 / fan_in)
         vals = rng.uniform(n, -b, b)
     return vals.astype(np.float32).reshape(fan_out, fan_in)
-
-
-def init_scores(shape: tuple[int, int], rng: RngStream) -> np.ndarray:
-    """Score initializer: Kaiming-uniform, on its own tagged stream."""
-    return init_weights(shape, InitKind.KAIMING_UNIFORM, rng)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ class TestLargestRemainder:
         counts = largest_remainder_counts(np.array([0.6, 0.4]), 5)
         assert counts.tolist() == [3, 2]
 
+    def test_counts_that_miss_the_total_raise(self):
+        # Proportions summing well off 1 cannot allot the total: too much,
+        # or more remainders than parts (all-zero proportions of 100
+        # clients once handed 200 samples out as 100 ones).
+        for props, total in (([0.6, 0.6], 5), ([0.1, 0.1], 10), ([0.0] * 100, 200)):
+            with pytest.raises(ValueError, match="allot"):
+                largest_remainder_counts(np.array(props), total)
+        assert largest_remainder_counts(np.zeros(100), 20).sum() == 20
+
 
 class TestDirichletPartition:
     def _labels(self, per_class=200, classes=4):
@@ -89,6 +99,21 @@ class TestDirichletPartition:
             shard = np.concatenate([tr, te])
             hist = np.bincount(labels[shard], minlength=2) / len(shard)
             assert abs(hist[0] - 0.5) < 0.05
+
+    def test_huge_alpha_assigns_every_sample(self):
+        # At alpha = 1e307 the 100 gammas are finite but their sum overflows:
+        # the proportions still sum to 1, and every sample goes to exactly
+        # one client, with no numpy warning.
+        labels = self._labels(per_class=200, classes=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            props = dirichlet_proportions(1e307, 100, derive(49, []))
+            shards = dirichlet_partition(labels, 100, 1e307, derive(49, []))
+        assert np.all(np.isfinite(props)) and abs(props.sum() - 1.0) < 1e-12
+        assert np.allclose(props, 0.01)
+        seen = np.concatenate(shards.train + shards.test)
+        assert sorted(seen.tolist()) == list(range(len(labels)))
+        assert not shards.undersized
 
     def test_split_ratio(self):
         labels = self._labels()

@@ -15,8 +15,8 @@ from fedrank.nn import (LayerSpec, Minibatch, SgdConfig, Supernetwork,
                         masked_weights, sgd_step)
 from fedrank.analytics import ARCH_PRESETS
 from fedrank.protocols import ExperimentConfig, run_experiment
-from fedrank.ranking import argsort_ranking, reorder_scores
-from fedrank.rng import InitKind, derive
+from fedrank.ranking import argsort_ranking
+from fedrank.rng import TAG_SCORES, InitKind, derive, init_weights
 
 
 # --- Independent oracle: loop-based forward and straight-through backward ---
@@ -592,7 +592,7 @@ class TestSeedReconstruction:
                 for _ in range(5):
                     ranking = [argsort_ranking(rng.uniform(sp.n_edges)) for sp in self.SPECS]
                     got = net.reorder_all_scores(ranking)
-                    want = [reorder_scores(np.sort(s.ravel(), kind="stable"), r).reshape(s.shape)
+                    want = [scatter(np.sort(s.ravel(), kind="stable"), r).reshape(s.shape)
                             for s, r in zip(fresh.scores, ranking)]
                     for a, b in zip(net.weights + got, fresh.weights + want):
                         assert a.dtype == b.dtype and a.shape == b.shape
@@ -639,6 +639,17 @@ class TestSeedReconstruction:
         with pytest.raises(ValueError):
             Supernetwork.from_seed(1, [LayerSpec(3, 4, "relu")])
 
+    def test_scores_are_the_kaiming_uniform_draw(self):
+        # Each layer's scores are the next Kaiming-uniform matrix of the one
+        # score stream, whatever the weights' initializer.
+        for seed in (0, 6, 2**32 - 1):
+            for init in (InitKind.SIGNED_KAIMING_CONSTANT, InitKind.GLOROT_NORMAL):
+                net = Supernetwork.from_seed(seed, self.SPECS, init)
+                rng = derive(seed, [TAG_SCORES])
+                for sp, s in zip(self.SPECS, net.scores):
+                    want = init_weights((sp.fan_out, sp.fan_in), InitKind.KAIMING_UNIFORM, rng)
+                    assert s.dtype == want.dtype and s.tobytes() == want.tobytes()
+
     def test_one_weight_and_score_matrix_per_layer(self):
         # Two layers given one matrix each must not build a one-layer
         # network whose logits have the first layer's width.
@@ -647,3 +658,69 @@ class TestSeedReconstruction:
         for weights, scores in ((w[:1], s[:1]), (w[:1], s), (w, s[:1]), (w + w[:1], s + s[:1])):
             with pytest.raises(ValueError):
                 Supernetwork(self.SPECS, weights, scores)
+
+
+def scatter(sorted_values, ranking):
+    """Oracle rebuild of one layer: out[ranking[i]] = sorted_values[i]."""
+    out = np.empty_like(sorted_values)
+    for i, edge in enumerate(ranking):
+        out[edge] = sorted_values[i]
+    return out
+
+
+class TestRebuild:
+    """``Supernetwork.reorder_all_scores``: the network's own sorted scores,
+    scattered by a ranking."""
+
+    SPECS = [LayerSpec(3, 2, "identity")]
+
+    def net(self, scores):
+        weights = [np.ones((sp.fan_out, sp.fan_in), dtype=np.float32) for sp in self.SPECS]
+        return Supernetwork(self.SPECS, weights, [np.asarray(scores, dtype=np.float32)])
+
+    def test_fixture_roundtrip(self):
+        net = self.net([[0.2, 0.3, 0.6], [0.9, 1.1, 1.2]])
+        (out,) = net.reorder_all_scores([np.array([2, 3, 0, 5, 1, 4])])
+        want = np.array([[0.6, 1.1, 0.2], [0.3, 1.2, 0.9]], dtype=np.float32)
+        assert out.tobytes() == want.tobytes()
+        assert out.shape == net.weights[0].shape and not out.flags.writeable
+
+    def test_identity_ranking(self):
+        # Ties, -0.0 and +0.0 (which sort as equal): the network's own
+        # ranking gives its scores back byte for byte, signs of zero included.
+        specs = [LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "identity")]
+        scores = [np.array([[0.5, -0.0, 0.0, 0.5], [-1.0, 0.0, -0.0, 0.5], [0.5, -1.0, 0.0, -0.0]]),
+                  np.array([[2.0, -0.0, 2.0], [0.0, 2.0, -0.0]])]
+        weights = [np.ones((sp.fan_out, sp.fan_in), dtype=np.float32) for sp in specs]
+        net = Supernetwork(specs, weights, scores)
+        assert any(np.signbit(s).any() and (s == 0).any() for s in net.scores)
+        got = net.reorder_all_scores(net.ranking)
+        for a, b, w in zip(got, net.scores, net.weights):
+            assert a.shape == w.shape and a.dtype == np.float32 and not a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+
+    def test_roundtrip_property(self):
+        # Distinct scores: the rebuild for any permutation ranks as it.
+        rng = derive(101, [])
+        for trial in range(30):
+            spec = LayerSpec(2 + trial, 3, "identity")
+            net = Supernetwork([spec], [np.ones((3, 2 + trial), dtype=np.float32)],
+                               [rng.uniform(spec.n_edges).reshape(3, -1)])
+            assert len(np.unique(net.scores[0])) == spec.n_edges
+            perm = rng.sample_without_replacement(spec.n_edges, spec.n_edges)
+            (out,) = net.reorder_all_scores([perm])
+            assert out.shape == (3, 2 + trial) and not out.flags.writeable
+            assert np.array_equal(argsort_ranking(out), perm)
+            assert out.tobytes() == scatter(net.sorted_scores[0], perm).reshape(3, -1).tobytes()
+
+    def test_length_mismatch(self):
+        net = self.net([[0.2, 0.3, 0.6], [0.9, 1.1, 1.2]])
+        for ranking in (np.arange(5), np.arange(7), np.array([0, 1, 2, 3, 4, 5, 0]),
+                        np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError):
+                net.reorder_all_scores([ranking])
+        one = Supernetwork([LayerSpec(1, 1, "identity")], [np.ones((1, 1), dtype=np.float32)],
+                           [np.full((1, 1), 0.5, dtype=np.float32)])
+        for ranking in (np.array([], dtype=np.int64), np.array([0, 0])):
+            with pytest.raises(ValueError):
+                one.reorder_all_scores([ranking])

@@ -300,8 +300,8 @@ class TestSharedSeedNetwork:
         # At 784-200-10 every cohort is one client.  The initial state takes
         # the seed draw's scores, each round rebuilds the ranking it voted
         # once, and its five cohorts and the evaluation all start from that
-        # one rebuild: one reorder_all_scores call, one scatter per layer,
-        # per round.
+        # one rebuild: one reorder_all_scores call per round, which rebuilds
+        # each layer once.
         cfg = ExperimentConfig(
             algorithm=Algorithm.FSL, rounds=2, eval_every=1, num_clients=10,
             clients_per_round=5, local_epochs=1, seed=8,
@@ -309,22 +309,19 @@ class TestSharedSeedNetwork:
             dataset=DatasetSpec(kind="blobs", blob_classes=10, blob_dims=784,
                                 blob_samples_per_class=4, blob_cluster_std=2.0))
         assert protocols.cohort_size(cfg.architecture) == 1
-        reorder, calls, cohorts, rebuilds = nn.reorder_scores, [], [], []
+        calls, cohorts, rebuilds = [], [], []
         update, rebuild = protocols.fsl_client_update, Supernetwork.reorder_all_scores
-
-        def spy(values, ranking):
-            calls.append(len(values))
-            return reorder(values, ranking)
 
         def rebuild_spy(net, ranking):
             rebuilds.append(net)
-            return rebuild(net, ranking)
+            layers = rebuild(net, ranking)
+            calls.extend(s.size for s in layers)
+            return layers
 
         def counted(*args):
             cohorts.append(len(args[2]))
             return update(*args)
 
-        monkeypatch.setattr(nn, "reorder_scores", spy)
         monkeypatch.setattr(protocols, "fsl_client_update", counted)
         monkeypatch.setattr(Supernetwork, "reorder_all_scores", rebuild_spy)
         records = run_experiment(cfg)

@@ -11,8 +11,8 @@ from fedrank.ranking import (_BLOCK, LayerTally, SparseLayerRanking,
                              argsort_ranking, decode_entries, decode_layer_ranking,
                              decode_sparse_ranking, encode_entries, encode_layer_ranking,
                              encode_sparse_ranking, floor_count, keep_count, rank_bit_width,
-                             reorder_scores, reverse_ranking, sparse_vote,
-                             stable_order, truncate_ranking, vote, vote_network)
+                             reverse_ranking, sparse_vote, stable_order,
+                             truncate_ranking, vote, vote_network)
 from fedrank.rng import derive
 
 # Worked single-round example: three client rankings over a 6-edge layer
@@ -111,6 +111,20 @@ class TestArgsort:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             argsort_ranking(np.array([1.0, np.nan]))
+
+    def test_stack_ranks_each_matrix_alone(self):
+        # A (G, out, in) stack, ties and signed zeros in it: row c of the
+        # (G, n) result is the ranking of matrix c by itself, and a matrix
+        # ranks as its flattened vector.
+        rng = derive(72, [])
+        stack = (np.array(rng.integers_below([5] * 60), dtype=np.float32) - 2).reshape(4, 3, 5)
+        stack[:, 0, ::2] = -0.0
+        got = argsort_ranking(stack)
+        assert got.shape == (4, 15) and got.dtype == np.int64
+        for row, matrix in zip(got, stack):
+            assert np.array_equal(row, argsort_ranking(matrix))
+            assert np.array_equal(row, argsort_ranking(matrix.ravel()))
+            assert np.array_equal(row, np.argsort(matrix.ravel(), kind="stable"))
 
 
 class TestStableOrder:
@@ -228,58 +242,6 @@ class TestStableOrder:
             x = (np.array(rng.integers_below([9] * n), dtype=np.float32) - 4) * np.float32(0.1)
             x[::5] = -0.0
             assert np.array_equal(argsort_ranking(x), argsort_ranking(x.astype(np.float64)))
-
-
-class TestReorder:
-    def test_fixture_roundtrip(self):
-        sorted_vals = np.array([0.2, 0.3, 0.6, 0.9, 1.1, 1.2])
-        ranking = np.array([2, 3, 0, 5, 1, 4])
-        out = reorder_scores(sorted_vals, ranking)
-        assert np.allclose(out, [0.6, 1.1, 0.2, 0.3, 1.2, 0.9])
-
-    def test_identity_ranking(self):
-        vals = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(reorder_scores(vals, np.array([0, 1, 2])), vals)
-
-    def test_roundtrip_property(self):
-        rng = derive(101, [])
-        for trial in range(30):
-            n = 2 + trial
-            vals = np.sort(rng.uniform(n))
-            perm = rng.sample_without_replacement(n, n)
-            assert np.array_equal(argsort_ranking(reorder_scores(vals, perm)), perm)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            reorder_scores(np.array([1.0, 2.0]), np.array([0, 1, 2]))
-
-    def test_unsorted_values_rejected(self):
-        with pytest.raises(ValueError):
-            reorder_scores(np.array([2.0, 1.0]), np.array([0, 1]))
-
-    def test_sortedness_on_the_native_dtype(self):
-        # the float64 np.diff rule this check replaced, on the values it
-        # agrees on: NaN, signed zeros and infinities
-        inf, nan = np.inf, np.nan
-        rows = [[nan, 1.0], [1.0, nan], [-0.0, 0.0], [0.0, -0.0], [inf, inf],
-                [-inf, inf], [inf, -inf], [1.0, inf, nan, 0.5], [-inf, -inf, 2.0]]
-        for row in rows:
-            for dtype in (np.float32, np.float64):
-                values = np.array(row, dtype=dtype)
-                with np.errstate(invalid="ignore"):  # inf - inf
-                    old = bool(np.any(np.diff(values.astype(np.float64)) < 0))
-                assert self._rejects(values) == old, (row, dtype)
-        # above 2**53 a float64 copy rounds both values to the same number
-        assert self._rejects(np.array([2**53 + 1, 2**53], dtype=np.int64))
-        assert not self._rejects(np.array([2**53, 2**53 + 1], dtype=np.int64))
-
-    @staticmethod
-    def _rejects(values):
-        try:
-            reorder_scores(values, np.arange(len(values)))
-        except ValueError:
-            return True
-        return False
 
 
 class TestVote:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedrank.rng import (_PYTHON_WORDS, NORMAL_PAIRS, InitKind, RngStream, _unit, derive,
-                         init_scores, init_weights)
+                         init_weights)
 
 
 class TestDerive:
@@ -292,14 +292,14 @@ class TestInitializers:
     def test_scores_differ_from_weights_same_seed(self):
         seed = 77
         w = init_weights((10, 10), InitKind.KAIMING_UNIFORM, derive(seed, [0]))
-        s = init_scores((10, 10), derive(seed, [1]))
+        s = init_weights((10, 10), InitKind.KAIMING_UNIFORM, derive(seed, [1]))
         assert not np.array_equal(w, s)
 
     def test_zero_fan_rejected(self):
         with pytest.raises(ValueError):
             init_weights((0, 5), InitKind.KAIMING_NORMAL, derive(1, []))
         with pytest.raises(ValueError):
-            init_scores((5, 0), derive(1, []))
+            init_weights((5, 0), InitKind.KAIMING_UNIFORM, derive(1, []))
 
     @pytest.mark.parametrize("kind,expected_std", [
         (InitKind.KAIMING_NORMAL, math.sqrt(2.0 / 16)),
